@@ -115,19 +115,14 @@ func (e *Engine) FrontContext(ctx context.Context, j Job) (fr FrontResult) {
 		fr.Scheme = cpl.Mode.String()
 		e.couplingJobs.Add(1)
 	}
-	select {
-	case e.solveSlots <- struct{}{}:
-		defer func() { <-e.solveSlots }()
-	case <-ctx.Done():
-		fr.Err = fmt.Errorf("engine: net %q: %w", name, ctx.Err())
-		return fr
-	}
-	if err := ctx.Err(); err != nil {
+	sl := slot{ch: e.solveSlots}
+	defer sl.release()
+	if err := sl.acquire(ctx); err != nil {
 		fr.Err = fmt.Errorf("engine: net %q: %w", name, err)
 		return fr
 	}
 	if j.TreeNet != nil {
-		return e.treeFrontContext(ctx, j, fr)
+		return e.treeFrontContext(ctx, &sl, j, fr)
 	}
 
 	ev, err := delay.NewEvaluator(j.Net, e.tech)
@@ -139,18 +134,29 @@ func (e *Engine) FrontContext(ctx context.Context, j Job) (fr FrontResult) {
 	var key string
 	if e.cache != nil {
 		key = e.sig.key(j)
-		if ent, ok := e.cache.get(key); ok && !ent.tree && len(ent.front) > 0 {
-			e.hits.Add(1)
+		var ent cached
+		o, lead, err := e.lookup(ctx, &sl, key, func() lookupOutcome {
+			var ok bool
+			if ent, ok = e.cache.get(key); ok && !ent.tree && len(ent.front) > 0 {
+				return lookupHit
+			}
+			return lookupMiss
+		})
+		if lead {
+			defer e.flights.land(key)
+		}
+		if err != nil {
+			fr.Err = fmt.Errorf("engine: net %q: %w", name, err)
+			return fr
+		}
+		if o == lookupHit {
 			fr.CacheHit = true
 			fr.TMin = ent.tmin
 			fr.Points = lineFrontPoints(ent.front)
 			return fr
 		}
-		e.misses.Add(1)
 	}
-	s := dp.AcquireSolver()
-	defer dp.ReleaseSolver(s)
-	pts, tmin, _, err := e.solveLineFront(ctx, s, ev, j.Net.Name, key, j.Eps, cpl)
+	pts, tmin, _, err := e.solveLineFront(ctx, ev, j.Net.Name, key, j.Eps, cpl)
 	if err != nil {
 		fr.Err = err
 		return fr
@@ -161,7 +167,7 @@ func (e *Engine) FrontContext(ctx context.Context, j Job) (fr FrontResult) {
 }
 
 // treeFrontContext is the tree arm of FrontContext.
-func (e *Engine) treeFrontContext(ctx context.Context, j Job, fr FrontResult) FrontResult {
+func (e *Engine) treeFrontContext(ctx context.Context, sl *slot, j Job, fr FrontResult) FrontResult {
 	tn := j.TreeNet
 	if err := tn.Validate(); err != nil {
 		fr.Err = asBadJob(err)
@@ -171,18 +177,29 @@ func (e *Engine) treeFrontContext(ctx context.Context, j Job, fr FrontResult) Fr
 	var key string
 	if e.cache != nil {
 		key = e.sig.treeKey(j, embedded)
-		if ent, ok := e.cache.get(key); ok && ent.tree && len(ent.treeFront) > 0 {
-			e.hits.Add(1)
+		var ent cached
+		o, lead, err := e.lookup(ctx, sl, key, func() lookupOutcome {
+			var ok bool
+			if ent, ok = e.cache.get(key); ok && ent.tree && len(ent.treeFront) > 0 {
+				return lookupHit
+			}
+			return lookupMiss
+		})
+		if lead {
+			defer e.flights.land(key)
+		}
+		if err != nil {
+			fr.Err = fmt.Errorf("engine: tree net %q: %w", tn.Name, err)
+			return fr
+		}
+		if o == lookupHit {
 			fr.CacheHit = true
 			fr.TMin = ent.tmin
 			fr.Points = treeFrontPoints(ent.treeFront, embedded)
 			return fr
 		}
-		e.misses.Add(1)
 	}
-	ts := tree.AcquireSolver()
-	defer tree.ReleaseSolver(ts)
-	pts, tmin, err := e.solveTreeFront(ctx, ts, tn, embedded, key)
+	pts, tmin, err := e.solveTreeFront(ctx, tn, embedded, key)
 	if err != nil {
 		fr.Err = err
 		return fr

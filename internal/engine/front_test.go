@@ -13,8 +13,10 @@ import (
 // TestFrontCounterSingleIncrement is the regression test for the cache
 // counter discipline: every lookup increments exactly one of
 // hits/misses/rejected, ONCE — a multi-budget hit whose every budget is
-// re-verified on the cached front still counts as one hit, and a budget
-// the front cannot meet counts as one rejection (never a miss on top).
+// re-verified on the cached front still counts as one hit, a budget the
+// front cannot meet counts as one rejection (never a miss on top), and a
+// job that waited for another job's solve counts only its lookup after
+// the wait.
 func TestFrontCounterSingleIncrement(t *testing.T) {
 	eng := mustEngine(t, Options{Workers: 1})
 	net := corpus(t, 41, 1)[0]
@@ -78,6 +80,9 @@ func TestFrontCounterSingleIncrement(t *testing.T) {
 	if fs.Solves != 2 { // cold solve + post-rejection re-solve
 		t.Fatalf("front solves = %d, want 2", fs.Solves)
 	}
+
+	// 5. Concurrent followers of an in-flight solve.
+	followerOutcomes(t, eng, assertStats)
 }
 
 // TestFrontMonotoneNoDominated pins the served curve's Pareto

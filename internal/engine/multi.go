@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"sync/atomic"
 
-	"github.com/rip-eda/rip/internal/dp"
 	"github.com/rip-eda/rip/internal/tech"
 )
 
@@ -51,8 +50,8 @@ type Multi struct {
 	reg     *tech.Registry
 	engines map[string]*Engine // canonical name → engine
 	def     string             // canonical default node
-	workers int
-	fwd     atomic.Value // Forwarder; nil until SetForwarder
+	slots   chan struct{}      // the solve slots every engine shares
+	fwd     atomic.Value       // Forwarder; nil until SetForwarder
 }
 
 // NewMulti builds one Engine per node in the registry, with shared solve
@@ -83,7 +82,7 @@ func NewMulti(reg *tech.Registry, defaultTech string, opts Options) (*Multi, err
 		reg:     reg,
 		engines: make(map[string]*Engine, reg.Len()),
 		def:     def,
-		workers: workers,
+		slots:   slots,
 	}
 	for _, name := range reg.Names() {
 		node, _, err := reg.Get(name)
@@ -107,7 +106,7 @@ func NewMulti(reg *tech.Registry, defaultTech string, opts Options) (*Multi, err
 }
 
 // Workers returns the shared parallelism bound.
-func (m *Multi) Workers() int { return m.workers }
+func (m *Multi) Workers() int { return cap(m.slots) }
 
 // Default returns the canonical name of the default node.
 func (m *Multi) Default() string { return m.def }
@@ -181,17 +180,19 @@ func (m *Multi) Signature(j Job) (string, bool) {
 	return eng.Signature(j)
 }
 
-// solveContext routes one job: resolve the node, offer the job to the
-// forwarder (if installed), else delegate to the node's engine on the
-// given solver; either way the canonical name is stamped into the
-// result. An unknown node is a per-job failure, isolated like any
-// other.
-func (m *Multi) solveContext(ctx context.Context, j Job, s *dp.Solver) Result {
+// solve routes one job: resolve the node, offer the job to the forwarder
+// (if installed), else delegate to the node's engine on slot sl (see
+// Engine.solve); either way the canonical name is stamped into the
+// result. An unknown node is a per-job failure, isolated like any other.
+func (m *Multi) solve(ctx context.Context, sl *slot, j Job) Result {
 	eng, canon, err := m.route(j.Tech)
 	if err != nil {
 		return Result{Net: j.Net, TreeNet: j.TreeNet, Tech: j.Tech, Err: err}
 	}
 	if f := m.forwarder(); f != nil {
+		// A forwarded job waits on a peer, not on a CPU, and the peer's own
+		// forwards may need this node's slots: it must not hold one.
+		sl.release()
 		fj := j
 		fj.Tech = canon
 		if r, handled := f.ForwardSolve(ctx, fj); handled {
@@ -200,7 +201,7 @@ func (m *Multi) solveContext(ctx context.Context, j Job, s *dp.Solver) Result {
 		}
 	}
 	j.Tech = "" // resolved here; the engine's own-node guard must not re-judge the alias
-	r := eng.solveContext(ctx, j, s)
+	r := eng.solve(ctx, sl, j)
 	r.Tech = canon
 	return r
 }
@@ -244,9 +245,9 @@ func (m *Multi) Solve(j Job) Result { return m.SolveContext(context.Background()
 // SolveContext is Solve with cancellation, with Engine.SolveContext's
 // phase-boundary semantics.
 func (m *Multi) SolveContext(ctx context.Context, j Job) Result {
-	s := dp.AcquireSolver()
-	defer dp.ReleaseSolver(s)
-	return m.solveContext(ctx, j, s)
+	sl := slot{ch: m.slots}
+	defer sl.release()
+	return m.solve(ctx, &sl, j)
 }
 
 // Run optimizes every job and returns results in input order. Per-net
@@ -257,7 +258,7 @@ func (m *Multi) Run(jobs []Job) []Result { return m.RunContext(context.Backgroun
 // RunContext is Run with cancellation, mirroring Engine.RunContext: jobs
 // not yet solving drain as context errors, every slot is filled.
 func (m *Multi) RunContext(ctx context.Context, jobs []Job) []Result {
-	return runJobs(ctx, m.workers, jobs, m.solveContext)
+	return runJobs(ctx, m.slots, jobs, m.solve)
 }
 
 // RunStream optimizes jobs as they arrive and emits results in input
@@ -271,5 +272,5 @@ func (m *Multi) RunStream(in <-chan Job) <-chan Result {
 // RunStreamContext is RunStream with cancellation, mirroring
 // Engine.RunStreamContext's window and ownership rules.
 func (m *Multi) RunStreamContext(ctx context.Context, in <-chan Job) <-chan Result {
-	return runStream(ctx, m.workers, in, m.solveContext)
+	return runStream(ctx, m.slots, in, m.solve)
 }

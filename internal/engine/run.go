@@ -4,36 +4,46 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
-
-	"github.com/rip-eda/rip/internal/dp"
 )
 
 // solveFunc is the per-job solve primitive the fan-out machinery drives:
-// Engine.solveContext for a single node, Multi.solveContext for routed
-// jobs. The *dp.Solver is worker-owned so every DP in a worker's run
-// reuses one set of warm arenas.
-type solveFunc func(ctx context.Context, j Job, s *dp.Solver) Result
+// Engine.solve for a single node, Multi.solve for routed jobs. The slot
+// belongs to the job, not to a goroutine (see runJobs).
+type solveFunc func(ctx context.Context, sl *slot, j Job) Result
 
-// runJobs is the shared Run/RunContext body: a bounded worker pool over
-// an indexed job slice, every result slot filled, results in input
-// order by construction.
-func runJobs(ctx context.Context, workers int, jobs []Job, solve solveFunc) []Result {
+// inFlight is how many jobs one Run or RunStream call keeps in flight on
+// a solve-slot channel. CPU use is bounded by the slots, not by
+// goroutines: a job parked behind another job's solve of its signature
+// gives its slot back, so a call needs more jobs in flight than slots or
+// a parked job would leave a CPU idle. The same bound is RunStream's
+// reordering window.
+func inFlight(slots chan struct{}) int { return max(4*cap(slots), 64) }
+
+// runJobs is the shared Run/RunContext body over an indexed job slice:
+// every result slot filled, results in input order by construction. Each
+// goroutine takes a solve slot before it claims the next job, so the
+// call's jobs start in input order — with one slot a job starts only
+// once the one before it has finished or parked.
+func runJobs(ctx context.Context, slots chan struct{}, jobs []Job, solve solveFunc) []Result {
 	results := make([]Result, len(jobs))
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	workers = min(workers, len(jobs))
-	for w := 0; w < workers; w++ {
+	for range min(inFlight(slots), len(jobs)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s := dp.AcquireSolver()
-			defer dp.ReleaseSolver(s)
+			sl := slot{ch: slots}
 			for {
+				// On a done ctx the claimed job starts without a slot and
+				// reports the context's error from its own acquire.
+				_ = sl.acquire(ctx)
 				i := int(next.Add(1)) - 1
 				if i >= len(jobs) {
+					sl.release()
 					return
 				}
-				r := solve(ctx, jobs[i], s)
+				r := solve(ctx, &sl, jobs[i])
+				sl.release()
 				r.Index = i
 				results[i] = r
 			}
@@ -44,50 +54,36 @@ func runJobs(ctx context.Context, workers int, jobs []Job, solve solveFunc) []Re
 }
 
 // runStream is the shared RunStream/RunStreamContext body: jobs are
-// admitted under a bounded reordering window, solved by a worker pool,
-// and emitted in input order; the output channel closes after the last
+// admitted under a bounded reordering window, each takes its solve slot
+// in admission order and runs on its own goroutine, and results are
+// emitted in input order; the output channel closes after the last
 // admitted job's result. The caller owns (and closes) the input channel.
-func runStream(ctx context.Context, workers int, in <-chan Job, solve solveFunc) <-chan Result {
+func runStream(ctx context.Context, slots chan struct{}, in <-chan Job, solve solveFunc) <-chan Result {
 	out := make(chan Result)
-	type seqJob struct {
-		idx int
-		job Job
-	}
 	// The window bounds how far completed results may run ahead of the
-	// oldest unfinished job, which bounds the reorder buffer.
-	window := 4 * workers
-	if window < 64 {
-		window = 64
-	}
+	// oldest unfinished job, which bounds the reorder buffer and the
+	// number of job goroutines.
+	window := inFlight(slots)
 	tokens := make(chan struct{}, window)
-	jobs := make(chan seqJob)
-	done := make(chan Result, workers)
+	done := make(chan Result)
 
 	go func() { // feeder: admit jobs under the window budget
+		var wg sync.WaitGroup
 		i := 0
 		for j := range in {
 			tokens <- struct{}{}
-			jobs <- seqJob{idx: i, job: j}
+			sl := &slot{ch: slots}
+			_ = sl.acquire(ctx) // as in runJobs: the job reports a done ctx
+			wg.Add(1)
+			go func(idx int) {
+				defer wg.Done()
+				r := solve(ctx, sl, j)
+				sl.release()
+				r.Index = idx
+				done <- r
+			}(i)
 			i++
 		}
-		close(jobs)
-	}()
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s := dp.AcquireSolver()
-			defer dp.ReleaseSolver(s)
-			for sj := range jobs {
-				r := solve(ctx, sj.job, s)
-				r.Index = sj.idx
-				done <- r
-			}
-		}()
-	}
-	go func() {
 		wg.Wait()
 		close(done)
 	}()

@@ -21,7 +21,7 @@ var errTreeShape = errors.New("engine: cached walk position outside tree")
 
 // treeEmbedded reports whether the job solves against the tree's
 // embedded per-sink deadlines: no uniform budget of any form, and every
-// sink carries its own RAT. solveContext's validation rejects the
+// sink carries its own RAT. SolveContext's validation rejects the
 // no-budget no-deadline combination before this is consulted; Front
 // queries fall back to the uniform zero-RAT curve for such trees.
 func treeEmbedded(j Job) bool {
@@ -29,7 +29,7 @@ func treeEmbedded(j Job) bool {
 		j.TreeNet.Tree.HasDeadlines()
 }
 
-// solveTree is the tree-job arm of solveContext: cache lookup with a
+// solveTree is the tree-job arm of SolveContext: cache lookup with a
 // shape-aware key, one max-slack τmin sweep plus one width-aware front
 // sweep per cold shape, and every requested budget answered from the
 // retained front. It mirrors the line arm phase for phase so both net
@@ -41,7 +41,7 @@ func treeEmbedded(j Job) bool {
 // is slack ≥ −T, so one front answers every uniform deadline. Embedded
 // deadlines get their own front (and signature mode) on the actual tree,
 // answered at slack ≥ 0.
-func (e *Engine) solveTree(ctx context.Context, j Job, res Result) Result {
+func (e *Engine) solveTree(ctx context.Context, sl *slot, j Job, res Result) Result {
 	tn := j.TreeNet
 	if err := tn.Validate(); err != nil {
 		res.Err = asBadJob(err)
@@ -52,23 +52,33 @@ func (e *Engine) solveTree(ctx context.Context, j Job, res Result) Result {
 	var key string
 	if e.cache != nil {
 		key = e.sig.treeKey(j, embedded)
-		if ent, ok := e.cache.get(key); ok && ent.tree {
-			if hit, ok := e.verifyTree(ent, j, embedded); ok {
-				e.hits.Add(1)
-				hit.TreeNet = tn
-				hit.Tech = e.tech.Name
-				return hit
+		var hit Result
+		o, lead, err := e.lookup(ctx, sl, key, func() lookupOutcome {
+			ent, ok := e.cache.get(key)
+			if !ok || !ent.tree {
+				return lookupMiss
 			}
-			e.rejected.Add(1)
-		} else {
-			e.misses.Add(1)
+			var verified bool
+			if hit, verified = e.verifyTree(ent, j, embedded); verified {
+				return lookupHit
+			}
+			return lookupRejected
+		})
+		if lead {
+			defer e.flights.land(key)
+		}
+		if err != nil {
+			res.Err = fmt.Errorf("engine: tree net %q: %w", tn.Name, err)
+			return res
+		}
+		if o == lookupHit {
+			hit.TreeNet = tn
+			hit.Tech = e.tech.Name
+			return hit
 		}
 	}
 
-	ts := tree.AcquireSolver()
-	defer tree.ReleaseSolver(ts)
-
-	pts, tmin, err := e.solveTreeFront(ctx, ts, tn, embedded, key)
+	pts, tmin, err := e.solveTreeFront(ctx, tn, embedded, key)
 	if err != nil {
 		res.Err = err
 		return res
@@ -121,8 +131,10 @@ func (e *Engine) solveTree(ctx context.Context, j Job, res Result) Result {
 // its native Pareto front, folding work into the tree DP counters and
 // caching the entry under key. Buffers are stored by pre-order walk
 // position, not node ID, so the entry serves any shape-equal tree
-// regardless of labeling.
-func (e *Engine) solveTreeFront(ctx context.Context, ts *tree.Solver, tn *tree.Net, embedded bool, key string) (treeFront, float64, error) {
+// regardless of labeling. Like solveLineFront, it takes its own DP arenas.
+func (e *Engine) solveTreeFront(ctx context.Context, tn *tree.Net, embedded bool, key string) (treeFront, float64, error) {
+	ts := tree.AcquireSolver()
+	defer tree.ReleaseSolver(ts)
 	tmin := 0.0
 	if !embedded {
 		if err := ctx.Err(); err != nil {

@@ -225,6 +225,8 @@ func (m *metrics) writePrometheus(w io.Writer, eng *engine.Multi, start time.Tim
 		func(s techSnap) uint64 { return s.front.MaxPoints })
 	perTech("rip_front_lookups_total", "counter", "Budget answers served by front lookup, by node.",
 		func(s techSnap) uint64 { return s.front.Lookups })
+	perTech("rip_front_coalesced_total", "counter", "Jobs answered by another job's in-flight solve of their shape, by node.",
+		func(s techSnap) uint64 { return s.front.Coalesced })
 
 	// ε-relaxation counters: how much of the workload runs relaxed, how
 	// many candidates only the relaxation pruned (the work the ε mode
