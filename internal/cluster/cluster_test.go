@@ -277,3 +277,68 @@ func TestForwardHeaderStopsLoops(t *testing.T) {
 		t.Fatalf("already-forwarded requests must not forward again: %+v", st)
 	}
 }
+
+// TestStrictRingBatchStaysWithinPeerAdmission: a batch sent to one
+// replica of a strict-mode ring forwards at most Workers jobs at a time,
+// so the owner, admitting its default 4·Workers requests, sheds none of
+// them: no 429 reaches the breaker and no job fails as peer_unavailable,
+// for a JSON-array batch (Run) and a JSONL one (RunStream) alike. Every
+// net in the batch is owned by the peer, so no local solve paces the
+// forwards.
+func TestStrictRingBatchStaysWithinPeerAdmission(t *testing.T) {
+	reps, nodes := ringUp(t, 2, true)
+	ring, err := cluster.NewRing(nodes[0].Peers(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var array []json.RawMessage
+	var jsonl bytes.Buffer
+	for _, n := range testNets(t, 37, 64) {
+		sig, ok := reps[0].eng.Signature(engine.Job{Net: n, TargetMult: 1.3})
+		if !ok || ring.Owner(sig) != reps[1].ts.URL || len(array) == 24 {
+			continue
+		}
+		b := optimizeBody(t, n)
+		array = append(array, b)
+		jsonl.Write(b)
+		jsonl.WriteByte('\n')
+	}
+	if len(array) < 16 {
+		t.Fatalf("only %d of 64 nets hashed to the peer; enlarge the corpus", len(array))
+	}
+	arrayBody, err := json.Marshal(array)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range [][]byte{arrayBody, jsonl.Bytes()} {
+		resp, err := http.Post(reps[0].ts.URL+"/v1/batch", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []api.Response
+		if body[0] == '[' {
+			err = json.NewDecoder(resp.Body).Decode(&out)
+		} else {
+			dec := json.NewDecoder(resp.Body)
+			for dec.More() {
+				var r api.Response
+				if err = dec.Decode(&r); err != nil {
+					break
+				}
+				out = append(out, r)
+			}
+		}
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || len(out) != len(array) {
+			t.Fatalf("batch: status %d, %d of %d answers, err %v", resp.StatusCode, len(out), len(array), err)
+		}
+		for i, r := range out {
+			if r.Err != nil {
+				t.Fatalf("net %d: %+v", i, r.Err)
+			}
+		}
+	}
+	if st := nodes[0].Stats(); st.Forwards != uint64(2*len(array)) || st.Failures != 0 || st.OpenBreakers != 0 {
+		t.Fatalf("forward stats %+v: want %d forwards and no failure", st, 2*len(array))
+	}
+}

@@ -63,10 +63,10 @@ type Config struct {
 	Client *http.Client
 }
 
-// Node routes jobs whose shapes other replicas own: it implements
-// engine.Forwarder, so installing it on the Multi (SetForwarder) makes
-// every solve path — singles, batches, streams — ring-aware with
-// fan-out bounded by the worker pool.
+// Node routes jobs whose shapes other replicas own: its Forwarder,
+// installed on the Multi (SetForwarder), makes every solve path —
+// singles, batches, streams — ring-aware, with each batch forwarding at
+// most Workers jobs at a time.
 type Node struct {
 	self     string
 	ring     *Ring
@@ -154,24 +154,6 @@ func (n *Node) Self() string { return n.self }
 // Peers lists the ring members, sorted.
 func (n *Node) Peers() []string { return n.ring.Members() }
 
-// owner resolves the job's owning replica; handled=false means the job
-// stays local (already forwarded, unroutable, or owned here).
-func (n *Node) owner(ctx context.Context, m *engine.Multi, j engine.Job) (string, bool) {
-	if IsLocalOnly(ctx) {
-		return "", false
-	}
-	sig, ok := m.Signature(j)
-	if !ok {
-		n.sigMisses.Add(1)
-		return "", false
-	}
-	o := n.ring.Owner(sig)
-	if o == n.self {
-		return "", false
-	}
-	return o, true
-}
-
 // Forwarder binds the node to the Multi it fronts, yielding the hook
 // SetForwarder takes. (The node itself carries no Multi pointer: the
 // Multi owns the node's lifetime, not the reverse.)
@@ -184,12 +166,27 @@ type forwarder struct {
 	m *engine.Multi
 }
 
-func (f *forwarder) ForwardSolve(ctx context.Context, j engine.Job) (engine.Result, bool) {
+// Owner resolves the job's owning replica; ok=false means the job stays
+// local (already forwarded, unroutable, or owned here).
+func (f *forwarder) Owner(ctx context.Context, j engine.Job) (string, bool) {
 	n := f.n
-	owner, ok := n.owner(ctx, f.m, j)
-	if !ok {
-		return engine.Result{}, false
+	if IsLocalOnly(ctx) {
+		return "", false
 	}
+	sig, ok := f.m.Signature(j)
+	if !ok {
+		n.sigMisses.Add(1)
+		return "", false
+	}
+	o := n.ring.Owner(sig)
+	if o == n.self {
+		return "", false
+	}
+	return o, true
+}
+
+func (f *forwarder) ForwardSolve(ctx context.Context, owner string, j engine.Job) (engine.Result, bool) {
+	n := f.n
 	var out api.Response
 	if err := n.post(ctx, owner, "/v1/optimize", api.FromJob(j), &out); err != nil {
 		err, handled := n.fail(owner, err)
@@ -199,12 +196,8 @@ func (f *forwarder) ForwardSolve(ctx context.Context, j engine.Job) (engine.Resu
 	return api.ToResult(out, j), true
 }
 
-func (f *forwarder) ForwardFront(ctx context.Context, j engine.Job) (engine.FrontResult, bool) {
+func (f *forwarder) ForwardFront(ctx context.Context, owner string, j engine.Job) (engine.FrontResult, bool) {
 	n := f.n
-	owner, ok := n.owner(ctx, f.m, j)
-	if !ok {
-		return engine.FrontResult{}, false
-	}
 	var out api.FrontResponse
 	if err := n.post(ctx, owner, "/v1/front", api.FromJob(j), &out); err != nil {
 		err, handled := n.fail(owner, err)

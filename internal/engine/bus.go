@@ -156,7 +156,7 @@ func (e *Engine) SolveBus(ctx context.Context, bj BusJob) BusResult {
 }
 
 // SolveBus routes one bus job by its Tech name. Member solves go through
-// Multi.solve, so a cluster forwarder sees each member as an
+// the Multi's batch solve, so a cluster forwarder sees each member as an
 // ordinary line job with its scenario pinned explicitly (canonical Tech,
 // explicit factor) — the shape's owning replica answers it and the
 // fleet's caches partition for bus traffic exactly as for line traffic.
@@ -167,7 +167,7 @@ func (m *Multi) SolveBus(ctx context.Context, bj BusJob) BusResult {
 	}
 	bj.Tech = canon
 	br := eng.solveBus(ctx, bj, func(ctx context.Context, jobs []Job) []Result {
-		return runJobs(ctx, m.slots, jobs, m.solve)
+		return runJobs(ctx, m.slots, jobs, m.batch())
 	})
 	br.Tech = canon
 	return br

@@ -330,6 +330,10 @@ type Engine struct {
 	solveSlots chan struct{}
 	// flights is the single-flight table of running cold solves.
 	flights flightTable
+	// testHookSolve, when non-nil, runs as each cold line solve begins;
+	// single-flight tests use it to hold a flight's leader until its
+	// followers have parked, or to make it panic.
+	testHookSolve func()
 
 	hits     atomic.Uint64
 	misses   atomic.Uint64
@@ -848,7 +852,7 @@ func (e *Engine) SolveContext(ctx context.Context, j Job) Result {
 
 // solve runs one job, taking the solve slot sl once the job has passed
 // validation, unless the caller already holds it: Run and RunStream take
-// each job's slot before claiming the job, so one call's jobs start in
+// each job's slot before starting the job, so one call's jobs start in
 // input order. The caller releases sl.
 func (e *Engine) solve(ctx context.Context, sl *slot, j Job) (res Result) {
 	res.Net = j.Net
@@ -1067,6 +1071,9 @@ func epsBoundFor(f lineFront, idx int, target, eps, fac float64) float64 {
 // serving. The caller holds a solve slot; the DP arenas are taken here,
 // so only a job that is actually solving pins any.
 func (e *Engine) solveLineFront(ctx context.Context, ev *delay.Evaluator, name, key string, eps float64, cpl *delay.Coupling) (_ lineFront, tmin, fac float64, _ error) {
+	if e.testHookSolve != nil {
+		e.testHookSolve()
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, 0, 0, fmt.Errorf("engine: net %q: %w", name, err)
 	}

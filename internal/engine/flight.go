@@ -5,12 +5,17 @@ import (
 	"sync"
 )
 
-// slot is one job's claim on the engine-wide solve budget. A single-flight
-// follower gives its slot back while it waits, so the job's deferred
-// release must know whether the slot is still held.
+// slot is one job's claim on the engine-wide solve budget. A job that
+// waits on something other than a CPU — a single-flight follower parked
+// behind its leader, a job forwarded to its owning peer — yields its slot
+// for the wait, so the job's deferred release must know whether the slot
+// is still held.
 type slot struct {
 	ch   chan struct{}
 	held bool
+	// yielded, when not nil, runs each time the job yields the slot, so
+	// the job's Run or RunStream call can start another job on it.
+	yielded func()
 }
 
 // acquire takes the slot unless it is already held, then reports the
@@ -32,6 +37,14 @@ func (s *slot) release() {
 	if s.held {
 		s.held = false
 		<-s.ch
+	}
+}
+
+// yield gives the slot back for a wait that needs no CPU.
+func (s *slot) yield() {
+	s.release()
+	if s.yielded != nil {
+		s.yielded()
 	}
 }
 
@@ -109,7 +122,7 @@ func (e *Engine) lookup(ctx context.Context, sl *slot, key string, probe func() 
 		if waited {
 			break
 		}
-		sl.release()
+		sl.yield()
 		select {
 		case <-done:
 		case <-ctx.Done():

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -39,35 +40,93 @@ func concurrently[T any](n int, call func() T) []T {
 }
 
 // waitParked blocks until n goroutines wait in lookup for a flight to
-// land. Parking leaves no trace but the goroutine's stack, so the test
-// reads the goroutine dump.
+// land.
 func waitParked(t *testing.T, n int) {
 	t.Helper()
-	buf := make([]byte, 1<<22)
+	waitBlocked(t, "(*Engine).lookup(", n)
+}
+
+// waitBlocked blocks until n goroutines are blocked in fn (see
+// countBlocked).
+func waitBlocked(t *testing.T, fn string, n int) {
+	t.Helper()
 	for deadline := time.Now().Add(10 * time.Second); ; {
-		parked := 0
-		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
-			head, frames, _ := strings.Cut(g, "\n")
-			if strings.Contains(head, "[select") &&
-				strings.HasPrefix(frames, "github.com/rip-eda/rip/internal/engine.(*Engine).lookup(") {
-				parked++
-			}
-		}
-		if parked >= n {
+		got := countBlocked(fn)
+		if got >= n {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%d of %d followers parked after 10s", parked, n)
+			t.Fatalf("%d of %d goroutines blocked in %s after 10s", got, n, fn)
 		}
 		time.Sleep(time.Millisecond)
 	}
 }
 
-// assertSlotsFree fails when a solve slot outlived every call.
-func assertSlotsFree(t *testing.T, e *Engine) {
+// countBlocked counts the goroutines blocked in a select of the engine
+// function fn: the first frame of their stack outside the runtime (whose
+// frames GOTRACEBACK=system prints too) is fn. Parking leaves no other
+// trace, so the test reads the goroutine dump.
+func countBlocked(fn string) int {
+	buf := make([]byte, 1<<22)
+	n := 0
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		head, frames, _ := strings.Cut(g, "\n")
+		if !strings.Contains(head, "[select") {
+			continue
+		}
+		for _, line := range strings.Split(frames, "\n") {
+			if strings.HasPrefix(line, "\t") || strings.HasPrefix(line, "runtime.") {
+				continue
+			}
+			if strings.HasPrefix(line, "github.com/rip-eda/rip/internal/engine."+fn) {
+				n++
+			}
+			break
+		}
+	}
+	return n
+}
+
+// holdFirstSolve holds eng's first cold line solve as it begins, with its
+// job leading the flight, until release is called; then runs then, if
+// not nil. began is closed once the solve is held. Later solves run
+// straight through.
+func holdFirstSolve(eng *Engine, then func()) (began <-chan struct{}, release func()) {
+	b, r := make(chan struct{}), make(chan struct{})
+	var held atomic.Bool
+	eng.testHookSolve = func() {
+		if !held.CompareAndSwap(false, true) {
+			return // not the first solve: run straight through
+		}
+		close(b)
+		<-r
+		if then != nil {
+			then()
+		}
+	}
+	return b, func() { close(r) }
+}
+
+// solveAll starts n Solve calls of j and returns the channel their
+// results arrive on.
+func solveAll(eng *Engine, n int, j Job) chan Result {
+	out := make(chan Result, n)
+	for range n {
+		go func() { out <- eng.Solve(j) }()
+	}
+	return out
+}
+
+// assertIdle fails when a solve slot or a flight outlived every call.
+func assertIdle(t *testing.T, e *Engine) {
 	t.Helper()
 	if n := len(e.solveSlots); n != 0 {
 		t.Fatalf("%d solve slots still held after every call returned", n)
+	}
+	e.flights.mu.Lock()
+	defer e.flights.mu.Unlock()
+	if n := len(e.flights.m); n != 0 {
+		t.Fatalf("%d flights still in the table after every call returned", n)
 	}
 }
 
@@ -133,22 +192,28 @@ func TestSingleFlightSolvesOnce(t *testing.T) {
 			if st := eng.CacheStats(); st.Hits != 7 || st.Misses != 1 || st.Rejected != 0 {
 				t.Fatalf("cache stats %+v: want 7 hits, 1 miss", st)
 			}
-			assertSlotsFree(t, eng)
+			assertIdle(t, eng)
 		})
 	}
 }
 
 // TestSingleFlightLeaderBudgetAbort: a leader that exhausts its DP work
-// budget stores nothing, and its followers report their own solve's
-// failure instead of inheriting the leader's: every job runs (and
-// aborts) exactly one solve, and no follower hangs.
+// budget while seven followers are parked behind it stores nothing, and
+// its followers report their own solve's failure instead of inheriting
+// the leader's: every job runs (and aborts) exactly one solve, and no
+// follower hangs.
 func TestSingleFlightLeaderBudgetAbort(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.MaxGenerated = 10
 	eng := mustEngine(t, Options{Workers: 2, Pipeline: cfg})
 	job := Job{Net: corpus(t, 63, 1)[0], TargetMult: 1.3}
-	for i, r := range concurrently(8, func() Result { return eng.Solve(job) }) {
-		if !errors.Is(r.Err, dp.ErrBudget) {
+	began, release := holdFirstSolve(eng, nil)
+	results := solveAll(eng, 8, job)
+	<-began
+	waitParked(t, 7)
+	release()
+	for i := range 8 {
+		if r := <-results; !errors.Is(r.Err, dp.ErrBudget) {
 			t.Fatalf("job %d: want its own dp.ErrBudget, got %v", i, r.Err)
 		}
 	}
@@ -158,7 +223,7 @@ func TestSingleFlightLeaderBudgetAbort(t *testing.T) {
 	if st := eng.CacheStats(); st.Misses != 8 || st.Hits+st.Rejected != 0 {
 		t.Fatalf("cache stats %+v: want 8 misses", st)
 	}
-	assertSlotsFree(t, eng)
+	assertIdle(t, eng)
 }
 
 // TestSingleFlightLeaderCancelled: a leader that stops without storing
@@ -167,20 +232,17 @@ func TestSingleFlightLeaderBudgetAbort(t *testing.T) {
 // on their own and answer exactly as a cache-disabled engine does.
 func TestSingleFlightLeaderCancelled(t *testing.T) {
 	line := corpus(t, 64, 1)[0]
+	job := Job{Net: line, TargetMult: 1.3}
 	ref := mustEngine(t, Options{Workers: 2, Cache: CacheOptions{Disabled: true}})
-	want := ref.Solve(Job{Net: line, TargetMult: 1.3})
+	want := ref.Solve(job)
 
 	t.Run("parked followers", func(t *testing.T) {
 		eng := mustEngine(t, Options{Workers: 2})
-		job := Job{Net: line, TargetMult: 1.3}
 		key := eng.sig.key(job)
 		if _, leader := eng.flights.join(key); !leader {
 			t.Fatal("a fresh engine has a flight in progress")
 		}
-		results := make(chan Result, 4)
-		for range 4 {
-			go func() { results <- eng.Solve(job) }()
-		}
+		results := solveAll(eng, 4, job)
 		waitParked(t, 4)
 		eng.flights.land(key) // the leader gave up: nothing was stored
 		for range 4 {
@@ -189,28 +251,40 @@ func TestSingleFlightLeaderCancelled(t *testing.T) {
 		if st := eng.CacheStats(); st.Hits+st.Misses+st.Rejected != 4 || st.Misses == 0 {
 			t.Fatalf("cache stats %+v: want one lookup per job, at least one miss", st)
 		}
-		assertSlotsFree(t, eng)
+		assertIdle(t, eng)
 	})
 
-	t.Run("cancelled mid-flight", func(t *testing.T) {
+	// leaderGivesUp runs a real leader job, held as its solve begins until
+	// four followers have parked behind it, then stopped by then; the
+	// followers must answer as the cache-disabled engine does.
+	leaderGivesUp := func(t *testing.T, then func(cancel context.CancelFunc)) Result {
 		eng := mustEngine(t, Options{Workers: 2})
-		job := Job{Net: line, TargetMult: 1.3}
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
+		began, release := holdFirstSolve(eng, func() { then(cancel) })
 		leader := make(chan Result, 1)
 		go func() { leader <- eng.SolveContext(ctx, job) }()
-		followers := make(chan Result, 4)
-		for range 4 {
-			go func() { followers <- eng.Solve(job) }()
-		}
-		cancel()
-		if r := <-leader; r.Err != nil && !errors.Is(r.Err, context.Canceled) {
-			t.Fatalf("cancelled job: %v", r.Err)
-		}
+		<-began
+		followers := solveAll(eng, 4, job)
+		waitParked(t, 4)
+		release()
+		r := <-leader
 		for range 4 {
 			assertSameSolution(t, <-followers, want)
 		}
-		assertSlotsFree(t, eng)
+		assertIdle(t, eng)
+		return r
+	}
+	t.Run("cancelled mid-flight", func(t *testing.T) {
+		if r := leaderGivesUp(t, func(cancel context.CancelFunc) { cancel() }); !errors.Is(r.Err, context.Canceled) {
+			t.Fatalf("cancelled leader: err %v, want context.Canceled", r.Err)
+		}
+	})
+	t.Run("panicking", func(t *testing.T) {
+		r := leaderGivesUp(t, func(context.CancelFunc) { panic("leader blew up") })
+		if r.Err == nil || !strings.Contains(r.Err.Error(), "solver panic: leader blew up") {
+			t.Fatalf("panicking leader: err %v, want its recovered panic", r.Err)
+		}
 	})
 }
 
@@ -236,7 +310,9 @@ func TestSingleFlightFollowerCancelled(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("cancelled follower still parked after 10s")
 	}
-	assertSlotsFree(t, eng)
+	if n := len(eng.solveSlots); n != 0 {
+		t.Fatalf("the cancelled follower left %d solve slots held", n)
+	}
 	if st := eng.CacheStats(); st.Misses != 1 || st.Hits+st.Rejected != 0 {
 		t.Fatalf("cache stats %+v: want 1 miss", st)
 	}
@@ -244,6 +320,7 @@ func TestSingleFlightFollowerCancelled(t *testing.T) {
 	if r := eng.Solve(job); r.Err != nil || r.CacheHit {
 		t.Fatalf("solve after the flight landed: err=%v hit=%v", r.Err, r.CacheHit)
 	}
+	assertIdle(t, eng)
 }
 
 // TestSingleFlightStream: a stream of contiguous runs of 1–6 identical
@@ -298,7 +375,75 @@ func TestSingleFlightStream(t *testing.T) {
 	if fs := eng.FrontStats(); fs.Solves != uint64(len(shapes)) {
 		t.Fatalf("front solves = %d, want one per distinct shape (%d)", fs.Solves, len(shapes))
 	}
-	assertSlotsFree(t, eng)
+	assertIdle(t, eng)
+}
+
+// TestSingleFlightFollowerYieldsSlot: a parked follower leaves its slot
+// to the next job of its call. With two slots, one held by a leader that
+// cannot finish and one yielded by its parked follower, a third job on
+// another shape still solves.
+func TestSingleFlightFollowerYieldsSlot(t *testing.T) {
+	eng := mustEngine(t, Options{Workers: 2})
+	nets := corpus(t, 72, 2)
+	_, release := holdFirstSolve(eng, nil)
+	jobs := []Job{{Net: nets[0], TargetMult: 1.3}, {Net: nets[0], TargetMult: 1.3}, {Net: nets[1], TargetMult: 1.3}}
+	done := make(chan []Result, 1)
+	go func() { done <- eng.Run(jobs) }()
+	for deadline := time.Now().Add(10 * time.Second); eng.FrontStats().Solves == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("no job solved while the leader was held: the parked follower's slot sat idle")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	release()
+	for i, r := range <-done {
+		if r.Err != nil {
+			t.Fatalf("job %d: %v", i, r.Err)
+		}
+	}
+	if n := eng.FrontStats().Solves; n != 2 {
+		t.Fatalf("front solves = %d, want one per shape (2)", n)
+	}
+	assertIdle(t, eng)
+}
+
+// TestRunQueuesOneSlotWaiter: a Run may keep many jobs in flight but
+// queues at most one goroutine on the shared solve slots, so another
+// caller waits behind at most one of the batch's jobs, not its window.
+func TestRunQueuesOneSlotWaiter(t *testing.T) {
+	eng := mustEngine(t, Options{Workers: 1})
+	nets := corpus(t, 71, 9)
+	other := Job{Net: nets[8], TargetMult: 1.3}
+	if r := eng.Solve(other); r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	var jobs []Job
+	for _, n := range nets[:8] {
+		jobs = append(jobs, Job{Net: n, TargetMult: 1.3})
+	}
+	began, release := holdFirstSolve(eng, nil)
+	done := make(chan []Result, 1)
+	go func() { done <- eng.Run(jobs) }()
+	<-began // the batch's first job holds the only slot
+	hit := make(chan Result, 1)
+	go func() { hit <- eng.Solve(other) }()
+	waitBlocked(t, "(*slot).acquire(", 1)
+	release()
+	if r := <-hit; r.Err != nil || !r.CacheHit {
+		t.Fatalf("other caller: err=%v hit=%v", r.Err, r.CacheHit)
+	}
+	// One solve warmed the other caller's shape. Since then the batch's
+	// first job, one it queued ahead of the other caller, and one
+	// started after it may have solved, not the window.
+	if n := eng.FrontStats().Solves - 1; n > 3 {
+		t.Fatalf("the other caller waited for %d batch solves, want at most 3", n)
+	}
+	for i, r := range <-done {
+		if r.Err != nil || r.Index != i {
+			t.Fatalf("job %d: index %d, err %v", i, r.Index, r.Err)
+		}
+	}
+	assertIdle(t, eng)
 }
 
 // TestSingleFlightBus: the tracks of a bus with one shared geometry ask
@@ -322,7 +467,7 @@ func TestSingleFlightBus(t *testing.T) {
 	if got, want := eng.FrontStats().Solves, uint64(len(bus.MFValues(node.MillerMax))); got != want {
 		t.Fatalf("front solves = %d, want one per factor (%d)", got, want)
 	}
-	assertSlotsFree(t, eng)
+	assertIdle(t, eng)
 }
 
 // followerOutcomes is the concurrent-follower case of
@@ -333,20 +478,13 @@ func followerOutcomes(t *testing.T, eng *Engine, assertStats func(string, uint64
 	t.Helper()
 	base := eng.CacheStats()
 	nets := corpus(t, 42, 2) // shapes no earlier step has seen
-	park := func(n int, j Job) chan Result {
-		out := make(chan Result, n)
-		for range n {
-			go func() { out <- eng.Solve(j) }()
-		}
-		return out
-	}
 
 	// A leader that stores a front: three followers hit, and one whose
 	// budget the front cannot meet counts one rejection, then solves.
 	key := eng.sig.key(Job{Net: nets[0]})
 	eng.flights.join(key)
-	hits := park(3, Job{Net: nets[0], TargetMult: 1.3})
-	rejects := park(1, Job{Net: nets[0], Target: 1e-15})
+	hits := solveAll(eng, 3, Job{Net: nets[0], TargetMult: 1.3})
+	rejects := solveAll(eng, 1, Job{Net: nets[0], Target: 1e-15})
 	waitParked(t, 4)
 	ev, err := delay.NewEvaluator(nets[0], eng.tech)
 	if err != nil {
@@ -372,12 +510,12 @@ func followerOutcomes(t *testing.T, eng *Engine, assertStats func(string, uint64
 	// A leader that lands without storing: its follower counts one miss.
 	key = eng.sig.key(Job{Net: nets[1]})
 	eng.flights.join(key)
-	misses := park(1, Job{Net: nets[1], TargetMult: 1.3})
+	misses := solveAll(eng, 1, Job{Net: nets[1], TargetMult: 1.3})
 	waitParked(t, 1)
 	eng.flights.land(key)
 	if r := <-misses; r.Err != nil || r.CacheHit {
 		t.Fatalf("follower of an empty flight: err=%v hit=%v", r.Err, r.CacheHit)
 	}
 	assertStats("follower of an empty flight", base.Hits+3, base.Misses+1, base.Rejected+1)
-	assertSlotsFree(t, eng)
+	assertIdle(t, eng)
 }

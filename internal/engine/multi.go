@@ -11,20 +11,26 @@ import (
 )
 
 // Forwarder lets a transport claim jobs before the Multi solves them
-// locally — the hook consistent-hash peer routing plugs into. Both
-// methods receive the job with Tech already resolved to its canonical
-// name and report handled=false to decline (job unroutable, shape owned
-// locally, peer unreachable with fallback enabled, ...), in which case
-// the Multi solves locally as if no forwarder were installed. A
-// forwarder that returns handled=true must return a complete Result /
-// FrontResult (its Err field carrying any remote failure).
+// locally — the hook consistent-hash peer routing plugs into. Every
+// method receives the job with Tech already resolved to its canonical
+// name. Owner names the peer that owns the job, or reports ok=false to
+// keep it local (job unroutable, shape owned locally, request already
+// forwarded, ...); only then are ForwardSolve and ForwardFront called,
+// with that peer. They report handled=false to decline after all (peer
+// unreachable with fallback enabled), in which case the Multi solves
+// locally as if no forwarder were installed. A forwarder that returns
+// handled=true must return a complete Result / FrontResult (its Err
+// field carrying any remote failure).
 //
 // Hooking at the Multi rather than the transport means every path —
-// single solves, array batches, JSONL streams — inherits routing, with
-// fan-out bounded by the same worker pool that bounds local solves.
+// single solves, array batches, JSONL streams, bus members — inherits
+// routing. A forwarded job waits on a peer, not a CPU, so it holds no
+// solve slot; one Run, RunStream or bus pass forwards at most Workers
+// jobs at a time instead.
 type Forwarder interface {
-	ForwardSolve(ctx context.Context, j Job) (Result, bool)
-	ForwardFront(ctx context.Context, j Job) (FrontResult, bool)
+	Owner(ctx context.Context, j Job) (peer string, ok bool)
+	ForwardSolve(ctx context.Context, peer string, j Job) (Result, bool)
+	ForwardFront(ctx context.Context, peer string, j Job) (FrontResult, bool)
 }
 
 // Multi is the multi-technology facade over a set of per-node Engines:
@@ -184,26 +190,57 @@ func (m *Multi) Signature(j Job) (string, bool) {
 // (if installed), else delegate to the node's engine on slot sl (see
 // Engine.solve); either way the canonical name is stamped into the
 // result. An unknown node is a per-job failure, isolated like any other.
-func (m *Multi) solve(ctx context.Context, sl *slot, j Job) Result {
+//
+// A job a peer owns yields its slot before it is forwarded: it waits on
+// the peer, not on a CPU, and the peer's own forwards may need this
+// node's slots. fwd, when not nil, is the calling batch's forward budget
+// (see batch).
+func (m *Multi) solve(ctx context.Context, sl *slot, fwd chan struct{}, j Job) Result {
 	eng, canon, err := m.route(j.Tech)
 	if err != nil {
 		return Result{Net: j.Net, TreeNet: j.TreeNet, Tech: j.Tech, Err: err}
 	}
 	if f := m.forwarder(); f != nil {
-		// A forwarded job waits on a peer, not on a CPU, and the peer's own
-		// forwards may need this node's slots: it must not hold one.
-		sl.release()
 		fj := j
 		fj.Tech = canon
-		if r, handled := f.ForwardSolve(ctx, fj); handled {
-			r.Tech = canon
-			return r
+		if peer, ok := f.Owner(ctx, fj); ok {
+			sl.yield()
+			if r, handled := forwardSolve(ctx, f, fwd, peer, fj); handled {
+				r.Tech = canon
+				return r
+			}
 		}
 	}
 	j.Tech = "" // resolved here; the engine's own-node guard must not re-judge the alias
 	r := eng.solve(ctx, sl, j)
 	r.Tech = canon
 	return r
+}
+
+// forwardSolve sends j to peer holding one token of the forward budget
+// fwd (nil: unbounded). A job whose context ends while it waits for a
+// token is not sent: it reports handled=false, and the local path
+// answers with the context's error.
+func forwardSolve(ctx context.Context, f Forwarder, fwd chan struct{}, peer string, j Job) (Result, bool) {
+	if fwd != nil {
+		tok := slot{ch: fwd}
+		defer tok.release()
+		if tok.acquire(ctx) != nil {
+			return Result{}, false
+		}
+	}
+	return f.ForwardSolve(ctx, peer, j)
+}
+
+// batch returns the solve one Run, RunStream or bus pass drives. Its
+// forwards share a budget of Workers at a time: the bound a batch had
+// when it ran on a pool of Workers goroutines, and well inside the
+// 4·Workers requests a peer admits by default, so one batch alone cannot
+// make the owners it forwards to shed load. Jobs owned here are bounded
+// by the solve slots as usual.
+func (m *Multi) batch() solveFunc {
+	fwd := make(chan struct{}, cap(m.slots))
+	return func(ctx context.Context, sl *slot, j Job) Result { return m.solve(ctx, sl, fwd, j) }
 }
 
 func (m *Multi) route(name string) (*Engine, string, error) {
@@ -228,9 +265,11 @@ func (m *Multi) FrontContext(ctx context.Context, j Job) FrontResult {
 	if f := m.forwarder(); f != nil {
 		fj := j
 		fj.Tech = canon
-		if fr, handled := f.ForwardFront(ctx, fj); handled {
-			fr.Tech = canon
-			return fr
+		if peer, ok := f.Owner(ctx, fj); ok {
+			if fr, handled := f.ForwardFront(ctx, peer, fj); handled {
+				fr.Tech = canon
+				return fr
+			}
 		}
 	}
 	j.Tech = "" // resolved here; the engine's own-node guard must not re-judge the alias
@@ -247,7 +286,7 @@ func (m *Multi) Solve(j Job) Result { return m.SolveContext(context.Background()
 func (m *Multi) SolveContext(ctx context.Context, j Job) Result {
 	sl := slot{ch: m.slots}
 	defer sl.release()
-	return m.solve(ctx, &sl, j)
+	return m.solve(ctx, &sl, nil, j)
 }
 
 // Run optimizes every job and returns results in input order. Per-net
@@ -258,7 +297,7 @@ func (m *Multi) Run(jobs []Job) []Result { return m.RunContext(context.Backgroun
 // RunContext is Run with cancellation, mirroring Engine.RunContext: jobs
 // not yet solving drain as context errors, every slot is filled.
 func (m *Multi) RunContext(ctx context.Context, jobs []Job) []Result {
-	return runJobs(ctx, m.slots, jobs, m.solve)
+	return runJobs(ctx, m.slots, jobs, m.batch())
 }
 
 // RunStream optimizes jobs as they arrive and emits results in input
@@ -272,5 +311,5 @@ func (m *Multi) RunStream(in <-chan Job) <-chan Result {
 // RunStreamContext is RunStream with cancellation, mirroring
 // Engine.RunStreamContext's window and ownership rules.
 func (m *Multi) RunStreamContext(ctx context.Context, in <-chan Job) <-chan Result {
-	return runStream(ctx, m.slots, in, m.solve)
+	return runStream(ctx, m.slots, in, m.batch())
 }

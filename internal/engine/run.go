@@ -7,84 +7,108 @@ import (
 )
 
 // solveFunc is the per-job solve primitive the fan-out machinery drives:
-// Engine.solve for a single node, Multi.solve for routed jobs. The slot
-// belongs to the job, not to a goroutine (see runJobs).
+// Engine.solve for a single node, a Multi's batch solve for routed jobs.
+// The slot belongs to the job, not to a goroutine (see drive).
 type solveFunc func(ctx context.Context, sl *slot, j Job) Result
 
 // inFlight is how many jobs one Run or RunStream call keeps in flight on
 // a solve-slot channel. CPU use is bounded by the slots, not by
 // goroutines: a job parked behind another job's solve of its signature
-// gives its slot back, so a call needs more jobs in flight than slots or
-// a parked job would leave a CPU idle. The same bound is RunStream's
+// yields its slot, so a call needs more jobs in flight than slots or a
+// parked job would leave a CPU idle. The same bound is RunStream's
 // reordering window.
 func inFlight(slots chan struct{}) int { return max(4*cap(slots), 64) }
 
-// runJobs is the shared Run/RunContext body over an indexed job slice:
-// every result slot filled, results in input order by construction. Each
-// goroutine takes a solve slot before it claims the next job, so the
-// call's jobs start in input order — with one slot a job starts only
-// once the one before it has finished or parked.
-func runJobs(ctx context.Context, slots chan struct{}, jobs []Job, solve solveFunc) []Result {
-	results := make([]Result, len(jobs))
-	var next atomic.Int64
+// drive is the loop Run and RunStream share. It starts one goroutine per
+// solve slot and one more each time a job yields its slot (see
+// slot.yield), up to n, so a job that waits without a CPU never leaves
+// one idle, while a call that never waits costs no more goroutines than
+// slots. Each goroutine loops: take the call's gate, claim the next job,
+// take the job's solve slot, hand the gate on, solve. Only the gate's
+// holder waits for a slot, so a call queues one goroutine on the shared
+// slots however many jobs it has in flight, and its jobs take their
+// slots in claim order, which is input order: with one slot a job starts
+// only once the one before it has finished or yielded. claim returns job
+// i, or false when no job is left; emit receives each result, Index set.
+func drive(ctx context.Context, slots chan struct{}, n int, claim func(i int) (Job, bool), solve solveFunc, emit func(Result)) {
+	gate := make(chan struct{}, 1)
+	next := 0 // guarded by gate
+	var live atomic.Int64
 	var wg sync.WaitGroup
-	for range min(inFlight(slots), len(jobs)) {
+	var loop func()
+	grow := func() {
+		if live.Add(1) > int64(n) {
+			live.Add(-1)
+			return
+		}
 		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sl := slot{ch: slots}
-			for {
-				// On a done ctx the claimed job starts without a slot and
+		go loop()
+	}
+	loop = func() {
+		defer wg.Done()
+		sl := slot{ch: slots, yielded: grow}
+		for {
+			gate <- struct{}{}
+			i := next
+			j, ok := claim(i)
+			if ok {
+				next++
+				// On a done ctx the job starts without a slot and
 				// reports the context's error from its own acquire.
 				_ = sl.acquire(ctx)
-				i := int(next.Add(1)) - 1
-				if i >= len(jobs) {
-					sl.release()
-					return
-				}
-				r := solve(ctx, &sl, jobs[i])
-				sl.release()
-				r.Index = i
-				results[i] = r
 			}
-		}()
+			<-gate
+			if !ok {
+				return
+			}
+			r := solve(ctx, &sl, j)
+			sl.release()
+			r.Index = i
+			emit(r)
+		}
+	}
+	for range min(cap(slots), n) {
+		grow()
 	}
 	wg.Wait()
+}
+
+// runJobs is the shared Run/RunContext body: every result slot filled,
+// results in input order by construction.
+func runJobs(ctx context.Context, slots chan struct{}, jobs []Job, solve solveFunc) []Result {
+	results := make([]Result, len(jobs))
+	claim := func(i int) (Job, bool) {
+		if i == len(jobs) {
+			return Job{}, false
+		}
+		return jobs[i], true
+	}
+	drive(ctx, slots, min(inFlight(slots), len(jobs)), claim, solve, func(r Result) { results[r.Index] = r })
 	return results
 }
 
 // runStream is the shared RunStream/RunStreamContext body: jobs are
-// admitted under a bounded reordering window, each takes its solve slot
-// in admission order and runs on its own goroutine, and results are
-// emitted in input order; the output channel closes after the last
-// admitted job's result. The caller owns (and closes) the input channel.
+// admitted under a bounded reordering window and emitted in input order;
+// the output channel closes after the last admitted job's result. The
+// caller owns (and closes) the input channel.
 func runStream(ctx context.Context, slots chan struct{}, in <-chan Job, solve solveFunc) <-chan Result {
 	out := make(chan Result)
 	// The window bounds how far completed results may run ahead of the
-	// oldest unfinished job, which bounds the reorder buffer and the
-	// number of job goroutines.
+	// oldest unfinished job, which bounds the reorder buffer.
 	window := inFlight(slots)
 	tokens := make(chan struct{}, window)
 	done := make(chan Result)
-
-	go func() { // feeder: admit jobs under the window budget
-		var wg sync.WaitGroup
-		i := 0
-		for j := range in {
-			tokens <- struct{}{}
-			sl := &slot{ch: slots}
-			_ = sl.acquire(ctx) // as in runJobs: the job reports a done ctx
-			wg.Add(1)
-			go func(idx int) {
-				defer wg.Done()
-				r := solve(ctx, sl, j)
-				sl.release()
-				r.Index = idx
-				done <- r
-			}(i)
-			i++
+	claim := func(int) (Job, bool) {
+		tokens <- struct{}{}
+		j, ok := <-in
+		if !ok {
+			<-tokens
 		}
-		wg.Wait()
+		return j, ok
+	}
+
+	go func() {
+		drive(ctx, slots, window, claim, solve, func(r Result) { done <- r })
 		close(done)
 	}()
 
