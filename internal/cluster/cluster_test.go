@@ -3,6 +3,8 @@ package cluster_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -124,6 +126,48 @@ func TestRingOrderInsensitive(t *testing.T) {
 	for _, key := range []string{"k1", "k2", "k3", "net/42", "tree/7"} {
 		if a.Owner(key) != b.Owner(key) {
 			t.Fatalf("ring ownership depends on member order for %q", key)
+		}
+	}
+}
+
+// TestRingBalancesLoopbackMembers: members on one host differ only in
+// the last digits of their port, the shape of a local multi-replica
+// fleet (and of every test ring here). Each member of such a 2- or
+// 3-member ring must own close to 1/n of real shape signatures. With
+// raw FNV-64a the vnodes of such members bunched up, and one member
+// could own anywhere from 8% to 95% of the keys.
+func TestRingBalancesLoopbackMembers(t *testing.T) {
+	eng, err := engine.NewMulti(tech.DefaultRegistry(), "180nm", engine.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for _, n := range testNets(t, 41, 1000) {
+		if sig, ok := eng.Signature(engine.Job{Net: n, TargetMult: 1.3}); ok {
+			keys = append(keys, sig)
+		}
+	}
+	for _, size := range []int{2, 3} {
+		for _, base := range []int{8080, 18081, 32768, 40000, 45678, 60999} {
+			members := make([]string, size)
+			for i := range members {
+				members[i] = fmt.Sprintf("http://127.0.0.1:%d", base+i)
+			}
+			ring, err := cluster.NewRing(members, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			owned := make(map[string]int)
+			for _, k := range keys {
+				owned[ring.Owner(k)]++
+			}
+			for _, m := range members {
+				share := float64(owned[m]) / float64(len(keys))
+				if math.Abs(share-1/float64(size)) > 0.1 {
+					t.Errorf("%d-member ring at port %d: %s owns %.1f%% of %d keys",
+						size, base, m, 100*share, len(keys))
+				}
+			}
 		}
 	}
 }

@@ -1,9 +1,11 @@
 package dp
 
 import (
+	"math/rand"
 	"testing"
 
 	"github.com/rip-eda/rip/internal/delay"
+	"github.com/rip-eda/rip/internal/netgen"
 	"github.com/rip-eda/rip/internal/repeater"
 	"github.com/rip-eda/rip/internal/tech"
 	"github.com/rip-eda/rip/internal/units"
@@ -139,6 +141,43 @@ func BenchmarkSolveCoupled_g10(b *testing.B) {
 		}
 		if !sol.Feasible {
 			b.Fatal("benchmark instance must be feasible")
+		}
+	}
+}
+
+// BenchmarkSolveFront_Engine measures the front kernel ripd runs for every
+// cold line shape: the engine's front space (10u–400u at a 40u step,
+// 200 µm pitch, ladder on) on a fixed 10-segment 65nm netgen line.
+func BenchmarkSolveFront_Engine(b *testing.B) {
+	tc := tech.T65()
+	cfg, err := netgen.DefaultConfig(tc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg.MinSegments, cfg.MaxSegments = 10, 10
+	net, err := netgen.Generate(rand.New(rand.NewSource(1)), cfg, "bench-65nm-10")
+	if err != nil {
+		b.Fatal(err)
+	}
+	ev, err := delay.NewEvaluator(net, tc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lib, err := repeater.Range(10, 400, 40)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := Options{Library: lib, Pitch: 200 * units.Micron, Ladder: true}
+	s := NewSolver()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		front, _, err := s.SolveFront(ev, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(front) == 0 {
+			b.Fatal("benchmark instance must have a front")
 		}
 	}
 }

@@ -19,10 +19,11 @@
 //
 // The sweep is implemented by Solver, a reusable kernel with persistent
 // scratch arenas: steady-state solves perform zero heap allocations, and
-// pruning is bucketed by repeater action (see prune.go) so the full 3-key
-// sort of the naive rendering never happens. The package-level Solve and
-// MinimumDelay draw Solvers from a pool, so even one-shot callers reuse
-// arenas across calls.
+// pruning is bucketed by repeater action and filed into a width-class
+// table (see prune.go), so neither the full 3-key sort of the naive
+// rendering nor any per-bucket sort ever happens. The package-level Solve
+// and MinimumDelay draw Solvers from a pool, so even one-shot callers
+// reuse arenas across calls.
 package dp
 
 import (
@@ -93,24 +94,12 @@ type Options struct {
 	// subsampled width library whose front yields admissible pruning
 	// bounds for the full-library pass. Results are bit-identical to a
 	// non-ladder run (only Stats differ: the coarse pass's work is
-	// folded in), so the knob is purely a speed/accounting trade.
+	// folded in), so the knob is purely a speed/accounting trade. In
+	// exact mode fronts also keep the same placements: where options tie
+	// bit for bit on (delay, width), the prune keeps the one with the
+	// lower scheme, then the one generated first, an order that does not
+	// depend on which other options a sweep generated (see prune.go).
 	Ladder bool
-	// Parallel > 1 fans per-bucket stage-1 prunes across up to Parallel
-	// goroutines (including the caller) for levels generating at least
-	// ParallelThreshold options. Buckets are independent and the merge
-	// stays serial, so results are bit-identical to Parallel == 0.
-	Parallel int
-	// ParallelThreshold is the per-level generated count that triggers
-	// the parallel prune (0 = DefaultParallelThreshold).
-	ParallelThreshold int
-	// AcquireWorker/ReleaseWorker, when set, gate each extra prune
-	// goroutine against a shared worker budget (the engine passes its
-	// solve-slot semaphore). AcquireWorker must not block: returning
-	// false means "no spare worker" and the prune proceeds with fewer
-	// helpers.
-	AcquireWorker func() bool
-	ReleaseWorker func()
-
 	// Coupling, when non-nil, prices every grid interval's capacitance as
 	// ground + MF·coupling under the scenario's aggressor assumption and
 	// lets the sweep choose one of the scenario's allowed countermeasure
@@ -128,9 +117,6 @@ const (
 	// DefaultEps is the recommended ε for callers that want the speedup
 	// and accept a ≤ 2% certified delay (and therefore power) slack.
 	DefaultEps = 0.02
-	// DefaultParallelThreshold is the per-level generated count below
-	// which the parallel prune is not worth its goroutine handoffs.
-	DefaultParallelThreshold = 32 << 10
 )
 
 // validEps reports whether e is a usable ε knob value. NaN is checked
@@ -240,8 +226,9 @@ type option struct {
 var solverPool = sync.Pool{New: func() any { return NewSolver() }}
 
 // AcquireSolver takes a Solver from the shared pool. Callers that solve in
-// a loop (batch workers, the hybrid pipeline) should acquire once, reuse,
-// and release when done so the arenas stay warm.
+// a loop (the hybrid pipeline) should acquire once, reuse, and release
+// when done so the arenas stay warm; the batch engine takes one per cold
+// solve, so only a job that is actually solving holds DP arenas.
 func AcquireSolver() *Solver { return solverPool.Get().(*Solver) }
 
 // ReleaseSolver returns a Solver to the shared pool. The Solver must not

@@ -330,14 +330,13 @@ func TestStatsGrowWithLibrary(t *testing.T) {
 	}
 }
 
-// pruneAll runs the bucketed pruner over an unbucketed option set (all in
-// the no-repeater bucket), the shape the legacy prune tests exercised.
+// pruneAll runs the pruner over an unbucketed option set (all in the
+// no-repeater bucket, no repeater widths), the shape the legacy prune
+// tests exercised.
 func pruneAll(opts []option, width bool) []option {
 	var p pruner
-	p.reset(1)
-	for _, o := range opts {
-		p.add(0, o)
-	}
+	p.reset(nil, nil)
+	p.runs = append(p.runs, opts...)
 	return p.pruneInto(nil, width)
 }
 

@@ -1,13 +1,15 @@
 package dp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
-	"sync"
 	"testing"
 
 	"github.com/rip-eda/rip/internal/delay"
+	"github.com/rip-eda/rip/internal/netgen"
+	"github.com/rip-eda/rip/internal/repeater"
 	"github.com/rip-eda/rip/internal/tech"
 	"github.com/rip-eda/rip/internal/units"
 	"github.com/rip-eda/rip/internal/wire"
@@ -44,12 +46,63 @@ func sameValues(t *testing.T, name string, got, want Solution) {
 	}
 }
 
+// corpusCase is the element type corpusInstances returns.
+type corpusCase = struct {
+	name string
+	ev   *delay.Evaluator
+	opts Options
+}
+
+// frontSpaceInstances are netgen lines on every built-in node in the
+// engine's front space (10u–400u at a 40u step, 200 µm pitch), at 1.3×
+// their τmin there: the sweep ripd serves, where placements that tie bit
+// for bit on (delay, width) are common.
+func frontSpaceInstances(t *testing.T) []corpusCase {
+	t.Helper()
+	lib40, err := repeater.Range(10, 400, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []corpusCase
+	reg := tech.DefaultRegistry()
+	for _, node := range tech.BuiltinNames() {
+		tc, _, err := reg.Get(node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := netgen.DefaultConfig(tc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.MaxSegments = 6
+		nets, err := netgen.Corpus(7, 3, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range nets {
+			ev, err := delay.NewEvaluator(n, tc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := Options{Library: lib40, Pitch: 200 * units.Micron}
+			tmin, err := MinimumDelay(ev, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.Objective, opts.Target = MinPower, 1.3*tmin
+			out = append(out, corpusCase{node + "/" + n.Name, ev, opts})
+		}
+	}
+	return out
+}
+
 // TestLadderMatchesExactCorpus pins the ladder's contract on the
-// deterministic corpus: identical feasibility, delay and width, with a
-// still-valid assignment, in both the bounded and the front solver.
+// deterministic corpus and on front-space netgen lines: identical
+// feasibility, delay and width, with a still-valid assignment, in both
+// the bounded and the front solver, and the same front placements.
 func TestLadderMatchesExactCorpus(t *testing.T) {
 	s, sl := NewSolver(), NewSolver()
-	for _, c := range corpusInstances(t) {
+	for _, c := range append(corpusInstances(t), frontSpaceInstances(t)...) {
 		lopts := c.opts
 		lopts.Ladder = true
 		want, wantErr := s.Solve(c.ev, c.opts)
@@ -70,32 +123,45 @@ func TestLadderMatchesExactCorpus(t *testing.T) {
 			t.Fatalf("%s: exact ladder run reported %d ε-prunes", c.name, got.Stats.EpsPruned)
 		}
 
-		// Front mode: the ladder must reproduce the exact front's point
-		// values exactly.
-		wf, _, wantErr := s.SolveFront(c.ev, c.opts)
-		gf, gst, gotErr := sl.SolveFront(c.ev, lopts)
-		if (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("%s front: error mismatch: %v vs %v", c.name, gotErr, wantErr)
-		}
-		if gotErr != nil {
-			continue
-		}
-		if len(gf) != len(wf) {
-			t.Fatalf("%s front: %d points with ladder, %d without", c.name, len(gf), len(wf))
-		}
-		for i := range gf {
-			if gf[i].Delay != wf[i].Delay || gf[i].TotalWidth != wf[i].TotalWidth {
-				t.Fatalf("%s front point %d: (%v, %v) with ladder, (%v, %v) without",
-					c.name, i, gf[i].Delay, gf[i].TotalWidth, wf[i].Delay, wf[i].TotalWidth)
-			}
-			if err := c.ev.Validate(gf[i].Assignment); err != nil {
-				t.Fatalf("%s front point %d invalid: %v", c.name, i, err)
-			}
-		}
+		gst := sameLadderFront(t, c.name, s, sl, c.ev, c.opts)
 		if gst.EpsPruned != 0 {
 			t.Fatalf("%s front: exact ladder run reported %d ε-prunes", c.name, gst.EpsPruned)
 		}
 	}
+}
+
+// sameLadderFront solves the front with and without the ladder and fails
+// unless both serve the same front: identical point values and identical
+// placements (positions and widths). The table's tie rule is what makes
+// the placements agree on exact (delay, width) ties. It returns the ladder
+// run's stats.
+func sameLadderFront(t *testing.T, name string, s, sl *Solver, ev *delay.Evaluator, opts Options) Stats {
+	t.Helper()
+	lopts := opts
+	lopts.Ladder = true
+	wf, _, wantErr := s.SolveFront(ev, opts)
+	gf, gst, gotErr := sl.SolveFront(ev, lopts)
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("%s front: error mismatch: %v vs %v", name, gotErr, wantErr)
+	}
+	if len(gf) != len(wf) {
+		t.Fatalf("%s front: %d points with ladder, %d without", name, len(gf), len(wf))
+	}
+	for i := range gf {
+		if gf[i].Delay != wf[i].Delay || gf[i].TotalWidth != wf[i].TotalWidth {
+			t.Fatalf("%s front point %d: (%v, %v) with ladder, (%v, %v) without",
+				name, i, gf[i].Delay, gf[i].TotalWidth, wf[i].Delay, wf[i].TotalWidth)
+		}
+		g, w := gf[i].Assignment, wf[i].Assignment
+		if !slices.Equal(g.Positions, w.Positions) || !slices.Equal(g.Widths, w.Widths) {
+			t.Fatalf("%s front point %d: ladder places %v×%v, flat sweep %v×%v",
+				name, i, g.Positions, g.Widths, w.Positions, w.Widths)
+		}
+		if err := ev.Validate(g); err != nil {
+			t.Fatalf("%s front point %d invalid: %v", name, i, err)
+		}
+	}
+	return gst
 }
 
 // TestLadderMatchesExactRandom is the randomized rendering of the ladder
@@ -126,6 +192,7 @@ func TestLadderMatchesExactRandom(t *testing.T) {
 				t.Fatalf("trial %d: ladder assignment invalid: %v", trial, err)
 			}
 		}
+		sameLadderFront(t, fmt.Sprintf("trial %d", trial), s, sl, ev, opts)
 	}
 }
 
@@ -391,95 +458,4 @@ func FuzzEpsSolve(f *testing.F) {
 			}
 		}
 	})
-}
-
-// TestParallelPruneStress hammers the intra-net parallel prune from many
-// concurrent solvers (run with -race in CI): every parallel schedule must
-// reproduce the serial solve bit-exactly — assignments and work stats
-// included — and the worker-budget hooks must never deadlock.
-func TestParallelPruneStress(t *testing.T) {
-	rng := rand.New(rand.NewSource(88))
-	type inst struct {
-		ev   *delay.Evaluator
-		opts Options
-		want Solution
-	}
-	var instances []inst
-	s := NewSolver()
-	ev := evalFor(t, paperishLine(t))
-	tmin, err := MinimumDelay(ev, Options{Library: lib(t, 10, 10, 40), Pitch: 200 * units.Micron})
-	if err != nil {
-		t.Fatal(err)
-	}
-	instances = append(instances,
-		inst{ev: ev, opts: Options{Library: lib(t, 10, 10, 40), Pitch: 200 * units.Micron, Objective: MinPower, Target: 1.3 * tmin}},
-		inst{ev: ev, opts: Options{Library: lib(t, 10, 10, 40), Pitch: 200 * units.Micron, Objective: MinDelay}},
-		inst{ev: ev, opts: Options{Library: lib(t, 10, 10, 40), Pitch: 200 * units.Micron, Objective: MinPower, Target: 1.2 * tmin, Ladder: true, Eps: DefaultEps}},
-	)
-	for trial := 0; trial < 12; trial++ {
-		rev, ropts := randomInstance(t, rng)
-		instances = append(instances, inst{ev: rev, opts: ropts})
-	}
-	for i := range instances {
-		want, err := s.Solve(instances[i].ev, instances[i].opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		instances[i].want = want
-	}
-
-	// A bounded shared worker budget, the shape the engine passes in.
-	slots := make(chan struct{}, 3)
-	acquire := func() bool {
-		select {
-		case slots <- struct{}{}:
-			return true
-		default:
-			return false
-		}
-	}
-	release := func() { <-slots }
-
-	const goroutines = 6
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			ps := NewSolver()
-			var sol Solution
-			for round := 0; round < 3; round++ {
-				for i := range instances {
-					popts := instances[i].opts
-					popts.Parallel = 8
-					popts.ParallelThreshold = 1
-					if g%2 == 0 {
-						popts.AcquireWorker = acquire
-						popts.ReleaseWorker = release
-					}
-					if err := ps.SolveInto(&sol, instances[i].ev, popts); err != nil {
-						t.Errorf("goroutine %d inst %d: %v", g, i, err)
-						return
-					}
-					want := instances[i].want
-					if sol.Feasible != want.Feasible || sol.Delay != want.Delay ||
-						sol.TotalWidth != want.TotalWidth || sol.Stats != want.Stats {
-						t.Errorf("goroutine %d inst %d: parallel solve diverged: got {%v %v %v %+v}, want {%v %v %v %+v}",
-							g, i, sol.Feasible, sol.Delay, sol.TotalWidth, sol.Stats,
-							want.Feasible, want.Delay, want.TotalWidth, want.Stats)
-						return
-					}
-					if !slices.Equal(sol.Assignment.Positions, want.Assignment.Positions) ||
-						!slices.Equal(sol.Assignment.Widths, want.Assignment.Widths) {
-						t.Errorf("goroutine %d inst %d: parallel assignment diverged", g, i)
-						return
-					}
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if len(slots) != 0 {
-		t.Fatalf("%d worker slots leaked", len(slots))
-	}
 }

@@ -3,8 +3,6 @@ package dp
 import (
 	"math"
 	"slices"
-	"sync"
-	"sync/atomic"
 )
 
 // Pruning strategy
@@ -18,21 +16,28 @@ import (
 // load c = Co·w_i regardless of which downstream option it extends, so the
 // generated set splits into |B|+1 buckets — one per repeater action plus
 // the no-repeater bucket — where every repeater bucket has a single c
-// value.
+// value and 3-D dominance inside it degenerates to 2-D (d, w) dominance.
 //
-//   - Within a repeater bucket, 3-D dominance degenerates to 2-D (d, w)
-//     dominance: a 2-key sort plus a linear sweep keeps the bucket's front
-//     (d ascending, w strictly descending). Under the delay objective the
-//     whole bucket collapses to its min-d element with no sort at all.
-//     Because the bucket's c and action are constants, the bucket stores
-//     bare (d, w, next) records — 24 bytes instead of 40 — so the sort
-//     and sweep stream 40% less memory (the SoA layout of the hot merge).
+//   - Width-class table. A repeater option's width is its downstream
+//     option's width class — that option's accumulated width, plus the
+//     interval's shielding cost when coupled — plus the library width w_i.
+//     runLevels sorts and dedupes a level's classes once; every generated
+//     repeater option then lands in cell (class, w_i), which keeps only the
+//     lowest delay. Ties go to the lower scheme, then to the first option
+//     generated. Repeater options are never stored, let alone sorted.
+//   - Stage 1 reads each repeater bucket's (d, w) front from one ascending
+//     scan over the classes. Widths never shrink along it, so a cell
+//     survives when its delay undercuts every narrower class's. When two
+//     adjacent classes round to the same post-repeater width, the faster
+//     cell (by the same tie rule) replaces the slower one. Under the delay
+//     objective width is ignored and the table has a single class, so each
+//     bucket reduces to its min-delay cell.
 //   - The no-repeater bucket inherits the downstream level's (c, d, w)
 //     order (kept runs are emitted sorted), so it is already sorted; a
 //     linear check guards the rare rounding collision that breaks the
-//     inheritance, re-sorting only then.
-//   - The bucket fronts are then k-way merged in ascending (c, d, w)
-//     order through one incremental (d, w) front, which performs the exact
+//     inheritance, re-sorting (stably) only then.
+//   - Stage 2 k-way merges the bucket fronts in ascending (c, d, w) order
+//     through one incremental (d, w) front, which performs the exact
 //     dominance filter of the classic algorithm without ever sorting the
 //     full generated set. The front is held as two parallel float slices
 //     (frontD, frontW) so the binary-search filter touches contiguous
@@ -42,53 +47,81 @@ import (
 // (one representative each), emitted in ascending (c, d, w) order — the
 // same value set the reference O(G log G + G·F) prune keeps, which the
 // property tests in prune_test.go verify against an O(G²) dominance
-// filter.
+// filter. Delays are assumed finite: an empty cell holds +Inf.
 //
-// Two opt-in relaxations bolt onto this skeleton without touching the
-// exact default path:
+// Representatives are fixed by value order alone: within a bucket the
+// lower scheme wins an exact tie, then the option generated first (its
+// parent comes first in the downstream level's (c, d, w) order), and
+// across buckets the merge keeps the no-repeater bucket's, then the
+// narrowest repeater's. None of that depends on which other options a
+// sweep generated, so the ladder's fine pass, which generates a subset of
+// the flat sweep's options, keeps the same chains and serves the same
+// placements.
 //
-//   - ε-dominance (epsMul > 1): the merge filter treats an incoming option
-//     as dominated when a kept entry beats it on c and w and is within a
-//     (1+ε)^(1/n) delay factor of it, where n is the candidate count. The
-//     stage-1 bucket reduces stay exact, so each level introduces at most
-//     one relaxed hop and the whole sweep's delay inflation telescopes to
-//     at most 1+ε — and, since a hop only costs its factor at a level
-//     whose merge actually performed a relaxed kill, to the tighter
-//     (1+ε)^(epsLevels/n) that Stats.EpsFactor certifies per run. Kept
-//     entries always record their exact delay, so the relaxation never
-//     compounds through the front itself.
-//   - intra-net parallelism (par > 1): stage-1 bucket reduces are
-//     independent by construction, so levels whose generated count crosses
-//     thresh fan them across a bounded goroutine group; the stage-2 merge
-//     stays serial, so results are bit-identical to the serial schedule.
+// ε-dominance (epsMul > 1) is an opt-in relaxation of stage 2 only: the
+// merge filter treats an incoming option as dominated when a kept entry
+// beats it on c and w and is within a (1+ε)^(1/n) delay factor of it,
+// where n is the candidate count. Stage 1 stays exact, so each level
+// introduces at most one relaxed hop and the whole sweep's delay inflation
+// telescopes to at most 1+ε — and, since a hop only costs its factor at a
+// level whose merge actually performed a relaxed kill, to the tighter
+// (1+ε)^(epsLevels/n) that Stats.EpsFactor certifies per run. Kept entries
+// always record their exact delay, so the relaxation never compounds
+// through the front itself.
 
 // dw is one (delay, width) Pareto-front entry (kept for the preserved
 // reference implementation in reference_test.go).
 type dw struct{ d, w float64 }
 
-// dwn is one repeater-bucket record: the bucket's c and action are
-// constants held once in the pruner, so options in it are just
-// (delay, width, arena-link) plus the scheme byte coupled solves carry
-// (it fits in the struct's existing padding).
-type dwn struct {
+// cell is one width-class table entry: the fastest repeater option seen
+// for one (width class, library width) pair. Its c and action are the
+// bucket's constants; next < 0 marks an empty cell.
+type cell struct {
 	d, w float64
 	next int32
 	sch  uint8
 }
 
-// mergeHead is one cursor of the k-way bucket merge.
-type mergeHead struct {
-	b int32 // bucket index: 0 = no-repeater, i+1 = width index i
-	i int32 // next unconsumed option in that bucket
+// beats reports whether c is the better representative of a (d, w) value
+// than o under the table's tie rule: lower delay, then lower scheme, then
+// the option generated first (generation walks the downstream level in
+// arena order, so that is the lower next).
+func (c *cell) beats(o *option) bool {
+	if c.d != o.d {
+		return c.d < o.d
+	}
+	if c.sch != o.sch {
+		return c.sch < o.sch
+	}
+	return c.next < o.next
 }
 
-// pruner holds the bucketed-prune scratch. Buffers are retained across
-// levels and solves; bucket 0 is the no-repeater action, bucket i+1 the
-// library's width index i.
+// offer files one generated repeater option into its cell under the tie
+// rule; options arrive in generation order, so a full tie keeps the
+// incumbent.
+func (c *cell) offer(d, w float64, next int32, sch uint8) {
+	if d < c.d || (d == c.d && sch < c.sch) {
+		*c = cell{d: d, w: w, next: next, sch: sch}
+	}
+}
+
+// mergeHead is one cursor of the k-way run merge: the next unconsumed
+// option runs[i] and the end of its run.
+type mergeHead struct{ i, end int32 }
+
+// pruner holds the per-level prune scratch. Buffers are retained across
+// levels and solves.
 type pruner struct {
-	b0     []option  // no-repeater bucket: arbitrary c, inherits sort order
-	rb     [][]dwn   // repeater buckets, one per library width
-	rbC    []float64 // the constant c of each repeater bucket
+	// runs holds the level's sorted runs back to back: first the
+	// no-repeater bucket, which the solver appends during generation, then
+	// each repeater bucket's front as stage 1 emits it.
+	runs []option
+	// cls is the level's width classes, ascending and distinct; cells is
+	// the class table, row-major with one row of len(coW) cells per class.
+	cls   []float64
+	cells []cell
+	// coW is each repeater bucket's constant load Co·w_i.
+	coW    []float64
 	frontD []float64 // incremental front, delay coordinates (ascending)
 	frontW []float64 // incremental front, width coordinates (descending)
 	heap   []mergeHead
@@ -113,63 +146,46 @@ type pruner struct {
 	// and usually far below it — each kill's realized ratio is capped by
 	// (1+ε)^(1/n) but typically near 1.
 	epsFac float64
-
-	// par > 1 fans stage-1 bucket reduces across up to par goroutines
-	// (including the caller) for levels generating ≥ thresh options.
-	// acquire/release, when set, gate each extra goroutine against the
-	// engine's shared worker budget; a failed acquire just means fewer
-	// helpers.
-	par     int
-	thresh  int
-	acquire func() bool
-	release func()
 }
 
-// reset prepares the pruner for a new level of nb buckets (one no-repeater
-// plus nb-1 repeater widths), keeping allocated capacity.
-func (p *pruner) reset(nb int) {
-	p.b0 = p.b0[:0]
-	nr := nb - 1
-	if cap(p.rb) < nr {
-		grown := make([][]dwn, nr)
-		copy(grown, p.rb)
-		p.rb = grown
-		p.rbC = make([]float64, nr)
+// reset prepares the pruner for a new level. cls holds the downstream
+// width classes in any order, duplicates allowed; reset sorts and dedupes
+// it in place and keeps it. coW holds the repeater buckets' loads. Every
+// table cell starts empty and the no-repeater bucket starts empty.
+func (p *pruner) reset(cls, coW []float64) {
+	slices.Sort(cls)
+	p.cls = slices.Compact(cls)
+	p.coW = coW
+	n := len(p.cls) * len(coW)
+	p.cells = slices.Grow(p.cells[:0], n)[:n]
+	for i := range p.cells {
+		p.cells[i] = cell{d: math.Inf(1), next: -1}
 	}
-	p.rb = p.rb[:nr]
-	p.rbC = p.rbC[:nr]
-	for i := range p.rb {
-		p.rb[i] = p.rb[i][:0]
-	}
+	p.runs = p.runs[:0]
 }
 
-// add places one generated option into its bucket. The solver's hot loop
-// appends directly; this helper keeps tests and cold paths readable.
-func (p *pruner) add(bi int, o option) {
-	if bi == 0 {
-		p.b0 = append(p.b0, o)
-		return
+// row returns the table row of width class w, which must be one of the
+// classes reset was given.
+func (p *pruner) row(w float64) []cell {
+	lo, hi := 0, len(p.cls)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if p.cls[mid] < w {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	p.rbC[bi-1] = o.c
-	p.rb[bi-1] = append(p.rb[bi-1], dwn{d: o.d, w: o.w, next: o.next, sch: o.sch})
-}
-
-// generated reports the number of options currently in the buckets.
-func (p *pruner) generated() int {
-	n := len(p.b0)
-	for i := range p.rb {
-		n += len(p.rb[i])
-	}
-	return n
+	nw := len(p.coW)
+	return p.cells[lo*nw : lo*nw+nw]
 }
 
 // cmpOpt orders options by (c, d, w) ascending — (c, d) only when the
 // width coordinate is ignored (2-D mode). Width-blindness is a comparison
 // concern: the options' real widths are never modified. Exact value ties
-// break by scheme so coupled solves stay deterministic under the unstable
-// sorts (plain first, which is what makes a zero-coupling duplicate kill
-// keep the plain option); uncoupled solves carry sch == 0 everywhere and
-// are unaffected.
+// break by scheme, plain first, which is what makes a zero-coupling
+// duplicate kill keep the plain option; uncoupled solves carry sch == 0
+// everywhere and are unaffected.
 func cmpOpt(a, b *option, threeD bool) int {
 	switch {
 	case a.c != b.c:
@@ -196,113 +212,39 @@ func cmpOpt(a, b *option, threeD bool) int {
 	return 0
 }
 
-// reduceB0 reduces bucket 0 to sorted (c, d, w) order. It inherits the
-// downstream kept order, so the common case is a verify-only pass.
-func (p *pruner) reduceB0(threeD bool) {
-	if !slices.IsSortedFunc(p.b0, func(a, b option) int { return cmpOpt(&a, &b, threeD) }) {
-		slices.SortFunc(p.b0, func(a, b option) int { return cmpOpt(&a, &b, threeD) })
-	}
-}
-
-// reduceRB reduces repeater bucket bi to its own (d, w) front — or, width
-// ignored, to its single min-d element.
-func (p *pruner) reduceRB(bi int, threeD bool) {
-	b := p.rb[bi]
-	if len(b) <= 1 {
-		return
-	}
-	if !threeD {
-		// Constant c, width ignored: the min-d element dominates the
-		// whole bucket. Keep the first minimum.
-		best := 0
-		for i := 1; i < len(b); i++ {
-			if b[i].d < b[best].d {
-				best = i
+// reduceTable appends each repeater bucket's (d, w) front to runs, d
+// ascending and w strictly descending, and pushes a merge cursor for each
+// non-empty one. The scan walks a bucket's column with widths ascending
+// and keeps the survivors in that order, so each front is reversed once
+// at the end.
+func (p *pruner) reduceTable() {
+	nw := len(p.coW)
+	for wi, c := range p.coW {
+		start := len(p.runs)
+		minD := math.Inf(1)
+		for j := wi; j < len(p.cells); j += nw {
+			e := &p.cells[j]
+			if e.next < 0 {
+				continue
 			}
-		}
-		b[0] = b[best]
-		p.rb[bi] = b[:1]
-		return
-	}
-	// Constant c: 2-D (d, w) front. Sort by (d, w) and keep strictly
-	// decreasing widths. Ties break by scheme (see cmpOpt).
-	slices.SortFunc(b, func(a, b dwn) int {
-		switch {
-		case a.d != b.d:
-			if a.d < b.d {
-				return -1
-			}
-			return 1
-		case a.w != b.w:
-			if a.w < b.w {
-				return -1
-			}
-			return 1
-		case a.sch != b.sch:
-			if a.sch < b.sch {
-				return -1
-			}
-			return 1
-		}
-		return 0
-	})
-	out := b[:0]
-	minW := math.Inf(1)
-	for i := range b {
-		if b[i].w < minW {
-			minW = b[i].w
-			out = append(out, b[i])
-		}
-	}
-	p.rb[bi] = out
-}
-
-// reduceAll runs stage 1 over every bucket — serially, or fanned across a
-// bounded goroutine group when the level is wide enough to pay for it.
-// Buckets are independent, so the parallel schedule produces bit-identical
-// bucket fronts.
-func (p *pruner) reduceAll(threeD bool) {
-	nb := 1 + len(p.rb)
-	if p.par > 1 && p.generated() >= p.thresh && nb > 1 {
-		var next atomic.Int64
-		work := func() {
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= nb {
-					return
+			if last := len(p.runs) - 1; last >= start && p.runs[last].w == e.w {
+				// Two classes rounded to one width: the cells are rival
+				// representatives of the same width, so the faster stays.
+				if r := &p.runs[last]; e.beats(r) {
+					r.d, r.next, r.sch = e.d, e.next, e.sch
+					minD = e.d
 				}
-				if i == 0 {
-					p.reduceB0(threeD)
-				} else {
-					p.reduceRB(i-1, threeD)
-				}
+				continue
+			}
+			if e.d < minD {
+				p.runs = append(p.runs, option{c: c, d: e.d, w: e.w, act: int32(wi), next: e.next, sch: e.sch})
+				minD = e.d
 			}
 		}
-		extra := p.par - 1
-		if extra > nb-1 {
-			extra = nb - 1
+		if len(p.runs) > start {
+			slices.Reverse(p.runs[start:])
+			p.heap = append(p.heap, mergeHead{i: int32(start), end: int32(len(p.runs))})
 		}
-		var wg sync.WaitGroup
-		for i := 0; i < extra; i++ {
-			if p.acquire != nil && !p.acquire() {
-				break // worker budget exhausted: fewer helpers, not an error
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if p.release != nil {
-					defer p.release()
-				}
-				work()
-			}()
-		}
-		work()
-		wg.Wait()
-		return
-	}
-	p.reduceB0(threeD)
-	for bi := range p.rb {
-		p.reduceRB(bi, threeD)
 	}
 }
 
@@ -321,28 +263,33 @@ func (p *pruner) frontIdx(key float64) int {
 	return lo
 }
 
-// pruneInto removes dominated options from the filled buckets and appends
-// the survivors to dst in ascending (c, d, w) order, returning the
-// extended slice. With threeD it applies the 3-D Pareto rule on (c, d, w);
-// otherwise the 2-D rule on (c, d), comparing as if every width were zero
-// without mutating any option.
+// pruneInto removes dominated options from the level — the no-repeater
+// bucket in runs plus the filled class table — and appends the survivors
+// to dst in ascending (c, d, w) order, returning the extended slice. With
+// threeD it applies the 3-D Pareto rule on (c, d, w); otherwise the 2-D
+// rule on (c, d), comparing as if every width were zero without mutating
+// any option.
 func (p *pruner) pruneInto(dst []option, threeD bool) []option {
-	// Stage 1: reduce each bucket to its own front.
-	p.reduceAll(threeD)
-
-	// Stage 2: k-way merge of the bucket fronts in ascending (c, d, w)
-	// order through a single incremental (d, w) front. Every run is sorted
-	// in that order (repeater buckets have constant c and ascending d), so
-	// a small binary heap over the run heads yields the global order.
+	// Stage 1: sort the no-repeater bucket if generation broke its
+	// inherited order, and read every repeater bucket's front off the
+	// table. Runs keep bucket order, so merge ties break the way they
+	// always have: no-repeater first, then by library index.
 	p.heap = p.heap[:0]
-	if len(p.b0) > 0 {
-		p.heap = append(p.heap, mergeHead{b: 0})
-	}
-	for bi := range p.rb {
-		if len(p.rb[bi]) > 0 {
-			p.heap = append(p.heap, mergeHead{b: int32(bi + 1)})
+	if n0 := len(p.runs); n0 > 0 {
+		// The re-sort is stable, so exact ties keep generation order: the
+		// same "first generated" rule the table applies.
+		b0 := p.runs[:n0]
+		if !slices.IsSortedFunc(b0, func(a, b option) int { return cmpOpt(&a, &b, threeD) }) {
+			slices.SortStableFunc(b0, func(a, b option) int { return cmpOpt(&a, &b, threeD) })
 		}
+		p.heap = append(p.heap, mergeHead{i: 0, end: int32(n0)})
 	}
+	p.reduceTable()
+
+	// Stage 2: k-way merge of the runs in ascending (c, d, w) order through
+	// a single incremental (d, w) front. Every run is sorted in that order
+	// (repeater fronts have constant c and ascending d), so a small binary
+	// heap over the run heads yields the global order.
 	for i := len(p.heap)/2 - 1; i >= 0; i-- {
 		p.siftDown(i, threeD)
 	}
@@ -353,20 +300,9 @@ func (p *pruner) pruneInto(dst []option, threeD bool) []option {
 	p.frontD = p.frontD[:0]
 	p.frontW = p.frontW[:0]
 	for len(p.heap) > 0 {
-		h := p.heap[0]
-		var o option
-		var blen int
-		if h.b == 0 {
-			o = p.b0[h.i]
-			blen = len(p.b0)
-		} else {
-			e := p.rb[h.b-1][h.i]
-			o = option{c: p.rbC[h.b-1], d: e.d, w: e.w, act: h.b - 1, next: e.next, sch: e.sch}
-			blen = len(p.rb[h.b-1])
-		}
-		if int(h.i)+1 < blen {
-			p.heap[0].i++
-		} else {
+		h := &p.heap[0]
+		o := p.runs[h.i]
+		if h.i++; h.i == h.end {
 			last := len(p.heap) - 1
 			p.heap[0] = p.heap[last]
 			p.heap = p.heap[:last]
@@ -457,29 +393,18 @@ func (p *pruner) widthIdx(w float64) int {
 }
 
 // headLess orders merge cursors by their head option's (c, d, w), breaking
-// exact value ties by bucket index for determinism.
+// exact value ties by run position — bucket order — for determinism.
 func (p *pruner) headLess(x, y mergeHead, threeD bool) bool {
-	xc, xd, xw := p.headVal(x)
-	yc, yd, yw := p.headVal(y)
+	a, b := &p.runs[x.i], &p.runs[y.i]
 	switch {
-	case xc != yc:
-		return xc < yc
-	case xd != yd:
-		return xd < yd
-	case threeD && xw != yw:
-		return xw < yw
+	case a.c != b.c:
+		return a.c < b.c
+	case a.d != b.d:
+		return a.d < b.d
+	case threeD && a.w != b.w:
+		return a.w < b.w
 	}
-	return x.b < y.b
-}
-
-// headVal reads the (c, d, w) of a merge cursor's head option.
-func (p *pruner) headVal(h mergeHead) (c, d, w float64) {
-	if h.b == 0 {
-		o := &p.b0[h.i]
-		return o.c, o.d, o.w
-	}
-	e := &p.rb[h.b-1][h.i]
-	return p.rbC[h.b-1], e.d, e.w
+	return x.i < y.i
 }
 
 // siftDown restores the heap property from index i.

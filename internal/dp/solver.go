@@ -13,8 +13,9 @@ import (
 // positions, per-stage wire quantities, the option arena, generation and
 // pruning buffers — lives in persistent scratch that is recycled across
 // levels and across solves, so steady-state solves allocate nothing on the
-// heap. A Solver is NOT safe for concurrent use: give each worker its own
-// (the batch engine does) or draw one from the package pool per call.
+// heap. A Solver is NOT safe for concurrent use: give each goroutine its
+// own, or draw one from the package pool per call (the batch engine takes
+// a pooled Solver for each cold solve).
 //
 // Layout: all levels' surviving options live in one flat arena. Level k's
 // run is arena[lvlOff[k] : lvlOff[k]+lvlCnt[k]]; an option's parent pointer
@@ -366,28 +367,15 @@ func (s *Solver) prepare(ev *delay.Evaluator, opts Options, lib []float64) (int,
 	return n, nil
 }
 
-// configureSweep resets the sweep configuration and the pruner's ε and
-// parallelism knobs for a new solve. threeD gates the ε machinery: the
-// relaxation is defined on the width-aware sweep only.
+// configureSweep resets the sweep configuration and the pruner's ε knobs
+// for a new solve. threeD gates the ε machinery: the relaxation is
+// defined on the width-aware sweep only.
 func (s *Solver) configureSweep(opts Options, threeD bool) {
 	s.sw = sweepCfg{wUB: math.Inf(1), epsC: 1, invC: 1}
 	s.pr.epsMul = 0
 	s.pr.epsPruned = 0
 	s.pr.epsLevels = 0
 	s.pr.epsFac = 1
-	s.pr.par = 0
-	s.pr.thresh = 0
-	s.pr.acquire = nil
-	s.pr.release = nil
-	if opts.Parallel > 1 {
-		s.pr.par = opts.Parallel
-		s.pr.thresh = opts.ParallelThreshold
-		if s.pr.thresh <= 0 {
-			s.pr.thresh = DefaultParallelThreshold
-		}
-		s.pr.acquire = opts.AcquireWorker
-		s.pr.release = opts.ReleaseWorker
-	}
 	if threeD && opts.Eps > 0 {
 		// The certified delay inflation is at most 1+Eps: the stage-1
 		// bucket reduces are exact, so each level's merge introduces at
@@ -561,10 +549,40 @@ func (s *Solver) runLevels(ev *delay.Evaluator, opts Options, bound float64, thr
 			}
 		}
 
-		s.pr.reset(len(s.widths) + 1)
-		copy(s.pr.rbC, s.coW)
+		// The level's width-class table (see prune.go): one class per
+		// distinct downstream width, plus each scheme's shielding cost when
+		// coupled. The delay objective ignores width, so 2-D mode is the
+		// one-class table and every option lands in row 0.
 		downOff := s.lvlOff[k+1]
 		down := s.arena[downOff : downOff+s.lvlCnt[k+1]]
+		var cwS, mS, wAddS [3]float64
+		if cpl != nil {
+			stageLen := s.points[k+2] - s.points[k+1]
+			for si, sch := range cpl.Schemes {
+				mf := cpl.MF[sch]
+				cwS[si] = cw + mf*s.wCc[k+1]
+				mS[si] = m + mf*s.wMc[k+1]
+				wAddS[si] = cpl.CostUPerM[sch] * stageLen
+			}
+		}
+		cls := s.pr.cls[:0]
+		switch {
+		case !threeD:
+			cls = append(cls, 0)
+		case cpl == nil:
+			for di := range down {
+				cls = append(cls, down[di].w)
+			}
+		default:
+			for di := range down {
+				for si := range cpl.Schemes {
+					cls = append(cls, down[di].w+wAddS[si])
+				}
+			}
+		}
+		s.pr.reset(cls, s.coW)
+		row := s.pr.cells
+		gen := 0
 		if cpl == nil {
 			for di := range down {
 				o := &down[di]
@@ -576,25 +594,29 @@ func (s *Solver) runLevels(ev *delay.Evaluator, opts Options, bound float64, thr
 				next := downOff + int32(di)
 				// No repeater at this candidate.
 				if !useWc || o.w <= s.wcAt(baseD*invC+rem) {
-					s.pr.b0 = append(s.pr.b0, option{c: baseC, d: baseD, w: o.w, act: -1, next: next})
+					s.pr.runs = append(s.pr.runs, option{c: baseC, d: baseD, w: o.w, act: -1, next: next})
 				}
-				// Repeater of each library width: within bucket wi+1 the load
-				// coordinate c is the constant Co·w, which is what lets the
-				// pruner treat the bucket as a 2-D (d, w) front of bare
-				// (d, w, next) records.
-				for wi := range s.widths {
+				// Repeater of each library width: the option lands in cell
+				// (o's width class, wi), which keeps the fastest. Uncoupled
+				// options all carry the plain scheme, so the tie rule is
+				// just "first generated".
+				if threeD {
+					row = s.pr.row(o.w)
+				}
+				for wi, width := range s.widths {
 					d := rsCp + s.rsOverW[wi]*baseC + baseD
 					if d > lb {
 						continue
 					}
-					w := o.w + s.widths[wi]
+					w := o.w + width
 					if checkUB && w > wUB {
 						continue
 					}
 					if useWc && w > s.wcAt(d*invC+rem) {
 						continue
 					}
-					s.pr.rb[wi] = append(s.pr.rb[wi], dwn{d: d, w: w, next: next})
+					gen++
+					row[wi].offer(d, w, next, 0)
 				}
 			}
 		} else {
@@ -608,14 +630,6 @@ func (s *Solver) runLevels(ev *delay.Evaluator, opts Options, bound float64, thr
 			// and the extra schemes generate only duplicates or dominated
 			// options, which the (plain-first) deterministic prune removes
 			// — the differential oracle in coupling_test.go pins that.
-			var cwS, mS, wAddS [3]float64
-			stageLen := s.points[k+2] - s.points[k+1]
-			for si, sch := range cpl.Schemes {
-				mf := cpl.MF[sch]
-				cwS[si] = cw + mf*s.wCc[k+1]
-				mS[si] = m + mf*s.wMc[k+1]
-				wAddS[si] = cpl.CostUPerM[sch] * stageLen
-			}
 			for di := range down {
 				o := &down[di]
 				next := downOff + int32(di)
@@ -627,26 +641,30 @@ func (s *Solver) runLevels(ev *delay.Evaluator, opts Options, bound float64, thr
 					}
 					ow := o.w + wAddS[si]
 					if !useWc || ow <= s.wcAt(baseD*invC+rem) {
-						s.pr.b0 = append(s.pr.b0, option{c: baseC, d: baseD, w: ow, act: -1, next: next, sch: sch})
+						s.pr.runs = append(s.pr.runs, option{c: baseC, d: baseD, w: ow, act: -1, next: next, sch: sch})
 					}
-					for wi := range s.widths {
+					if threeD {
+						row = s.pr.row(ow)
+					}
+					for wi, width := range s.widths {
 						d := rsCp + s.rsOverW[wi]*baseC + baseD
 						if d > lb {
 							continue
 						}
-						w := ow + s.widths[wi]
+						w := ow + width
 						if checkUB && w > wUB {
 							continue
 						}
 						if useWc && w > s.wcAt(d*invC+rem) {
 							continue
 						}
-						s.pr.rb[wi] = append(s.pr.rb[wi], dwn{d: d, w: w, next: next, sch: sch})
+						gen++
+						row[wi].offer(d, w, next, sch)
 					}
 				}
 			}
 		}
-		gen := s.pr.generated()
+		gen += len(s.pr.runs)
 		stats.Generated += gen
 		if opts.MaxGenerated > 0 && stats.Generated > opts.MaxGenerated {
 			return false, fmt.Errorf("%w: %d partial solutions (limit %d)",

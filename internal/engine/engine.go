@@ -1062,8 +1062,7 @@ func epsBoundFor(f lineFront, idx int, target, eps, fac float64) float64 {
 // computed unconditionally: the entry must serve future relative-target
 // jobs without re-running any DP, and the second sweep is the expensive
 // one anyway. The front sweep always runs the coarse-to-fine ladder
-// (value-identical to a flat sweep) and, when the engine has spare
-// worker slots, fans its bucket reduces across them; eps > 0 switches it
+// (it serves the same front a flat sweep would); eps > 0 switches it
 // to ε-dominance with the dp layer's certified bound, and the returned
 // fac is the delay-inflation factor that run realized (1 for exact),
 // which per-answer certificates query the front with. The returned
@@ -1099,21 +1098,6 @@ func (e *Engine) solveLineFront(ctx context.Context, ev *delay.Evaluator, name, 
 	fo.Coupling = cpl
 	if cpl != nil {
 		e.couplingSolves.Add(1)
-	}
-	if e.workers > 1 {
-		// Intra-net parallelism borrows idle solve slots: the non-blocking
-		// acquire means a busy engine degrades to the serial sweep instead
-		// of oversubscribing the worker budget.
-		fo.Parallel = e.workers
-		fo.AcquireWorker = func() bool {
-			select {
-			case e.solveSlots <- struct{}{}:
-				return true
-			default:
-				return false
-			}
-		}
-		fo.ReleaseWorker = func() { <-e.solveSlots }
 	}
 	front, fst, err := s.SolveFront(ev, fo)
 	e.noteDP(fst)

@@ -16,9 +16,9 @@ import (
 // CSR child index, merge and prune scratch — is retained across solves,
 // so a warm Solver in steady state allocates only the returned placement
 // map. A Solver is NOT safe for concurrent use; whoever owns a loop owns
-// a Solver (each engine worker holds one), and one-shot callers go
-// through the package-level Insert / InsertHybrid / MinArrival, which
-// draw from a sync.Pool.
+// a Solver, an engine job takes a pooled one (AcquireSolver) for each
+// cold tree solve, and one-shot callers go through the package-level
+// Insert / InsertHybrid / MinArrival, which draw from the same pool.
 type Solver struct {
 	// CSR child index over the tree's pre-order node slice: node i's
 	// children (in Node.Children order) are
