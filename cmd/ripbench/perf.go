@@ -518,17 +518,17 @@ func runPerf(path string) error {
 	}
 
 	// Front kernels: the unbounded Pareto sweep at both granularities —
-	// the cold cost the front-native cache pays once per shape. Ladder
-	// matches the engine's production front path; `_eps` is the relaxed
-	// sweep whose skipped points show up as a smaller Points count.
+	// the cold cost the front-native cache pays once per shape, one flat
+	// sweep like the engine's; `_eps` is the relaxed sweep whose skipped
+	// points show up as a smaller Points count.
 	for _, k := range []struct {
 		name string
 		opts dp.Options
 	}{
-		{"solve_front_g10", dp.Options{Library: refLib, Pitch: 200 * units.Micron, Ladder: true}},
-		{"solve_front_g10_eps", dp.Options{Library: refLib, Pitch: 200 * units.Micron, Ladder: true, Eps: dp.DefaultEps}},
-		{"solve_front_g40", dp.Options{Library: coarseLib, Pitch: 200 * units.Micron, Ladder: true}},
-		{"solve_front_g10_coupled", dp.Options{Library: refLib, Pitch: 200 * units.Micron, Ladder: true, Coupling: cpl}},
+		{"solve_front_g10", dp.Options{Library: refLib, Pitch: 200 * units.Micron}},
+		{"solve_front_g10_eps", dp.Options{Library: refLib, Pitch: 200 * units.Micron, Eps: dp.DefaultEps}},
+		{"solve_front_g40", dp.Options{Library: coarseLib, Pitch: 200 * units.Micron}},
+		{"solve_front_g10_coupled", dp.Options{Library: refLib, Pitch: 200 * units.Micron, Coupling: cpl}},
 	} {
 		m, err := measureFrontKernel(k.name, ev, k.opts)
 		if err != nil {

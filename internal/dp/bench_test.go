@@ -147,7 +147,7 @@ func BenchmarkSolveCoupled_g10(b *testing.B) {
 
 // BenchmarkSolveFront_Engine measures the front kernel ripd runs for every
 // cold line shape: the engine's front space (10u–400u at a 40u step,
-// 200 µm pitch, ladder on) on a fixed 10-segment 65nm netgen line.
+// 200 µm pitch) on a fixed 10-segment 65nm netgen line.
 func BenchmarkSolveFront_Engine(b *testing.B) {
 	tc := tech.T65()
 	cfg, err := netgen.DefaultConfig(tc)
@@ -167,7 +167,7 @@ func BenchmarkSolveFront_Engine(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := Options{Library: lib, Pitch: 200 * units.Micron, Ladder: true}
+	opts := Options{Library: lib, Pitch: 200 * units.Micron}
 	s := NewSolver()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -90,15 +90,14 @@ type Options struct {
 	// [0, MaxEps] or NaN are rejected. Exact mode remains the
 	// differential oracle.
 	Eps float64
-	// Ladder enables the coarse-to-fine width ladder: a first pass on a
-	// subsampled width library whose front yields admissible pruning
-	// bounds for the full-library pass. Results are bit-identical to a
-	// non-ladder run (only Stats differ: the coarse pass's work is
-	// folded in), so the knob is purely a speed/accounting trade. In
-	// exact mode fronts also keep the same placements: where options tie
-	// bit for bit on (delay, width), the prune keeps the one with the
-	// lower scheme, then the one generated first, an order that does not
-	// depend on which other options a sweep generated (see prune.go).
+	// Ladder enables the coarse-to-fine width ladder for bounded
+	// (MinPower) solves: a first pass on a subsampled width library whose
+	// solution yields admissible width and delay bounds for the
+	// full-library pass. Results are bit-identical to a non-ladder run
+	// (only Stats differ: the coarse pass's work is folded in), so the
+	// knob is purely a speed/accounting trade. MinDelay solves and
+	// SolveFront ignore it: with the width-class prune a flat front sweep
+	// is faster than a laddered one.
 	Ladder bool
 	// Coupling, when non-nil, prices every grid interval's capacitance as
 	// ground + MF·coupling under the scenario's aggressor assumption and

@@ -1,10 +1,9 @@
 package dp
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
-	"slices"
+	"reflect"
 	"testing"
 
 	"github.com/rip-eda/rip/internal/delay"
@@ -96,10 +95,9 @@ func frontSpaceInstances(t *testing.T) []corpusCase {
 	return out
 }
 
-// TestLadderMatchesExactCorpus pins the ladder's contract on the
+// TestLadderMatchesExactCorpus pins the bounded ladder's contract on the
 // deterministic corpus and on front-space netgen lines: identical
-// feasibility, delay and width, with a still-valid assignment, in both
-// the bounded and the front solver, and the same front placements.
+// feasibility, delay and width, with a still-valid assignment.
 func TestLadderMatchesExactCorpus(t *testing.T) {
 	s, sl := NewSolver(), NewSolver()
 	for _, c := range append(corpusInstances(t), frontSpaceInstances(t)...) {
@@ -122,51 +120,12 @@ func TestLadderMatchesExactCorpus(t *testing.T) {
 		if got.Stats.EpsPruned != 0 {
 			t.Fatalf("%s: exact ladder run reported %d ε-prunes", c.name, got.Stats.EpsPruned)
 		}
-
-		gst := sameLadderFront(t, c.name, s, sl, c.ev, c.opts)
-		if gst.EpsPruned != 0 {
-			t.Fatalf("%s front: exact ladder run reported %d ε-prunes", c.name, gst.EpsPruned)
-		}
 	}
 }
 
-// sameLadderFront solves the front with and without the ladder and fails
-// unless both serve the same front: identical point values and identical
-// placements (positions and widths). The table's tie rule is what makes
-// the placements agree on exact (delay, width) ties. It returns the ladder
-// run's stats.
-func sameLadderFront(t *testing.T, name string, s, sl *Solver, ev *delay.Evaluator, opts Options) Stats {
-	t.Helper()
-	lopts := opts
-	lopts.Ladder = true
-	wf, _, wantErr := s.SolveFront(ev, opts)
-	gf, gst, gotErr := sl.SolveFront(ev, lopts)
-	if (gotErr == nil) != (wantErr == nil) {
-		t.Fatalf("%s front: error mismatch: %v vs %v", name, gotErr, wantErr)
-	}
-	if len(gf) != len(wf) {
-		t.Fatalf("%s front: %d points with ladder, %d without", name, len(gf), len(wf))
-	}
-	for i := range gf {
-		if gf[i].Delay != wf[i].Delay || gf[i].TotalWidth != wf[i].TotalWidth {
-			t.Fatalf("%s front point %d: (%v, %v) with ladder, (%v, %v) without",
-				name, i, gf[i].Delay, gf[i].TotalWidth, wf[i].Delay, wf[i].TotalWidth)
-		}
-		g, w := gf[i].Assignment, wf[i].Assignment
-		if !slices.Equal(g.Positions, w.Positions) || !slices.Equal(g.Widths, w.Widths) {
-			t.Fatalf("%s front point %d: ladder places %v×%v, flat sweep %v×%v",
-				name, i, g.Positions, g.Widths, w.Positions, w.Widths)
-		}
-		if err := ev.Validate(g); err != nil {
-			t.Fatalf("%s front point %d invalid: %v", name, i, err)
-		}
-	}
-	return gst
-}
-
-// TestLadderMatchesExactRandom is the randomized rendering of the ladder
-// differential, including the tie-heavy libraries where representative
-// selection is most fragile.
+// TestLadderMatchesExactRandom is the randomized rendering of the bounded
+// ladder differential, including the tie-heavy libraries where
+// representative selection is most fragile.
 func TestLadderMatchesExactRandom(t *testing.T) {
 	trials := 400
 	if testing.Short() {
@@ -192,7 +151,43 @@ func TestLadderMatchesExactRandom(t *testing.T) {
 				t.Fatalf("trial %d: ladder assignment invalid: %v", trial, err)
 			}
 		}
-		sameLadderFront(t, fmt.Sprintf("trial %d", trial), s, sl, ev, opts)
+	}
+}
+
+// TestSolveFrontIgnoresLadder pins that SolveFront always runs one flat
+// sweep: with Ladder set it returns a bit-identical front — values,
+// placements, schemes — and identical Stats, exact and ε-relaxed, on the
+// front-space lines, classic and coupled.
+func TestSolveFrontIgnoresLadder(t *testing.T) {
+	cases := frontSpaceInstances(t)
+	for _, c := range cases[:1] {
+		cpl, err := delay.NewCoupling(c.ev.Tech, delay.AggressorWorst, delay.SchemeModeStaggered)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.name += "/coupled"
+		c.opts.Coupling = cpl
+		cases = append(cases, c)
+	}
+	s, sl := NewSolver(), NewSolver()
+	for _, c := range cases {
+		for _, eps := range []float64{0, DefaultEps} {
+			opts := c.opts
+			opts.Eps = eps
+			lopts := opts
+			lopts.Ladder = true
+			want, wst, wantErr := s.SolveFront(c.ev, opts)
+			got, gst, gotErr := sl.SolveFront(c.ev, lopts)
+			if (gotErr == nil) != (wantErr == nil) {
+				t.Fatalf("%s eps=%v: error mismatch: %v vs %v", c.name, eps, gotErr, wantErr)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s eps=%v: front with Ladder differs from the flat sweep's", c.name, eps)
+			}
+			if gst != wst {
+				t.Fatalf("%s eps=%v: stats %+v with Ladder, %+v without", c.name, eps, gst, wst)
+			}
+		}
 	}
 }
 
@@ -232,46 +227,43 @@ func TestEpsFrontWithinCertifiedBound(t *testing.T) {
 			t.Fatalf("%s: exact front: %v", name, err)
 		}
 		for _, eps := range epsValues {
-			for _, ladder := range []bool{false, true} {
-				eopts := opts
-				eopts.Eps = eps
-				eopts.Ladder = ladder
-				relaxed, st, err := se.SolveFront(ev, eopts)
-				if err != nil {
-					t.Fatalf("%s eps=%v ladder=%v: %v", name, eps, ladder, err)
+			eopts := opts
+			eopts.Eps = eps
+			relaxed, st, err := se.SolveFront(ev, eopts)
+			if err != nil {
+				t.Fatalf("%s eps=%v: %v", name, eps, err)
+			}
+			if len(relaxed) == 0 && len(exact) > 0 {
+				t.Fatalf("%s eps=%v: relaxed front empty", name, eps)
+			}
+			if len(relaxed) > len(exact) {
+				t.Fatalf("%s eps=%v: relaxed front larger than exact (%d > %d)",
+					name, eps, len(relaxed), len(exact))
+			}
+			for i := range relaxed {
+				if err := ev.Validate(relaxed[i].Assignment); err != nil {
+					t.Fatalf("%s eps=%v point %d invalid: %v", name, eps, i, err)
 				}
-				if len(relaxed) == 0 && len(exact) > 0 {
-					t.Fatalf("%s eps=%v: relaxed front empty", name, eps)
+				if w := relaxed[i].Assignment.TotalWidth(); w != relaxed[i].TotalWidth {
+					t.Fatalf("%s eps=%v point %d: stated width %v, assignment sums to %v",
+						name, eps, i, relaxed[i].TotalWidth, w)
 				}
-				if len(relaxed) > len(exact) {
-					t.Fatalf("%s eps=%v: relaxed front larger than exact (%d > %d)",
-						name, eps, len(relaxed), len(exact))
-				}
-				for i := range relaxed {
-					if err := ev.Validate(relaxed[i].Assignment); err != nil {
-						t.Fatalf("%s eps=%v point %d invalid: %v", name, eps, i, err)
-					}
-					if w := relaxed[i].Assignment.TotalWidth(); w != relaxed[i].TotalWidth {
-						t.Fatalf("%s eps=%v point %d: stated width %v, assignment sums to %v",
-							name, eps, i, relaxed[i].TotalWidth, w)
-					}
-				}
-				fac := st.EpsFactor(eps)
-				if fac < 1 || fac > 1+eps {
-					t.Fatalf("%s eps=%v: EpsFactor %v outside [1, %v]", name, eps, fac, 1+eps)
-				}
-				if (st.EpsLevels == 0) != (st.EpsPruned == 0) {
-					t.Fatalf("%s eps=%v: EpsLevels %d inconsistent with EpsPruned %d",
-						name, eps, st.EpsLevels, st.EpsPruned)
-				}
-				if st.EpsLevels > st.Candidates || st.EpsLevels > st.EpsPruned {
-					t.Fatalf("%s eps=%v: EpsLevels %d exceeds Candidates %d or EpsPruned %d",
-						name, eps, st.EpsLevels, st.Candidates, st.EpsPruned)
-				}
-				checkCertifiedFront(t, name, exact, relaxed, eps, fac)
-				if st.EpsPruned < 0 {
-					t.Fatalf("%s: negative EpsPruned %d", name, st.EpsPruned)
-				}
+			}
+			fac := st.EpsFactor(eps)
+			if fac < 1 || fac > 1+eps {
+				t.Fatalf("%s eps=%v: EpsFactor %v outside [1, %v]", name, eps, fac, 1+eps)
+			}
+			if (st.EpsLevels == 0) != (st.EpsPruned == 0) {
+				t.Fatalf("%s eps=%v: EpsLevels %d inconsistent with EpsPruned %d",
+					name, eps, st.EpsLevels, st.EpsPruned)
+			}
+			if st.EpsLevels > st.Candidates || st.EpsLevels > st.EpsPruned {
+				t.Fatalf("%s eps=%v: EpsLevels %d exceeds Candidates %d or EpsPruned %d",
+					name, eps, st.EpsLevels, st.Candidates, st.EpsPruned)
+			}
+			checkCertifiedFront(t, name, exact, relaxed, eps, fac)
+			if st.EpsPruned < 0 {
+				t.Fatalf("%s: negative EpsPruned %d", name, st.EpsPruned)
 			}
 		}
 	}

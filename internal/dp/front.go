@@ -105,13 +105,13 @@ func cmpRoot(a, b frontRoot) int {
 }
 
 // SolveFront runs one unbounded width-aware DP sweep and extracts the
-// complete root Pareto front. Options.Objective and Target are ignored:
-// the sweep is always 3-D (width-aware) and unbounded, so the returned
-// Front answers every budget. In exact mode (Eps == 0), for any target T,
-// Front.At(T) selects an assignment with the identical delay and total
-// width a bounded MinPower solve at Target=T over the same Options would
-// pick, because the bounded run's surviving options are exactly the
-// unbounded run's filtered to delay ≤ T.
+// complete root Pareto front. Options.Objective, Target and Ladder are
+// ignored: the sweep is always 3-D (width-aware), unbounded and flat, so
+// the returned Front answers every budget. In exact mode (Eps == 0), for
+// any target T, Front.At(T) selects an assignment with the identical delay
+// and total width a bounded MinPower solve at Target=T over the same
+// Options would pick, because the bounded run's surviving options are
+// exactly the unbounded run's filtered to delay ≤ T.
 //
 // With Eps > 0 the front is ε-relaxed: every point's Delay and TotalWidth
 // are still exact properties of a real, feasible assignment, but the
@@ -120,6 +120,10 @@ func cmpRoot(a, b frontRoot) int {
 // TotalWidth ≤ W, where φ = Stats.EpsFactor(Eps) ≤ 1+Eps is the delay
 // inflation the run actually realized. Front.At(T) therefore never
 // returns a width above the exact optimum at T/φ.
+//
+// All points' Positions and Widths share one backing array (and coupled
+// points' Schemes another), each point's slices capped at their length,
+// so a warm Solver allocates only those arrays and the Front itself.
 func (s *Solver) SolveFront(ev *delay.Evaluator, opts Options) (Front, Stats, error) {
 	if opts.Library.Size() == 0 {
 		return nil, Stats{}, errors.New("dp: empty repeater library")
@@ -133,13 +137,6 @@ func (s *Solver) SolveFront(ev *delay.Evaluator, opts Options) (Front, Stats, er
 	}
 	stats := Stats{Candidates: n}
 	s.configureSweep(opts, true)
-	if opts.Ladder && len(s.widths) >= 2*ladderStride {
-		if err := s.ladderFront(ev, opts, &stats); err != nil {
-			return nil, stats, err
-		}
-		s.computeMinRem(ev, opts.Coupling)
-		s.sw.useWc = true
-	}
 	ok, err := s.runLevels(ev, opts, math.Inf(1), true, &stats)
 	s.fillEpsStats(&stats)
 	if err != nil || !ok {
@@ -192,145 +189,70 @@ func (s *Solver) SolveFront(ev *delay.Evaluator, opts Options) (Front, Stats, er
 	// when its width strictly undercuts everything cheaper-in-delay. The
 	// kept point where the record first drops to some width w* is the
 	// min-total, earliest-arena option of width w* — exactly the option the
-	// bounded driver loop picks for any target that admits it.
+	// bounded driver loop picks for any target that admits it. The kept
+	// roots are compacted in place, and each one's repeaters counted.
 	slices.SortFunc(s.roots, cmpRoot)
-	front := make(Front, 0, 8)
+	kept := s.roots[:0]
+	reps := 0
 	bestW := math.Inf(1)
 	for _, r := range s.roots {
 		if !(r.w < bestW) {
 			continue
 		}
 		bestW = r.w
-		p := FrontPoint{Delay: r.total, Cost: r.w}
-		if cpl != nil {
-			p.Schemes = append(p.Schemes, r.sch)
+		kept = append(kept, r)
+		for idx, k := s.lvlOff[0]+r.idx, 0; k < n; k++ {
+			if s.arena[idx].act >= 0 {
+				reps++
+			}
+			idx = s.arena[idx].next
 		}
-		// Reconstruct by walking the arena parent pointers.
+	}
+
+	// Reconstruct by walking the arena parent pointers, carving each
+	// point's slices out of the shared arrays: positions in place[:reps],
+	// widths in place[reps:], schemes n+1 per point.
+	front := make(Front, len(kept))
+	place := make([]float64, 2*reps)
+	pos, wid := place[:reps], place[reps:]
+	var schemes []uint8
+	if cpl != nil {
+		schemes = make([]uint8, len(kept)*(n+1))
+	}
+	off := 0
+	for i, r := range kept {
+		p := &front[i]
+		p.Delay, p.Cost = r.total, r.w
+		var sch []uint8
+		if cpl != nil {
+			sch = schemes[i*(n+1) : (i+1)*(n+1) : (i+1)*(n+1)]
+			sch[0] = r.sch
+		}
+		start := off
 		idx := s.lvlOff[0] + r.idx
 		for k := 0; k < n; k++ {
 			o := &s.arena[idx]
 			if o.act >= 0 {
-				p.Assignment.Positions = append(p.Assignment.Positions, s.cand[k])
-				p.Assignment.Widths = append(p.Assignment.Widths, s.widths[o.act])
+				pos[off] = s.cand[k]
+				wid[off] = s.widths[o.act]
+				off++
 			}
 			if cpl != nil {
-				p.Schemes = append(p.Schemes, o.sch)
+				sch[k+1] = o.sch
 			}
 			idx = o.next
 		}
+		if off > start {
+			p.Assignment.Positions = pos[start:off:off]
+			p.Assignment.Widths = wid[start:off:off]
+		}
 		p.TotalWidth = p.Assignment.TotalWidth()
 		if cpl != nil {
-			p.StaggerLen, p.ShieldLen = delay.SchemeLengths(s.points, p.Schemes)
+			p.Schemes = sch
+			p.StaggerLen, p.ShieldLen = delay.SchemeLengths(s.points, sch)
 		}
-		front = append(front, p)
 	}
 	return front, stats, nil
-}
-
-// ladderFront runs the coarse pass of the front-mode ladder: an exact
-// unbounded front solve on every ladderStride-th width, keeping only the
-// (delay, width) skyline. The fine pass kills any option whose width a
-// complete coarse solution already undercuts at a delay none of the
-// option's completions can beat (d·invC + minRem[k]); the coarse chains
-// themselves survive those kills (width-minimal killers are never
-// killed), so the exact fine front's point values are unchanged and the
-// ε fine front keeps its certified bound. Coarse work counters fold into
-// stats so MaxGenerated caps the combined work.
-func (s *Solver) ladderFront(ev *delay.Evaluator, opts Options, stats *Stats) error {
-	s.ladWidths = s.ladWidths[:0]
-	for i := 0; i < len(s.widths); i += ladderStride {
-		s.ladWidths = append(s.ladWidths, s.widths[i])
-	}
-	if s.lad == nil {
-		s.lad = NewSolver()
-	}
-	copts := opts
-	copts.Ladder = false
-	copts.Eps = 0
-	copts.Positions = s.cand
-	var cst Stats
-	var err error
-	s.coarseD, s.coarseW, cst, err = s.lad.solveFrontDW(ev, copts, s.ladWidths, s.coarseD[:0], s.coarseW[:0])
-	stats.Generated += cst.Generated
-	stats.Kept += cst.Kept
-	if cst.MaxPerLevel > stats.MaxPerLevel {
-		stats.MaxPerLevel = cst.MaxPerLevel
-	}
-	if err != nil {
-		return err
-	}
-	if opts.MaxGenerated > 0 && stats.Generated > opts.MaxGenerated {
-		return fmt.Errorf("%w: %d partial solutions (limit %d)",
-			ErrBudget, stats.Generated, opts.MaxGenerated)
-	}
-	return nil
-}
-
-// solveFrontDW runs one exact unbounded width-aware sweep over lib and
-// appends the root front skyline — delay strictly ascending, width
-// strictly descending — to outD/outW, skipping assignment reconstruction
-// entirely. It is the ladder's coarse-front kernel.
-func (s *Solver) solveFrontDW(ev *delay.Evaluator, opts Options, lib []float64, outD, outW []float64) ([]float64, []float64, Stats, error) {
-	n, err := s.prepare(ev, opts, lib)
-	if err != nil {
-		return outD, outW, Stats{}, err
-	}
-	stats := Stats{Candidates: n}
-	s.configureSweep(opts, true)
-	ok, err := s.runLevels(ev, opts, math.Inf(1), true, &stats)
-	if err != nil || !ok {
-		return outD, outW, stats, err
-	}
-	t := ev.Tech
-	rsCp := t.Rs * t.Cp
-	first := s.arena[s.lvlOff[0] : s.lvlOff[0]+s.lvlCnt[0]]
-	cw := s.wC[0]
-	m := s.wM[0]
-	rw := s.wR[0]
-	rsOverWd := t.Rs / ev.Wd
-	cpl := opts.Coupling
-	s.roots = s.roots[:0]
-	if cpl == nil {
-		for i := range first {
-			o := &first[i]
-			s.roots = append(s.roots, frontRoot{
-				total: rsCp + rsOverWd*(o.c+cw) + rw*o.c + m + o.d,
-				w:     o.w,
-				idx:   int32(i),
-			})
-		}
-	} else {
-		var cwS, mS, wAddS [3]float64
-		stage0 := s.points[1] - s.points[0]
-		for si, sch := range cpl.Schemes {
-			mf := cpl.MF[sch]
-			cwS[si] = cw + mf*s.wCc[0]
-			mS[si] = m + mf*s.wMc[0]
-			wAddS[si] = cpl.CostUPerM[sch] * stage0
-		}
-		for i := range first {
-			o := &first[i]
-			for si, sch := range cpl.Schemes {
-				s.roots = append(s.roots, frontRoot{
-					total: rsCp + rsOverWd*(o.c+cwS[si]) + rw*o.c + mS[si] + o.d,
-					w:     o.w + wAddS[si],
-					idx:   int32(i),
-					sch:   sch,
-				})
-			}
-		}
-	}
-	slices.SortFunc(s.roots, cmpRoot)
-	bestW := math.Inf(1)
-	for _, r := range s.roots {
-		if !(r.w < bestW) {
-			continue
-		}
-		bestW = r.w
-		outD = append(outD, r.total)
-		outW = append(outW, r.w)
-	}
-	return outD, outW, stats, nil
 }
 
 // SolveFront runs the front extraction on a pooled Solver.

@@ -54,9 +54,9 @@ import (
 // parent comes first in the downstream level's (c, d, w) order), and
 // across buckets the merge keeps the no-repeater bucket's, then the
 // narrowest repeater's. None of that depends on which other options a
-// sweep generated, so the ladder's fine pass, which generates a subset of
-// the flat sweep's options, keeps the same chains and serves the same
-// placements.
+// sweep generated, so a pass that generates a subset of the flat sweep's
+// options (the bounded ladder's fine pass) keeps the same representative
+// of every value both keep.
 //
 // ε-dominance (epsMul > 1) is an opt-in relaxation of stage 2 only: the
 // merge filter treats an incoming option as dominated when a kept entry

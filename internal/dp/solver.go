@@ -56,16 +56,13 @@ type Solver struct {
 	// hang off runLevels; all defaults mean "exact classic sweep".
 	sw sweepCfg
 
-	// Ladder scratch: the coarse pass runs on a private inner Solver so
-	// the outer arenas survive it. ladWidths is the subsampled library,
-	// minRem the per-level remaining-delay lower bounds, coarseD/coarseW
-	// the coarse front skyline the fine front pass queries.
+	// Ladder scratch (bounded solves only): the coarse pass runs on a
+	// private inner Solver so the outer arenas survive it. ladWidths is the
+	// subsampled library, minRem the per-level remaining-delay lower bounds.
 	lad       *Solver
 	ladSol    Solution
 	ladWidths []float64
 	minRem    []float64
-	coarseD   []float64
-	coarseW   []float64
 
 	// roots is the driver-closure scratch for front extraction.
 	roots []frontRoot
@@ -76,8 +73,8 @@ type Solver struct {
 }
 
 // sweepCfg carries the per-solve pruning configuration runLevels reads.
-// The zero value (plus wUB = +Inf, epsC = invC = 1 from configureSweep)
-// is the exact classic sweep.
+// The zero value (plus wUB = +Inf, epsC = 1 from configureSweep) is the
+// exact classic sweep.
 type sweepCfg struct {
 	// wUB kills repeater options whose accumulated width exceeds it: the
 	// ladder's coarse solution is a valid full-library solution, so no
@@ -87,14 +84,9 @@ type sweepCfg struct {
 	// an option whose delay plus a lower bound on all remaining stage
 	// delays already misses the (deflated) target is dead.
 	useRem bool
-	// useWc kills options against the coarse front skyline (front mode,
-	// which has no Target): an option is dead when a complete coarse
-	// solution undercuts its width at a delay its completions can't beat.
-	useWc bool
-	// epsC = 1+Eps is the certified delay inflation factor; invC = 1/epsC.
-	// Both 1 in exact mode.
+	// epsC = 1+Eps is the certified delay inflation factor; 1 in exact
+	// mode.
 	epsC float64
-	invC float64
 }
 
 // ladderStride is the coarse pass's library subsampling factor: every
@@ -371,7 +363,7 @@ func (s *Solver) prepare(ev *delay.Evaluator, opts Options, lib []float64) (int,
 // for a new solve. threeD gates the ε machinery: the relaxation is
 // defined on the width-aware sweep only.
 func (s *Solver) configureSweep(opts Options, threeD bool) {
-	s.sw = sweepCfg{wUB: math.Inf(1), epsC: 1, invC: 1}
+	s.sw = sweepCfg{wUB: math.Inf(1), epsC: 1}
 	s.pr.epsMul = 0
 	s.pr.epsPruned = 0
 	s.pr.epsLevels = 0
@@ -384,7 +376,6 @@ func (s *Solver) configureSweep(opts Options, threeD bool) {
 		// realized inflation is the tighter Stats.EpsFactor, which only
 		// charges the levels whose merge performed a relaxed kill.
 		s.sw.epsC = 1 + opts.Eps
-		s.sw.invC = 1 / s.sw.epsC
 		if n := len(s.cand); n > 0 {
 			s.pr.epsMul = math.Pow(s.sw.epsC, 1/float64(n))
 		}
@@ -497,36 +488,14 @@ func (s *Solver) computeMinRem(ev *delay.Evaluator, cpl *delay.Coupling) {
 	}
 }
 
-// wcAt returns the width of the cheapest coarse-front solution whose
-// delay is ≤ x, or +Inf when no coarse solution is that fast. coarseD is
-// ascending with coarseW strictly descending (a skyline), so the
-// rightmost qualifying point is the cheapest.
-func (s *Solver) wcAt(x float64) float64 {
-	lo, hi := 0, len(s.coarseD)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s.coarseD[mid] > x {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	if lo == 0 {
-		return math.Inf(1)
-	}
-	return s.coarseW[lo-1]
-}
-
 // runLevels executes the bottom-up sweep over every candidate level after
 // prepare, growing the arena level by level. It reports ok=false when a
 // level prunes to nothing (every partial timed out — infeasible) and
 // ErrBudget when MaxGenerated is exceeded; stats accumulate either way.
 func (s *Solver) runLevels(ev *delay.Evaluator, opts Options, bound float64, threeD bool, stats *Stats) (bool, error) {
 	rsCp := ev.Tech.Rs * ev.Tech.Cp
-	useRem, useWc := s.sw.useRem, s.sw.useWc
 	wUB := s.sw.wUB
 	checkUB := !math.IsInf(wUB, 1)
-	invC := s.sw.invC
 	cpl := opts.Coupling
 	for k := len(s.cand) - 1; k >= 0; k-- {
 		// Stage k+1 spans [cand[k], next candidate or L].
@@ -537,14 +506,10 @@ func (s *Solver) runLevels(ev *delay.Evaluator, opts Options, bound float64, thr
 		// Ladder bounds for options generated at this level. The delay
 		// bound tightens by the remaining-delay floor (deflated targets
 		// inflate it back by epsC so ε-surrogate chains always survive);
-		// the width bounds kill partials no completion can redeem.
+		// the width bound kills partials no completion can redeem.
 		lb := bound
-		var rem float64
-		if useRem || useWc {
-			rem = s.minRem[k]
-		}
-		if useRem {
-			if b := opts.Target - rem*s.sw.epsC; b < lb {
+		if s.sw.useRem {
+			if b := opts.Target - s.minRem[k]*s.sw.epsC; b < lb {
 				lb = b
 			}
 		}
@@ -593,9 +558,7 @@ func (s *Solver) runLevels(ev *delay.Evaluator, opts Options, bound float64, thr
 				}
 				next := downOff + int32(di)
 				// No repeater at this candidate.
-				if !useWc || o.w <= s.wcAt(baseD*invC+rem) {
-					s.pr.runs = append(s.pr.runs, option{c: baseC, d: baseD, w: o.w, act: -1, next: next})
-				}
+				s.pr.runs = append(s.pr.runs, option{c: baseC, d: baseD, w: o.w, act: -1, next: next})
 				// Repeater of each library width: the option lands in cell
 				// (o's width class, wi), which keeps the fastest. Uncoupled
 				// options all carry the plain scheme, so the tie rule is
@@ -610,9 +573,6 @@ func (s *Solver) runLevels(ev *delay.Evaluator, opts Options, bound float64, thr
 					}
 					w := o.w + width
 					if checkUB && w > wUB {
-						continue
-					}
-					if useWc && w > s.wcAt(d*invC+rem) {
 						continue
 					}
 					gen++
@@ -640,9 +600,7 @@ func (s *Solver) runLevels(ev *delay.Evaluator, opts Options, bound float64, thr
 						continue
 					}
 					ow := o.w + wAddS[si]
-					if !useWc || ow <= s.wcAt(baseD*invC+rem) {
-						s.pr.runs = append(s.pr.runs, option{c: baseC, d: baseD, w: ow, act: -1, next: next, sch: sch})
-					}
+					s.pr.runs = append(s.pr.runs, option{c: baseC, d: baseD, w: ow, act: -1, next: next, sch: sch})
 					if threeD {
 						row = s.pr.row(ow)
 					}
@@ -653,9 +611,6 @@ func (s *Solver) runLevels(ev *delay.Evaluator, opts Options, bound float64, thr
 						}
 						w := ow + width
 						if checkUB && w > wUB {
-							continue
-						}
-						if useWc && w > s.wcAt(d*invC+rem) {
 							continue
 						}
 						gen++

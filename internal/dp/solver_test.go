@@ -279,6 +279,54 @@ func TestSolveIntoZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// TestSolveFrontAllocs pins SolveFront's allocation profile: a warm solve
+// allocates the Front, one array shared by every point's positions and
+// widths and, when coupled, one shared by their schemes — at most 4
+// objects however many points and repeaters the front holds. Each point's
+// slices are capped at their length, so an append to one point's slice
+// never writes into the next point's.
+func TestSolveFrontAllocs(t *testing.T) {
+	cev, copts := coupledRandomInstance(t, rand.New(rand.NewSource(3)))
+	cpl, err := delay.NewCoupling(cev.Tech, delay.AggressorWorst, delay.SchemeModeAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copts.Coupling = cpl
+	for _, tc := range []struct {
+		name string
+		ev   *delay.Evaluator
+		opts Options
+	}{
+		{"classic", evalFor(t, paperishLine(t)), Options{Library: lib(t, 10, 40, 10), Pitch: 200 * units.Micron}},
+		{"coupled", cev, copts},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewSolver()
+			front, _, err := s.SolveFront(tc.ev, tc.opts) // also warms the arenas
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(front) < 2 {
+				t.Fatalf("instance has a %d-point front, want several", len(front))
+			}
+			for i, p := range front {
+				a := p.Assignment
+				if cap(a.Positions) != len(a.Positions) || cap(a.Widths) != len(a.Widths) || cap(p.Schemes) != len(p.Schemes) {
+					t.Fatalf("point %d: slices not capped at their length", i)
+				}
+			}
+			allocs := testing.AllocsPerRun(10, func() {
+				if _, _, err := s.SolveFront(tc.ev, tc.opts); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 4 {
+				t.Fatalf("warm SolveFront allocated %.1f times per run, want ≤ 4", allocs)
+			}
+		})
+	}
+}
+
 // TestSolveIsolatesResults ensures Solve's returned Solutions are safe to
 // retain: a later solve on the same (pooled) Solver must not mutate them.
 func TestSolveIsolatesResults(t *testing.T) {

@@ -1061,13 +1061,12 @@ func epsBoundFor(f lineFront, idx int, target, eps, fac float64) float64 {
 // work into the DP counters and caching the entry under key. The τmin is
 // computed unconditionally: the entry must serve future relative-target
 // jobs without re-running any DP, and the second sweep is the expensive
-// one anyway. The front sweep always runs the coarse-to-fine ladder
-// (it serves the same front a flat sweep would); eps > 0 switches it
-// to ε-dominance with the dp layer's certified bound, and the returned
-// fac is the delay-inflation factor that run realized (1 for exact),
-// which per-answer certificates query the front with. The returned
-// points alias the cached entry's slices; callers must copy before
-// serving. The caller holds a solve slot; the DP arenas are taken here,
+// one anyway. The front is one flat width-aware sweep; eps > 0 switches
+// it to ε-dominance with the dp layer's certified bound, and the
+// returned fac is the delay-inflation factor that run realized (1 for
+// exact), which per-answer certificates query the front with. The
+// returned points alias the cached entry's slices, which share the
+// front's backing arrays; callers must copy before serving. The caller holds a solve slot; the DP arenas are taken here,
 // so only a job that is actually solving pins any.
 func (e *Engine) solveLineFront(ctx context.Context, ev *delay.Evaluator, name, key string, eps float64, cpl *delay.Coupling) (_ lineFront, tmin, fac float64, _ error) {
 	if e.testHookSolve != nil {
@@ -1093,7 +1092,6 @@ func (e *Engine) solveLineFront(ctx context.Context, ev *delay.Evaluator, name, 
 		return nil, 0, 0, fmt.Errorf("engine: net %q: %w", name, err)
 	}
 	fo := e.frontOpts
-	fo.Ladder = true
 	fo.Eps = eps
 	fo.Coupling = cpl
 	if cpl != nil {

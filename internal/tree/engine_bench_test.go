@@ -1,0 +1,53 @@
+package tree_test
+
+import (
+	"math/rand"
+	"testing"
+
+	"github.com/rip-eda/rip/internal/netgen"
+	"github.com/rip-eda/rip/internal/repeater"
+	"github.com/rip-eda/rip/internal/tech"
+	"github.com/rip-eda/rip/internal/tree"
+)
+
+// BenchmarkTreeFront_Engine measures the two tree DPs ripd runs for every
+// cold uniform-deadline tree shape: MinArrival on the 10u reference
+// library (10u–400u) and InsertFront on the engine's 40u front library,
+// over the zero-RAT clone, for a fixed 65nm netgen tree.
+func BenchmarkTreeFront_Engine(b *testing.B) {
+	tc := tech.T65()
+	cfg, err := netgen.DefaultTreeConfig(tc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	net, err := netgen.GenerateTree(rand.New(rand.NewSource(1)), cfg, "bench-65nm-tree")
+	if err != nil {
+		b.Fatal(err)
+	}
+	refLib, err := repeater.Range(10, 400, 10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	frontLib, err := repeater.Range(10, 400, 40)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ref := tree.Options{Library: refLib, Tech: tc, DriverWidth: net.DriverWidth}
+	fo := tree.Options{Library: frontLib, Tech: tc, DriverWidth: net.DriverWidth}
+	work := net.Tree.CloneWithRAT(0)
+	s := tree.NewSolver()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := s.MinArrival(net.Tree, ref); err != nil {
+			b.Fatal(err)
+		}
+		front, _, err := s.InsertFront(work, fo)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(front) == 0 {
+			b.Fatal("benchmark instance must have a front")
+		}
+	}
+}

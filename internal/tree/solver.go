@@ -8,6 +8,8 @@ import (
 	"slices"
 	"sort"
 	"sync"
+
+	"github.com/rip-eda/rip/internal/tech"
 )
 
 // Solver runs the power-aware van Ginneken dynamic program on trees with
@@ -47,6 +49,12 @@ type Solver struct {
 	// front is the (q, w) Pareto front reused by pruning.
 	front []qw
 
+	// cls and cells are the buffer-site class table (see bufferFronts):
+	// cls holds the base options' distinct widths, ascending, and cells
+	// one row of len(widths) entries per class.
+	cls   []float64
+	cells []bcell
+
 	// chosen is the reconstruction scratch (the picked option index per
 	// node, filled top-down); fill is the CSR build cursor.
 	chosen []int32
@@ -67,6 +75,14 @@ type sopt struct {
 }
 
 type qw struct{ q, w float64 }
+
+// bcell is one class-table entry: the max-q buffered option seen for one
+// (base width class, library width) pair, as its q and the index of the
+// base option it buffers (-1 while empty).
+type bcell struct {
+	q  float64
+	bi int32
+}
 
 // NewSolver returns an empty Solver; arenas grow on first use.
 func NewSolver() *Solver { return &Solver{} }
@@ -234,22 +250,12 @@ func (s *Solver) sweep(t *Tree, opts Options, width bool) (Stats, error) {
 		}
 		// Buffer insertion at the node (after the merge, before the
 		// parent edge), mirroring the two-pin DP's per-candidate choice.
+		// Generated counts every buffered option, though only each
+		// width's front reaches the prune.
 		if node.BufferSite {
 			stats.Candidates++
-			base := len(s.cur)
-			for bi := 0; bi < base; bi++ {
-				b := s.cur[bi]
-				for wi, wb := range widths {
-					s.cur = append(s.cur, sopt{
-						c:    ts.Co * wb,
-						q:    b.q - (ts.Rs*ts.Cp + ts.Rs/wb*b.c),
-						w:    b.w + wb,
-						buf:  int32(wi),
-						kids: b.kids,
-					})
-				}
-			}
-			stats.Generated += len(s.cur) - base
+			stats.Generated += len(s.cur) * len(widths)
+			s.bufferFronts(ts, width)
 			s.cur = s.pruneS(s.cur, width)
 		}
 		stats.Kept += len(s.cur)
@@ -340,6 +346,76 @@ func (s *Solver) claimKids(stride int) int32 {
 		s.kidBuf = append(s.kidBuf, 0)
 	}
 	return off
+}
+
+// bufferFronts appends to s.cur, which holds a buffer site's base
+// (unbuffered) options, each library width's front of buffered options.
+// Every option buffered with width wb has load Co·wb whichever base
+// option it extends, so each width is a bucket of constant c where
+// dominance is 2-D on (q, w). The class table keeps the max-q option per
+// (base width class, library width); a scan of each width's column in
+// ascending class order then keeps the cells that beat every narrower
+// class. Width-blind pruning is the one-class table.
+//
+// Ties go to the option generated first (the lower base index), which is
+// the representative a stable prune of all base×|B| buffered options
+// keeps. When two adjacent classes round to one buffered width, the
+// better cell under that rule replaces the other. pruneS over the base
+// options plus these fronts therefore keeps the same values as pruneS
+// over every generated option; a value several buffered options tie on
+// keeps its first generated one.
+func (s *Solver) bufferFronts(ts *tech.Technology, width bool) {
+	s.cls = s.cls[:0]
+	if width {
+		for _, b := range s.cur {
+			s.cls = append(s.cls, b.w)
+		}
+		slices.Sort(s.cls)
+		s.cls = slices.Compact(s.cls)
+	} else {
+		s.cls = append(s.cls, 0)
+	}
+	nw := len(s.widths)
+	n := len(s.cls) * nw
+	s.cells = slices.Grow(s.cells[:0], n)[:n]
+	for i := range s.cells {
+		s.cells[i] = bcell{q: math.Inf(-1), bi: -1}
+	}
+	for bi, b := range s.cur {
+		row := s.cells[:nw]
+		if width {
+			j, _ := slices.BinarySearch(s.cls, b.w)
+			row = s.cells[j*nw : j*nw+nw]
+		}
+		for wi, wb := range s.widths {
+			if q := b.q - (ts.Rs*ts.Cp + ts.Rs/wb*b.c); q > row[wi].q {
+				row[wi] = bcell{q: q, bi: int32(bi)}
+			}
+		}
+	}
+	for wi, wb := range s.widths {
+		start := len(s.cur)
+		maxQ := math.Inf(-1)
+		lastBi := int32(-1)
+		for j := wi; j < n; j += nw {
+			e := s.cells[j]
+			if e.bi < 0 {
+				continue
+			}
+			b := s.cur[e.bi]
+			w := b.w + wb
+			if last := len(s.cur) - 1; last >= start && s.cur[last].w == w {
+				if r := &s.cur[last]; e.q > r.q || (e.q == r.q && e.bi < lastBi) {
+					r.q, r.kids, lastBi, maxQ = e.q, b.kids, e.bi, e.q
+				}
+				continue
+			}
+			if e.q > maxQ {
+				s.cur = append(s.cur, sopt{c: ts.Co * wb, q: e.q, w: w, buf: int32(wi), kids: b.kids})
+				maxQ, lastBi = e.q, e.bi
+			}
+		}
+	}
 }
 
 // pruneS removes dominated options in place: o1 dominates o2 when

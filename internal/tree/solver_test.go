@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/rip-eda/rip/internal/repeater"
@@ -60,10 +61,62 @@ func sameSolution(t *testing.T, name string, want, got Solution) {
 	}
 }
 
+// mirrorTree builds a tree whose sibling subtrees are identical: a trunk
+// from the root, then depth levels of fan-way branching with one edge
+// length per level, identical sinks, and every node (root and sinks
+// included) a buffer site. Merging identical children generates options
+// that tie bit for bit — child a's option i with child b's option j
+// against a's j with b's i — so these trees are where a prune's choice of
+// representative shows in the placement.
+func mirrorTree(t *testing.T, tc *tech.Technology, fan, depth int) *Tree {
+	t.Helper()
+	m4, err := tc.Layer("metal4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := 0
+	var build func(level int) *Node
+	build = func(level int) *Node {
+		id++
+		l := (600 + 200*float64(level)) * units.Micron
+		n := &Node{ID: id, EdgeR: l * m4.ROhmPerM, EdgeC: l * m4.CFPerM, BufferSite: true}
+		if level == depth {
+			n.SinkCap, n.SinkRAT = 40*units.FemtoFarad, 1.5*units.NanoSecond
+			return n
+		}
+		for range fan {
+			n.Children = append(n.Children, build(level+1))
+		}
+		return n
+	}
+	tr, err := New(&Node{ID: 0, BufferSite: true, Children: []*Node{build(0)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
 // TestSolverMatchesReference pins the Solver bit-for-bit — placements,
 // slack, width, feasibility and work stats — against the preserved
-// pre-Solver implementation, across objectives and libraries.
+// pre-Solver implementation, across objectives and libraries: on random
+// trees, and on mirror-symmetric trees of every built-in node under the
+// engine's 40u front library and the 10u reference library. At the two
+// min-width deadlines some of these trees have asymmetric optima, so a
+// merge that keeps a different tied representative than the reference
+// changes the placement.
 func TestSolverMatchesReference(t *testing.T) {
+	s := NewSolver()
+	check := func(name string, tr *Tree, opts Options) {
+		t.Helper()
+		want, errW := referenceInsert(tr, opts)
+		got, errG := s.Insert(tr, opts)
+		if (errW == nil) != (errG == nil) {
+			t.Fatalf("%s: error mismatch: %v vs %v", name, errW, errG)
+		}
+		if errW == nil {
+			sameSolution(t, name, want, got)
+		}
+	}
 	ts := tech.T180()
 	libs := []struct {
 		name   string
@@ -72,22 +125,122 @@ func TestSolverMatchesReference(t *testing.T) {
 		{"coarse", []float64{80, 160, 240, 320, 400}},
 		{"fine", []float64{20, 40, 60, 80, 100, 150, 200, 300}},
 	}
-	s := NewSolver()
 	for ti, tr := range diffTrees(t, 60) {
 		for _, lb := range libs {
 			for _, maxSlack := range []bool{false, true} {
 				opts := Options{Library: lib(t, lb.widths...), Tech: ts, DriverWidth: 240, MaxSlack: maxSlack}
-				want, errW := referenceInsert(tr, opts)
-				got, errG := s.Insert(tr, opts)
-				if (errW == nil) != (errG == nil) {
-					t.Fatalf("tree %d %s maxslack=%v: error mismatch: %v vs %v", ti, lb.name, maxSlack, errW, errG)
-				}
-				if errW != nil {
-					continue
-				}
-				sameSolution(t, fmt.Sprintf("tree %d %s maxslack=%v", ti, lb.name, maxSlack), want, got)
+				check(fmt.Sprintf("tree %d %s maxslack=%v", ti, lb.name, maxSlack), tr, opts)
 			}
 		}
+	}
+
+	var ranges []repeater.Library
+	for _, step := range []float64{40, 10} {
+		l, err := repeater.Range(10, 400, step)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ranges = append(ranges, l)
+	}
+	for _, tc := range []*tech.Technology{tech.T180(), tech.T130(), tech.T90(), tech.T65()} {
+		for _, shape := range []struct{ fan, depth int }{{2, 3}, {3, 2}} {
+			tr := mirrorTree(t, tc, shape.fan, shape.depth)
+			for _, l := range ranges {
+				name := fmt.Sprintf("%s mirror %dx%d lib %d", tc.Name, shape.fan, shape.depth, l.Size())
+				opts := Options{Library: l, Tech: tc, DriverWidth: 240, MaxSlack: true}
+				check(name+" maxslack", tr, opts)
+				tmin, _, err := s.MinArrival(tr, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts.MaxSlack = false
+				for _, mult := range []float64{1.1, 2} {
+					check(fmt.Sprintf("%s min-width at %v·tmin", name, mult), tr.CloneWithRAT(mult*tmin), opts)
+				}
+			}
+		}
+	}
+}
+
+// TestBufferFrontsMatchGenerateAll pins the buffer-site class table
+// against generating every buffered option and pruning them all: pruneS
+// over the base options plus the table's per-width fronts must keep the
+// same values as pruneS over the base plus all base×|B| buffered options,
+// and each kept value's representative must be the first option
+// generated with that value. The hand-made sets hold exact q ties inside
+// one width class and across two, and a rounding collision: base widths 1
+// and 1+2⁻⁵² buffered with width 1 both give exactly 2. Random sets on a
+// coarse value grid add many more ties. Base loads avoid the buffered
+// loads Co·wb, so every tie is inside one width's bucket.
+func TestBufferFrontsMatchGenerateAll(t *testing.T) {
+	ts := &tech.Technology{Rs: 1, Co: 1, Cp: 0.5}
+	wide := math.Nextafter(1, 2)
+	if wide+1 != 2 {
+		t.Fatal("1+2⁻⁵² buffered with width 1 must round to exactly 2")
+	}
+	s := NewSolver()
+	check := func(name string, widths []float64, base []sopt, width bool) {
+		t.Helper()
+		for i := range base {
+			base[i].buf, base[i].kids = -1, int32(i)
+		}
+		gen := slices.Clone(base)
+		for _, b := range base {
+			for wi, wb := range widths {
+				gen = append(gen, sopt{c: ts.Co * wb, q: b.q - (ts.Rs*ts.Cp + ts.Rs/wb*b.c), w: b.w + wb, buf: int32(wi), kids: b.kids})
+			}
+		}
+		s.widths = widths
+		want := s.pruneS(slices.Clone(gen), width)
+		s.cur = append(s.cur[:0], base...)
+		s.bufferFronts(ts, width)
+		got := s.pruneS(s.cur, width)
+		key := func(o sopt) [3]float64 {
+			if !width {
+				o.w = 0
+			}
+			return [3]float64{o.c, o.q, o.w}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s width=%v: kept %d options, generate-all keeps %d", name, width, len(got), len(want))
+		}
+		for i, o := range got {
+			if key(o) != key(want[i]) {
+				t.Fatalf("%s width=%v: kept %d is %v, generate-all keeps %v", name, width, i, key(o), key(want[i]))
+			}
+			if first := gen[slices.IndexFunc(gen, func(g sopt) bool { return key(g) == key(o) })]; o != first {
+				t.Fatalf("%s width=%v: kept %d is %+v, first generated is %+v", name, width, i, o, first)
+			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		base []sopt
+	}{
+		{"tie in one class", []sopt{{c: 1.5, q: 3.5, w: 4}, {c: 2.5, q: 4.5, w: 4}}},
+		{"collision tie", []sopt{{c: 1.5, q: 3.5, w: 1}, {c: 2.5, q: 4.5, w: wide}}},
+		{"collision tie, wider class first", []sopt{{c: 2.5, q: 4.5, w: wide}, {c: 1.5, q: 3.5, w: 1}}},
+		{"collision, wider class faster", []sopt{{c: 1.5, q: 3.5, w: 1}, {c: 2.5, q: 5.5, w: wide}}},
+		{"collision, narrower class faster", []sopt{{c: 2.5, q: 4.5, w: wide}, {c: 1.5, q: 4.5, w: 1}}},
+		{"collision under a narrower class", []sopt{{c: 1.5, q: 3.5, w: 1}, {c: 2.5, q: 4.5, w: wide}, {c: 0.5, q: 9, w: 0}}},
+	} {
+		for _, width := range []bool{true, false} {
+			check(c.name, []float64{1, 2}, c.base, width)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(15))
+	loads := []float64{0.5, 1.5, 3, 6}
+	classes := []float64{0, 1, wide, 2, 3}
+	for trial := 0; trial < 500; trial++ {
+		var base []sopt
+		for n := 1 + rng.Intn(12); len(base) < n; {
+			o := sopt{c: loads[rng.Intn(len(loads))], q: float64(1 + rng.Intn(6)), w: classes[rng.Intn(len(classes))]}
+			if !slices.ContainsFunc(base, func(b sopt) bool { return b.c == o.c && b.q == o.q }) {
+				base = append(base, o)
+			}
+		}
+		check(fmt.Sprintf("trial %d", trial), []float64{1, 2, 4}, base, trial%2 == 0)
 	}
 }
 
