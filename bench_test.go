@@ -371,25 +371,6 @@ func BenchmarkBatch_1k_Warm(b *testing.B) {
 	benchmarkBatchEngine(b, 100, 1000, rip.CacheOptions{}, true)
 }
 
-// ε-relaxed variants: the same 1k-line workload solved at the
-// recommended DefaultEps. Cold measures the relaxed solve's speedup
-// over BenchmarkBatch_1k_Cold; Warm pins that relaxed entries (cached
-// under their own ε-tagged signatures) serve hits just as fast.
-func batchBenchEpsJobs(b *testing.B, distinct, total int) []rip.BatchJob {
-	b.Helper()
-	jobs := batchBenchJobs(b, distinct, total)
-	for i := range jobs {
-		jobs[i].Eps = rip.DefaultEps
-	}
-	return jobs
-}
-func BenchmarkBatchEps_1k_Cold(b *testing.B) {
-	benchmarkBatchEngineJobs(b, batchBenchEpsJobs(b, 100, 1000), rip.CacheOptions{}, false)
-}
-func BenchmarkBatchEps_1k_Warm(b *testing.B) {
-	benchmarkBatchEngineJobs(b, batchBenchEpsJobs(b, 100, 1000), rip.CacheOptions{}, true)
-}
-
 // All-distinct variants isolate the zero-hit-rate cost: every lookup
 // misses, so this measures pure signature+bookkeeping overhead on top of
 // the worker pool.

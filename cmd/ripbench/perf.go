@@ -30,11 +30,9 @@ import (
 // shape (allocs/solve must stay 0, cold-vs-warm ratios, front hit
 // rates) and one host's trajectory point.
 //
-// Min-power kernels are measured on the production exact path (the
+// Min-power kernels are measured on the production path (the
 // bit-identical coarse-to-fine ladder); the `_flat` variant keeps the
-// pre-ladder single-pass cost visible, and `_eps` variants run the
-// ε-relaxed prune at dp.DefaultEps, reporting the answer's certified
-// width bound alongside the speed.
+// pre-ladder single-pass cost visible.
 
 // perfKernel is one DP-kernel measurement: steady-state cost through a
 // reused Solver plus the instance's work stats.
@@ -49,19 +47,6 @@ type perfKernel struct {
 	MaxPerLevel    int     `json:"max_per_level"`
 	// Points is a front kernel's Pareto-front size (0 for bounded solves).
 	Points int `json:"points,omitempty"`
-	// Eps is the kernel's ε relaxation (0 for exact kernels).
-	Eps float64 `json:"eps,omitempty"`
-	// EpsBound is the certified relative width bound of a bounded ε
-	// kernel's answer at the benchmark target — (Wret−Wlb)/Wret with Wlb
-	// the relaxed front's own width at target·EpsFactor (the run's
-	// realized delay inflation, ≤ 1+ε), a provable lower bound on the
-	// exact optimum (the same certificate the engine serves as
-	// "eps_bound"). Present exactly for ε kernels: a certified 0 means
-	// the answer is provably the exact optimum.
-	EpsBound *float64 `json:"eps_bound,omitempty"`
-	// EpsPruned counts options the relaxed dominance test killed that
-	// exact dominance would have kept (0 for exact kernels).
-	EpsPruned int `json:"eps_pruned,omitempty"`
 }
 
 // perfBatch is one batch-engine measurement.
@@ -128,7 +113,7 @@ func measureKernel(name string, ev *delay.Evaluator, opts dp.Options) (perfKerne
 			}
 		}
 	})
-	k := perfKernel{
+	return perfKernel{
 		Name:           name,
 		NsPerSolve:     float64(res.NsPerOp()),
 		AllocsPerSolve: float64(res.AllocsPerOp()),
@@ -137,45 +122,7 @@ func measureKernel(name string, ev *delay.Evaluator, opts dp.Options) (perfKerne
 		Generated:      stats.Generated,
 		Kept:           stats.Kept,
 		MaxPerLevel:    stats.MaxPerLevel,
-		Eps:            opts.Eps,
-		EpsPruned:      stats.EpsPruned,
-	}
-	if opts.Eps > 0 {
-		bound, err := epsKernelBound(ev, opts)
-		if err != nil {
-			return perfKernel{}, fmt.Errorf("%s: %w", name, err)
-		}
-		k.EpsBound = &bound
-	}
-	return k, nil
-}
-
-// epsKernelBound reproduces the engine's per-answer certificate for a
-// bounded ε kernel: solve the relaxed front once and compare the width
-// returned at Target against the front's own width at Target·φ, which
-// the ε-dominance invariant proves is a lower bound on the exact
-// optimum at Target. φ = Stats.EpsFactor is the delay inflation the
-// relaxed run actually realized — at most 1+ε, and much smaller when
-// the relaxation fired in few levels.
-func epsKernelBound(ev *delay.Evaluator, opts dp.Options) (float64, error) {
-	front, st, err := dp.SolveFront(ev, opts)
-	if err != nil {
-		return 0, err
-	}
-	idx, ok := front.At(opts.Target)
-	if !ok {
-		return 0, nil
-	}
-	wret := front[idx].TotalWidth
-	lb, ok := front.At(opts.Target * st.EpsFactor(opts.Eps))
-	if !ok || !(wret > 0) {
-		return 0, nil
-	}
-	wlb := front[lb].TotalWidth
-	if wlb >= wret {
-		return 0, nil
-	}
-	return (wret - wlb) / wret, nil
+	}, nil
 }
 
 // measureFrontKernel measures the unbounded Pareto-front sweep — the
@@ -204,8 +151,6 @@ func measureFrontKernel(name string, ev *delay.Evaluator, opts dp.Options) (perf
 		Kept:           stats.Kept,
 		MaxPerLevel:    stats.MaxPerLevel,
 		Points:         len(front),
-		Eps:            opts.Eps,
-		EpsPruned:      stats.EpsPruned,
 	}, nil
 }
 
@@ -324,16 +269,6 @@ func batchJobs(kind string, distinct, total int) ([]rip.BatchJob, error) {
 		}
 		for i := range jobs {
 			jobs[i] = rip.BatchJob{Net: nets[i%distinct], TargetMult: 1.3}
-		}
-	case "line_eps":
-		// The same line workload solved ε-relaxed at the recommended
-		// default; relaxed entries cache under their own signatures.
-		nets, err := rip.GenerateNets(tech, 2005, distinct)
-		if err != nil {
-			return nil, err
-		}
-		for i := range jobs {
-			jobs[i] = rip.BatchJob{Net: nets[i%distinct], TargetMult: 1.3, Eps: dp.DefaultEps}
 		}
 	case "line_coupled":
 		// The line workload under worst-case aggressors with staggering
@@ -493,16 +428,15 @@ func runPerf(path string) error {
 		CPUs:        runtime.NumCPU(),
 	}
 
-	// Bounded kernels run the production exact path (Ladder — value-
-	// identical to the flat sweep); the `_flat` variant keeps the pre-
-	// ladder cost visible and `_eps` the relaxed prune at DefaultEps.
+	// Bounded kernels run the production path (Ladder — value-identical
+	// to the flat sweep); the `_flat` variant keeps the pre-ladder cost
+	// visible.
 	kernels := []struct {
 		name string
 		opts dp.Options
 	}{
 		{"solve_minpower_g10", dp.Options{Library: refLib, Pitch: 200 * units.Micron, Objective: dp.MinPower, Target: 1.3 * tmin, Ladder: true}},
 		{"solve_minpower_g10_flat", dp.Options{Library: refLib, Pitch: 200 * units.Micron, Objective: dp.MinPower, Target: 1.3 * tmin}},
-		{"solve_minpower_g10_eps", dp.Options{Library: refLib, Pitch: 200 * units.Micron, Objective: dp.MinPower, Target: 1.3 * tmin, Ladder: true, Eps: dp.DefaultEps}},
 		{"solve_minpower_g20", dp.Options{Library: midLib, Pitch: 200 * units.Micron, Objective: dp.MinPower, Target: 1.3 * tmin, Ladder: true}},
 		{"solve_minpower_g40", dp.Options{Library: coarseLib, Pitch: 200 * units.Micron, Objective: dp.MinPower, Target: 1.3 * tmin, Ladder: true}},
 		{"solve_mindelay_g10", dp.Options{Library: refLib, Pitch: 200 * units.Micron, Objective: dp.MinDelay}},
@@ -519,14 +453,12 @@ func runPerf(path string) error {
 
 	// Front kernels: the unbounded Pareto sweep at both granularities —
 	// the cold cost the front-native cache pays once per shape, one flat
-	// sweep like the engine's; `_eps` is the relaxed sweep whose skipped
-	// points show up as a smaller Points count.
+	// sweep like the engine's.
 	for _, k := range []struct {
 		name string
 		opts dp.Options
 	}{
 		{"solve_front_g10", dp.Options{Library: refLib, Pitch: 200 * units.Micron}},
-		{"solve_front_g10_eps", dp.Options{Library: refLib, Pitch: 200 * units.Micron, Eps: dp.DefaultEps}},
 		{"solve_front_g40", dp.Options{Library: coarseLib, Pitch: 200 * units.Micron}},
 		{"solve_front_g10_coupled", dp.Options{Library: refLib, Pitch: 200 * units.Micron, Coupling: cpl}},
 	} {
@@ -588,7 +520,6 @@ func runPerf(path string) error {
 		distinct, total int
 	}{
 		{"batch_1k", "line", 100, 1000},
-		{"batch_eps_1k", "line_eps", 100, 1000},
 		{"batch_10k", "line", 250, 10000},
 		{"batch_tree_1k", "tree", 100, 1000},
 		{"batch_mixed_1k", "mixed", 50, 1000},

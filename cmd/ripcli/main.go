@@ -16,7 +16,6 @@
 //	ripcli -tree -batch -net trees.jsonl -target 1.3 # tree JSONL stream
 //	ripcli -net nets.json -front                    # full power–delay front
 //	ripcli -net nets.json -targets-ns 0.8,1.0,1.5   # multi-budget sweep
-//	ripcli -net nets.json -targets-ns 1.0 -eps 0.02 # ε-relaxed: ~10× faster, certified
 //	ripcli -net nets.json -targets-ns 1.0 -aggressor worst -scheme staggered
 //	                                                # crosstalk-aware, staggering allowed
 //	netgen -bus -count 8 | ripcli -bus -target 1.3  # joint bus co-optimization
@@ -37,20 +36,10 @@
 // node's coupling capacitance under a neighbor-switching assumption
 // (worst, best or quiet; requires a node with a coupling model), and
 // -scheme selects which per-interval countermeasures the solver may
-// deploy: plain (none), staggered, shielded or auto (both). Like -eps,
-// the flags apply to the engine-backed modes (-batch as the default for
+// deploy: plain (none), staggered, shielded or auto (both). The flags
+// apply to the engine-backed modes (-batch as the default for
 // lines that carry no "aggressor" of their own — an explicit
 // "aggressor": "none" stays classic — plus -front and -targets-ns).
-//
-// ε relaxation (-eps, line nets only): min-power solves prune with a
-// relaxed dominance test — answers still meet their budgets exactly,
-// run up to an order of magnitude faster, and are certified to cost at
-// most the exact optimum width at target/(1+eps). Relaxed JSON output
-// carries "eps" and the certified per-answer "eps_bound". The flag
-// applies to the engine-backed modes: -batch (as the default for lines
-// that carry no "eps" of their own; per-line "eps" wins, and an
-// explicit "eps": 0 forces bit-exact), -front and -targets-ns. 0
-// keeps every solve bit-exact.
 //
 // Bus mode (-bus, line nets only) reads one api.BusRequest JSON object
 // per line — a group of parallel tracks in physical adjacency order
@@ -116,7 +105,6 @@ func main() {
 		relT      = flag.Float64("target", 0, "timing target as a multiple of τmin")
 		absT      = flag.Float64("target-ns", 0, "timing target in nanoseconds")
 		targetsNS = flag.String("targets-ns", "", "comma-separated absolute targets in ns: answer every budget from one Pareto-front solve")
-		eps       = flag.Float64("eps", 0, "ε relaxation for line min-power solves (0 = bit-exact; max 0.5); applies to -batch, -front and -targets-ns")
 		aggressor = flag.String("aggressor", "", "crosstalk aggressor assumption for line nets: worst, best, quiet or none (empty = classic ground-only model); applies to -batch, -front and -targets-ns")
 		scheme    = flag.String("scheme", "", "crosstalk countermeasures a coupled solve may deploy: plain, staggered, shielded or auto (needs -aggressor)")
 		frontOut  = flag.Bool("front", false, "print the net's full power–delay Pareto front instead of solving one budget")
@@ -141,19 +129,6 @@ func main() {
 	tech, _, err := reg.Get(*techName)
 	if err != nil {
 		fatal(err)
-	}
-	if e := *eps; e != 0 && !(e > 0 && e <= rip.MaxEps) {
-		fatal(fmt.Errorf("-eps %g is not in [0, %g]", e, rip.MaxEps))
-	}
-	if *eps > 0 {
-		switch {
-		case *treeMode && !*batch:
-			// Batch tree streams may still carry wrapped line nets that
-			// the default legitimately applies to; pure tree modes cannot.
-			fatal(fmt.Errorf("-eps is only supported for line nets"))
-		case !*batch && !*frontOut && *targetsNS == "":
-			fatal(fmt.Errorf("-eps applies to the engine-backed modes: -batch, -front or -targets-ns"))
-		}
 	}
 	agg, err := delay.ParseAggressor(*aggressor)
 	if err != nil {
@@ -181,8 +156,6 @@ func main() {
 			fatal(fmt.Errorf("-bus is its own streaming mode; it cannot combine with -batch, -front or -targets-ns"))
 		case *gen:
 			fatal(fmt.Errorf("-bus reads generated groups from netgen -bus; -gen is not supported"))
-		case *eps > 0:
-			fatal(fmt.Errorf("-eps is not supported with -bus (bus member solves are bit-exact)"))
 		case agg != delay.AggressorNone || *scheme != "":
 			fatal(fmt.Errorf("-aggressor/-scheme do not apply to -bus: the co-optimizer decides each track's scheme"))
 		}
@@ -195,7 +168,7 @@ func main() {
 		if *batch {
 			fatal(fmt.Errorf("-front and -targets-ns are single-net modes; batch lines carry a per-line targets_ns list instead"))
 		}
-		if err := runFrontSweep(tech, *netFile, *index, *gen, *seed, *treeMode, *frontOut, *targetsNS, *eps, *aggressor, *scheme, *jsonOut); err != nil {
+		if err := runFrontSweep(tech, *netFile, *index, *gen, *seed, *treeMode, *frontOut, *targetsNS, *aggressor, *scheme, *jsonOut); err != nil {
 			fatal(err)
 		}
 		return
@@ -205,7 +178,7 @@ func main() {
 		if *treeMode {
 			bare = api.KindTree
 		}
-		if err := runBatch(reg, *techName, *netFile, *relT, *absT, *eps, *aggressor, *scheme, *workers, *cacheSize, bare); err != nil {
+		if err := runBatch(reg, *techName, *netFile, *relT, *absT, *aggressor, *scheme, *workers, *cacheSize, bare); err != nil {
 			fatal(err)
 		}
 		return
@@ -397,7 +370,7 @@ func runTree(tech *rip.Technology, path string, gen bool, seed int64, relT, absT
 // of absolute budgets from one solve of that front. Both go through the
 // batch engine so the output is exactly what cached multi-budget batches
 // and ripd's /v1/front serve.
-func runFrontSweep(tech *rip.Technology, path string, index int, gen bool, seed int64, treeMode, front bool, targetsNS string, eps float64, aggressor, scheme string, jsonOut bool) error {
+func runFrontSweep(tech *rip.Technology, path string, index int, gen bool, seed int64, treeMode, front bool, targetsNS string, aggressor, scheme string, jsonOut bool) error {
 	eng, err := rip.NewEngine(tech, rip.EngineOptions{})
 	if err != nil {
 		return err
@@ -415,7 +388,6 @@ func runFrontSweep(tech *rip.Technology, path string, index int, gen bool, seed 
 			return err
 		}
 		j.Net = n
-		j.Eps = eps
 		j.Aggressor = aggressor
 		j.Scheme = scheme
 	}
@@ -590,7 +562,7 @@ func emitJSON(net *rip.Net, sol rip.Solution, target float64) {
 // internal/api's Request/Response — the same wire format cmd/ripd
 // serves, so batch files replay against the HTTP service as-is,
 // mixed-node corpora included.
-func runBatch(reg *rip.TechRegistry, defaultTech, path string, relT, absT, eps float64, aggressor, scheme string, workers, cacheSize int, bare api.Kind) error {
+func runBatch(reg *rip.TechRegistry, defaultTech, path string, relT, absT float64, aggressor, scheme string, workers, cacheSize int, bare api.Kind) error {
 	in := os.Stdin
 	if path != "" && path != "-" {
 		f, err := os.Open(path)
@@ -622,7 +594,7 @@ func runBatch(reg *rip.TechRegistry, defaultTech, path string, relT, absT, eps f
 	var readErr error
 	go func() {
 		defer close(jobs)
-		readErr = feedBatch(in, relT, absT, eps, aggressor, scheme, bare, jobs, func(idx int, msg string) {
+		readErr = feedBatch(in, relT, absT, aggressor, scheme, bare, jobs, func(idx int, msg string) {
 			mu.Lock()
 			parseErrs[idx] = msg
 			mu.Unlock()
@@ -644,7 +616,7 @@ func runBatch(reg *rip.TechRegistry, defaultTech, path string, relT, absT, eps f
 		}
 		mu.Unlock()
 		switch {
-		case line.Error != "":
+		case line.Err != nil:
 			failed++
 		case !line.Feasible:
 			infeasible++
@@ -677,14 +649,13 @@ func runBatch(reg *rip.TechRegistry, defaultTech, path string, relT, absT, eps f
 // parse is reported via noteErr and emitted as a nil-net job, so the
 // failure surfaces in the output stream at the right position instead
 // of killing the run.
-func feedBatch(in io.Reader, relT, absT, eps float64, aggressor, scheme string, bare api.Kind, jobs chan<- rip.BatchJob, noteErr func(int, string)) error {
+func feedBatch(in io.Reader, relT, absT float64, aggressor, scheme string, bare api.Kind, jobs chan<- rip.BatchJob, noteErr func(int, string)) error {
 	if relT > 0 && absT > 0 {
 		return fmt.Errorf("give either -target or -target-ns, not both")
 	}
 	opts := api.FeedOptions{
 		DefaultMult:      relT,
 		DefaultNS:        absT,
-		DefaultEps:       eps,
 		DefaultAggressor: aggressor,
 		DefaultScheme:    scheme,
 		Bare:             bare,

@@ -11,7 +11,6 @@
 //	ripd -techs 90nm,65nm                  # serve only these nodes
 //	ripd -tech-dir ./nodes -tech foundry-90lp   # + custom JSON nodes
 //	ripd -max-inflight 64 -timeout 30s    # backpressure + per-request budget
-//	ripd -eps 0.02                        # serve ε-relaxed min-power answers by default
 //	ripd -aggressor worst -scheme staggered   # crosstalk-aware defaults
 //	ripd -cache-save rip.snap -cache-load rip.snap   # warm restarts
 //	ripd -self host1:8080 -peers host1:8080,host2:8080,host3:8080   # ring
@@ -32,20 +31,11 @@
 //	GET  /livez         process liveness (always 200 while up)
 //	GET  /readyz        traffic readiness: 503 while draining or while a
 //	                    snapshot restore is still running; reports ring
-//	                    peers and snapshot age (/healthz is an alias)
+//	                    peers and snapshot age
 //	GET  /metrics       Prometheus text (requests, latency, per-tech
 //	                    rip_cache_*/rip_dp_*/rip_front_*/rip_bus_*
 //	                    {tech="..."} and rip_cluster_*/rip_snapshot_*
 //	                    series)
-//
-// With -eps, line requests that carry no "eps" of their own are solved
-// ε-relaxed: answers still meet their budgets exactly, but the solves
-// run up to an order of magnitude faster, certified to return at most
-// the exact optimum width at target/(1+eps). Each relaxed response
-// carries "eps" and its certified "eps_bound"; a request's explicit
-// "eps": 0 always forces bit-exact solving, and /v1/front never
-// inherits the default. Exact and relaxed fronts cache separately, so
-// the modes cannot contaminate each other.
 //
 // With -aggressor, line requests that carry no "aggressor" of their
 // own are solved under that crosstalk scenario (-scheme picks which
@@ -58,7 +48,9 @@
 // unknown names get a 400 (single) or per-line error (batch) listing the
 // served nodes. Every failure carries the structured error envelope
 // {"error": {"code", "message", ...}}. Saturation answers 429 (with
-// Retry-After) rather than queuing unboundedly.
+// Retry-After) rather than queuing unboundedly. Every solve is exact: a
+// request carrying a nonzero "eps" is rejected as bad_request ("eps": 0
+// is still accepted).
 //
 // With -cache-save, the Pareto-front caches are snapshotted to disk
 // periodically and at shutdown (atomic rename — kill -9 never leaves a
@@ -109,7 +101,6 @@ func main() {
 		maxInFlight = flag.Int("max-inflight", 0, "concurrent requests admitted before 429 (0 = 4x workers)")
 		timeout     = flag.Duration("timeout", 2*time.Minute, "per-request solving timeout (0 = none)")
 		target      = flag.Float64("target", 0, "default target_mult for requests that carry no budget (0 = require one per request)")
-		defaultEps  = flag.Float64("eps", 0, "default ε relaxation for line requests that carry no eps (0 = bit-exact; max 0.5)")
 		defaultAgg  = flag.String("aggressor", "", "default crosstalk aggressor for line requests that carry no \"aggressor\": worst, best, quiet or none (empty = classic ground-only model)")
 		defaultSch  = flag.String("scheme", "", "default countermeasure scheme for coupled requests that carry no \"scheme\": plain, staggered, shielded or auto (needs -aggressor)")
 		grace       = flag.Duration("grace", 30*time.Second, "shutdown drain budget for in-flight requests")
@@ -125,9 +116,6 @@ func main() {
 	)
 	flag.Parse()
 
-	if e := *defaultEps; e != 0 && !(e > 0 && e <= rip.MaxEps) {
-		fatal(fmt.Errorf("ripd: -eps %g is not in [0, %g]", e, rip.MaxEps))
-	}
 	agg, err := delay.ParseAggressor(*defaultAgg)
 	if err != nil {
 		fatal(fmt.Errorf("ripd: -aggressor: %v", err))
@@ -210,7 +198,6 @@ func main() {
 		MaxInFlight:       *maxInFlight,
 		RequestTimeout:    *timeout,
 		DefaultTargetMult: *target,
-		DefaultEps:        *defaultEps,
 		DefaultAggressor:  *defaultAgg,
 		DefaultScheme:     *defaultSch,
 		Cluster:           node,

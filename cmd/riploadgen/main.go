@@ -212,9 +212,6 @@ func post(client *http.Client, url string, body []byte) (hit bool, code string) 
 	if out.Err != nil {
 		return false, out.Err.Code
 	}
-	if out.Error != "" {
-		return false, api.CodeSolveFailed
-	}
 	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
 		// A non-2xx status whose body carries no error envelope did not
 		// come from ripd's handler (a proxy or LB answered instead);

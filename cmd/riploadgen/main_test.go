@@ -5,8 +5,6 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
-
-	"github.com/rip-eda/rip/internal/api"
 )
 
 // TestPercentileNearestRank pins the nearest-rank definition: the
@@ -71,7 +69,6 @@ func TestPostClassification(t *testing.T) {
 		{"success cache hit", http.StatusOK, `{"feasible":true,"cache_hit":true}`, true, ""},
 		{"enveloped error", http.StatusBadRequest,
 			`{"error":{"code":"bad_request","message":"no"},"error_message":"no"}`, false, "bad_request"},
-		{"legacy message only", http.StatusOK, `{"error_message":"solver blew up"}`, false, api.CodeSolveFailed},
 		{"non-2xx html page", http.StatusBadGateway, `<html>502</html>`, false, "transport"},
 		{"non-2xx empty json", http.StatusServiceUnavailable, `{}`, false, "transport"},
 		{"non-2xx enveloped keeps its code", http.StatusTooManyRequests,

@@ -21,7 +21,6 @@ import (
 	"slices"
 
 	"github.com/rip-eda/rip/internal/delay"
-	"github.com/rip-eda/rip/internal/dp"
 	"github.com/rip-eda/rip/internal/engine"
 	"github.com/rip-eda/rip/internal/tree"
 	"github.com/rip-eda/rip/internal/units"
@@ -65,12 +64,10 @@ type Request struct {
 	// Mutually exclusive with TargetMult and TargetNS; every entry must be
 	// positive. Trees apply each budget to every sink.
 	TargetsNS []float64 `json:"targets_ns,omitempty"`
-	// Eps opts the request into ε-relaxed solving (line nets only): the
-	// answer still meets the budget exactly, but the solve may thin the
-	// Pareto front, certified to return at most the exact optimum width
-	// at target/(1+eps). Valid range [0, 0.5]; absent inherits the
-	// transport's default (ripcli/ripd -eps), while an explicit 0 forces
-	// bit-exact solving regardless of that default.
+	// Eps is the retired ε-relaxation knob. ε relaxation was removed and
+	// every solve is exact, but the field still decodes for one release so
+	// clients that send it keep working: absent or 0 is accepted, and any
+	// other value is rejected at decode (ParseRequestKind) as bad_request.
 	Eps *float64 `json:"eps,omitempty"`
 	// Aggressor opts the request into crosstalk-aware solving (line nets
 	// only): "worst", "best" or "quiet" prices coupling capacitance under
@@ -130,9 +127,6 @@ func (r *Request) validate() error {
 			return fmt.Errorf("api: net %q: targets_ns entry %g is not a positive time", r.name(), t)
 		}
 	}
-	if err := r.checkEps(); err != nil {
-		return err
-	}
 	if err := r.checkCoupling(); err != nil {
 		return err
 	}
@@ -146,23 +140,6 @@ func (r *Request) validate() error {
 		return fmt.Errorf("api: net %q: a positive target_mult or target_ns is required", r.Net.Name)
 	}
 	return r.Net.Validate()
-}
-
-// checkEps rejects ε values the dp layer cannot certify, and ε on tree
-// requests (the tree DP has no relaxed mode). NaN fails e >= 0, so
-// non-finite, negative and oversized values all land in the first arm.
-func (r *Request) checkEps() error {
-	if r.Eps == nil {
-		return nil
-	}
-	e := *r.Eps
-	if !(e >= 0) || e > dp.MaxEps {
-		return fmt.Errorf("api: net %q: eps %g is not in [0, %g]", r.name(), e, dp.MaxEps)
-	}
-	if r.Tree != nil && e > 0 {
-		return fmt.Errorf("api: tree %q: eps is only supported for line nets", r.Tree.Name)
-	}
-	return nil
 }
 
 // checkCoupling rejects malformed crosstalk fields: unknown tokens, a
@@ -227,9 +204,6 @@ func (r *Request) Job() engine.Job {
 	for _, t := range r.TargetsNS {
 		j.Budgets = append(j.Budgets, t*units.NanoSecond)
 	}
-	if r.Eps != nil {
-		j.Eps = *r.Eps
-	}
 	return j
 }
 
@@ -252,16 +226,11 @@ func (r *Request) ApplyDefault(targetMult, targetNS float64) {
 	r.TargetNS = targetNS
 }
 
-// ApplyDefaultEps fills in the transport-level default ε relaxation
-// (ripcli/ripd -eps) when the request carries none of its own. Tree
-// requests are skipped — ε is a line-net mode — and an explicit
-// "eps": 0 stays exact: absent and zero mean different things here.
-func (r *Request) ApplyDefaultEps(eps float64) {
-	if r.Eps != nil || r.Tree != nil || eps <= 0 {
-		return
-	}
-	r.Eps = &eps
-}
+// ApplyDefaultEps does nothing: there is no default ε to apply.
+//
+// Deprecated: ε relaxation was removed and every solve is exact. Kept
+// for one release so existing callers still compile.
+func (r *Request) ApplyDefaultEps(float64) {}
 
 // ApplyDefaultCoupling fills in the transport-level default crosstalk
 // scenario (ripcli/ripd -aggressor/-scheme) on line requests that carry
@@ -319,6 +288,11 @@ func ParseRequestKind(raw []byte, bare Kind) (Request, error) {
 		if err := json.Unmarshal(raw, &r); err != nil {
 			return Request{}, fmt.Errorf("decoding request: %v", err)
 		}
+		// Every route decodes here, so this one check rejects a nonzero
+		// "eps" per request, per array element and per JSONL line.
+		if r.Eps != nil && *r.Eps != 0 {
+			return Request{}, fmt.Errorf("api: net %q: eps %g is not supported: ε relaxation was removed and every solve is exact (omit eps or send 0)", r.name(), *r.Eps)
+		}
 		return r, nil
 	}
 	if bare == KindTree {
@@ -344,9 +318,6 @@ type FeedOptions struct {
 	// DefaultMult / DefaultNS are the transport's default budget, applied
 	// to requests that carry none of their own (see Request.ApplyDefault).
 	DefaultMult, DefaultNS float64
-	// DefaultEps is the transport's default ε relaxation, applied to line
-	// requests that carry no "eps" of their own (see ApplyDefaultEps).
-	DefaultEps float64
 	// DefaultAggressor / DefaultScheme are the transport's default
 	// crosstalk scenario, applied to line requests that carry no
 	// "aggressor" of their own (see ApplyDefaultCoupling).
@@ -396,7 +367,6 @@ func FeedJSONL(ctx context.Context, in io.Reader, opts FeedOptions, jobs chan<- 
 			} else {
 				req.ApplyDefault(opts.DefaultMult, opts.DefaultNS)
 			}
-			req.ApplyDefaultEps(opts.DefaultEps)
 			req.ApplyDefaultCoupling(opts.DefaultAggressor, opts.DefaultScheme)
 			job = req.Job()
 		}
@@ -411,11 +381,10 @@ func FeedJSONL(ctx context.Context, in io.Reader, opts FeedOptions, jobs chan<- 
 }
 
 // Response is one net's outcome. Errors are per-net: a failed request
-// is reported in its own response — the structured Err envelope plus
-// the deprecated Error string — and never aborts a batch. Line and tree
-// responses share the envelope; Kind distinguishes them, and the
-// placement fields differ — positions/widths along the line versus
-// per-node buffers on the tree.
+// is reported in its own response — the structured Err envelope — and
+// never aborts a batch. Line and tree responses share the envelope;
+// Kind distinguishes them, and the placement fields differ —
+// positions/widths along the line versus per-node buffers on the tree.
 type Response struct {
 	// V is the wire-format version of this response (1).
 	V int `json:"v,omitempty"`
@@ -450,17 +419,6 @@ type Response struct {
 	// aggregates the sweep (true iff every budget was met) and the other
 	// single-solution fields are left zero.
 	Sweep []SweepPoint `json:"sweep,omitempty"`
-	// Eps echoes the ε relaxation the net was solved under; absent means
-	// bit-exact.
-	Eps float64 `json:"eps,omitempty"`
-	// EpsBound is a served ε answer's certified relative width
-	// suboptimality — (width − lower bound)/width, in [0, 1] — so a
-	// client can see how far, at worst, the relaxed answer is from the
-	// exact optimum. Present exactly for ε answers (a certified 0 means
-	// the answer is provably the exact optimum — a pointer so that 0
-	// survives serialization); absent for exact answers and multi-budget
-	// responses (each sweep point carries its own bound).
-	EpsBound *float64 `json:"eps_bound,omitempty"`
 	// Aggressor and Scheme echo a coupled request's crosstalk scenario in
 	// normalized form ("worst"/"best"/"quiet" and "plain"/"staggered"/
 	// "shielded"/"auto"); both absent for uncoupled requests.
@@ -482,10 +440,6 @@ type Response struct {
 	// (parse, validation, routing or solver); nil on success. Its Code
 	// is the stable field to branch on.
 	Err *ErrorInfo `json:"error,omitempty"`
-	// Error duplicates Err.Message under the pre-envelope key
-	// "error_message". Deprecated: kept populated for one release so
-	// message-scraping clients migrate off it; branch on Err.Code.
-	Error string `json:"error_message,omitempty"`
 }
 
 // SweepPoint is one budget's answer within a multi-budget response. An
@@ -510,10 +464,6 @@ type SweepPoint struct {
 	WidthsU     []float64 `json:"widths_u,omitempty"`
 	// Buffers is a tree answer's placement, ordered by node ID.
 	Buffers []TreeBuffer `json:"buffers,omitempty"`
-	// EpsBound is this budget's certified relative width-suboptimality
-	// bound under an ε request (see Response.EpsBound — present exactly
-	// for ε answers, certified 0 included).
-	EpsBound *float64 `json:"eps_bound,omitempty"`
 	// StaggeredUM and ShieldedUM are this answer's staggered / shielded
 	// interval lengths in µm (coupled requests only).
 	StaggeredUM float64 `json:"staggered_um,omitempty"`
@@ -537,17 +487,11 @@ func FromResult(r engine.Result) Response {
 	}
 	if r.Err != nil {
 		out.Err = errorInfo(r.Err, out.Net, out.Tech)
-		out.Error = r.Err.Error()
 		return out
 	}
-	out.Eps = r.Eps
 	out.Aggressor = r.Aggressor
 	out.Scheme = r.Scheme
 	out.MF = r.MF
-	if r.Eps > 0 && len(r.Sweep) == 0 {
-		b := r.EpsBound
-		out.EpsBound = &b
-	}
 	if len(r.Sweep) > 0 {
 		out.Feasible = true // all budgets met until one misses
 		for _, ba := range r.Sweep {
@@ -559,10 +503,6 @@ func FromResult(r engine.Result) Response {
 				TotalWidthU: sol.TotalWidth,
 				StaggeredUM: units.ToMicrons(sol.StaggerLen),
 				ShieldedUM:  units.ToMicrons(sol.ShieldLen),
-			}
-			if r.Eps > 0 {
-				b := ba.EpsBound
-				p.EpsBound = &b
 			}
 			for _, x := range sol.Assignment.Positions {
 				p.PositionsUM = append(p.PositionsUM, units.ToMicrons(x))
@@ -592,7 +532,6 @@ func fromTreeResult(r engine.Result) Response {
 	out := Response{V: WireVersion, Net: r.TreeNet.Name, Kind: "tree", Tech: r.Tech, CacheHit: r.CacheHit}
 	if r.Err != nil {
 		out.Err = errorInfo(r.Err, out.Net, out.Tech)
-		out.Error = r.Err.Error()
 		return out
 	}
 	if len(r.Sweep) > 0 {
@@ -645,10 +584,9 @@ func treeBuffers(buffers map[int]float64) []TreeBuffer {
 // under an explicit envelope code.
 func CodedErrorResponse(code, netName, techName, msg string) Response {
 	return Response{
-		V:     WireVersion,
-		Net:   netName,
-		Err:   &ErrorInfo{Code: code, Message: msg, Net: netName, Tech: techName},
-		Error: msg,
+		V:   WireVersion,
+		Net: netName,
+		Err: &ErrorInfo{Code: code, Message: msg, Net: netName, Tech: techName},
 	}
 }
 
@@ -675,9 +613,6 @@ func (r *Request) validateFront() error {
 		return errors.New("api: request has no net")
 	case r.Net != nil && r.Tree != nil:
 		return fmt.Errorf("api: net %q: give net or tree, not both", r.name())
-	}
-	if err := r.checkEps(); err != nil {
-		return err
 	}
 	if r.Tree != nil {
 		return r.Tree.Validate()
@@ -721,9 +656,6 @@ type FrontResponse struct {
 	TMinNS float64 `json:"tmin_ns,omitempty"`
 	// Points is the curve, fastest (most power) first.
 	Points []FrontPoint `json:"points"`
-	// Eps echoes the ε relaxation the curve was solved under; absent
-	// means the exact front.
-	Eps float64 `json:"eps,omitempty"`
 	// Aggressor and Scheme echo a coupled query's crosstalk scenario in
 	// normalized form; both absent for uncoupled queries.
 	Aggressor string `json:"aggressor,omitempty"`
@@ -733,9 +665,6 @@ type FrontResponse struct {
 	// Err is the structured error envelope for a failure (validation,
 	// routing or solver); nil on success.
 	Err *ErrorInfo `json:"error,omitempty"`
-	// Error duplicates Err.Message under the pre-envelope key
-	// "error_message". Deprecated: branch on Err.Code.
-	Error string `json:"error_message,omitempty"`
 }
 
 // FromFrontResult converts an engine front result to its wire form.
@@ -750,11 +679,9 @@ func FromFrontResult(fr engine.FrontResult) FrontResponse {
 	}
 	if fr.Err != nil {
 		out.Err = errorInfo(fr.Err, out.Net, out.Tech)
-		out.Error = fr.Err.Error()
 		return out
 	}
 	out.TMinNS = fr.TMin / units.NanoSecond
-	out.Eps = fr.Eps
 	out.Aggressor = fr.Aggressor
 	out.Scheme = fr.Scheme
 	out.Points = make([]FrontPoint, len(fr.Points))
@@ -775,10 +702,9 @@ func FromFrontResult(fr engine.FrontResult) FrontResponse {
 // failure under an explicit envelope code.
 func CodedFrontErrorResponse(code, netName, techName, msg string) FrontResponse {
 	return FrontResponse{
-		V:     WireVersion,
-		Net:   netName,
-		Err:   &ErrorInfo{Code: code, Message: msg, Net: netName, Tech: techName},
-		Error: msg,
+		V:   WireVersion,
+		Net: netName,
+		Err: &ErrorInfo{Code: code, Message: msg, Net: netName, Tech: techName},
 	}
 }
 

@@ -3,11 +3,9 @@ package api
 import (
 	"encoding/json"
 	"errors"
-	"math"
 	"strings"
 	"testing"
 
-	"github.com/rip-eda/rip/internal/dp"
 	"github.com/rip-eda/rip/internal/engine"
 	"github.com/rip-eda/rip/internal/units"
 	"github.com/rip-eda/rip/internal/wire"
@@ -104,132 +102,16 @@ func TestRequestValidateAndJob(t *testing.T) {
 	}
 }
 
-// TestEpsRequestValidation: malformed "eps" values are rejected at the
-// API boundary with the bad_request envelope code, legal values pass
-// through to the job, absent eps inherits the transport default while
-// an explicit 0 stays exact, and trees refuse the relaxation.
-func TestEpsRequestValidation(t *testing.T) {
-	net := testNet(t)
-	eps := func(v float64) *float64 { return &v }
-	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.01, 0.51, 7} {
-		req := Request{Net: net, TargetMult: 1.3, Eps: eps(bad)}
-		err := req.Validate()
-		if err == nil {
-			t.Fatalf("eps=%g accepted", bad)
-		}
-		if ErrorCode(err) != CodeBadRequest {
-			t.Fatalf("eps=%g: code %q, want %q", bad, ErrorCode(err), CodeBadRequest)
-		}
-		if err := req.ValidateFront(); err == nil || ErrorCode(err) != CodeBadRequest {
-			t.Fatalf("front eps=%g: err=%v", bad, err)
-		}
-	}
-	for _, good := range []float64{0, 0.02, dp.MaxEps} {
-		req := Request{Net: net, TargetMult: 1.3, Eps: eps(good)}
-		if err := req.Validate(); err != nil {
-			t.Fatalf("eps=%g rejected: %v", good, err)
-		}
-		if j := req.Job(); j.Eps != good {
-			t.Fatalf("job eps %g, want %g", j.Eps, good)
-		}
-	}
-
-	tn := testTreeNet(t)
-	treeReq := Request{Tree: tn, TargetMult: 1.3, Eps: eps(0.02)}
-	if err := treeReq.Validate(); err == nil || ErrorCode(err) != CodeBadRequest {
-		t.Fatalf("tree+eps: err=%v", err)
-	}
-
-	// Defaults: absent inherits, explicit zero wins, trees are skipped.
-	r := Request{Net: net, TargetMult: 1.3}
-	r.ApplyDefaultEps(0.02)
-	if r.Eps == nil || *r.Eps != 0.02 {
-		t.Fatalf("default eps not applied: %+v", r.Eps)
-	}
-	r = Request{Net: net, TargetMult: 1.3, Eps: eps(0)}
-	r.ApplyDefaultEps(0.02)
-	if *r.Eps != 0 {
-		t.Fatalf("default eps overwrote an explicit 0: %g", *r.Eps)
-	}
-	r = Request{Tree: tn, TargetMult: 1.3}
-	r.ApplyDefaultEps(0.02)
-	if r.Eps != nil {
-		t.Fatalf("default eps applied to a tree: %g", *r.Eps)
-	}
-}
-
-// FuzzEpsRequest hammers the "eps" boundary with arbitrary float64s:
-// every value outside [0, dp.MaxEps] — NaN and ±Inf included — must be
-// rejected by both Validate and ValidateFront with the bad_request
-// envelope code, and every legal value must pass through to the job
-// unchanged.
-func FuzzEpsRequest(f *testing.F) {
-	for _, seed := range []float64{0, 0.02, dp.MaxEps, -0.01, 0.51, 7, math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 1e-300, 1e300} {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, eps float64) {
-		net := testNet(t)
-		req := Request{Net: net, TargetMult: 1.3, Eps: &eps}
-		err := req.Validate()
-		ferr := req.ValidateFront()
-		valid := !math.IsNaN(eps) && eps >= 0 && eps <= dp.MaxEps
-		if valid {
-			if err != nil || ferr != nil {
-				t.Fatalf("legal eps=%g rejected: solve=%v front=%v", eps, err, ferr)
-			}
-			if j := req.Job(); j.Eps != eps {
-				t.Fatalf("job eps %g, want %g", j.Eps, eps)
-			}
-			return
-		}
-		if err == nil || ErrorCode(err) != CodeBadRequest {
-			t.Fatalf("eps=%g: solve err=%v code=%q, want %q", eps, err, ErrorCode(err), CodeBadRequest)
-		}
-		if ferr == nil || ErrorCode(ferr) != CodeBadRequest {
-			t.Fatalf("eps=%g: front err=%v code=%q, want %q", eps, ferr, ErrorCode(ferr), CodeBadRequest)
-		}
-	})
-}
-
-// TestForwardCarriesEps: the peer-forwarding bridge keeps ε intact in
-// both directions. FromJob pins "eps" explicitly on every line job —
-// including 0, so a peer running its own -eps default cannot silently
-// relax a job the client asked to be exact — and ToResult restores the
-// peer's ε attribution and certified bound (a certified 0 included).
+// TestForwardCarriesEps: FromJob pins "eps": 0 on every line job, so a
+// peer still running a release with ε relaxation cannot apply its own
+// -eps default to a forwarded job; tree jobs carry no eps.
 func TestForwardCarriesEps(t *testing.T) {
 	net := testNet(t)
-	j := engine.Job{Net: net, TargetMult: 1.3, Eps: 0.02}
-	r := FromJob(j)
-	if r.Eps == nil || *r.Eps != 0.02 {
-		t.Fatalf("FromJob dropped eps: %+v", r.Eps)
+	if r := FromJob(engine.Job{Net: net, TargetMult: 1.3}); r.Eps == nil || *r.Eps != 0 {
+		t.Fatalf("line job must forward an explicit eps=0, got %+v", r.Eps)
 	}
-	if r = FromJob(engine.Job{Net: net, TargetMult: 1.3}); r.Eps == nil || *r.Eps != 0 {
-		t.Fatalf("exact job must forward an explicit eps=0, got %+v", r.Eps)
-	}
-	if r = FromJob(engine.Job{TreeNet: testTreeNet(t), TargetMult: 1.3}); r.Eps != nil {
+	if r := FromJob(engine.Job{TreeNet: testTreeNet(t), TargetMult: 1.3}); r.Eps != nil {
 		t.Fatalf("tree job forwarded an eps: %g", *r.Eps)
-	}
-
-	zero := 0.0
-	res := ToResult(Response{Net: net.Name, Feasible: true, Eps: 0.02, EpsBound: &zero}, j)
-	if res.Eps != 0.02 || res.EpsBound != 0 {
-		t.Fatalf("ToResult lost eps attribution: eps=%g bound=%g", res.Eps, res.EpsBound)
-	}
-	bound := 0.25
-	res = ToResult(Response{Net: net.Name, Feasible: true, Eps: 0.02,
-		Sweep: []SweepPoint{{TargetNS: 1, Feasible: true, EpsBound: &bound}}}, j)
-	if len(res.Sweep) != 1 || res.Sweep[0].EpsBound != 0.25 {
-		t.Fatalf("ToResult lost a sweep point's bound: %+v", res.Sweep)
-	}
-
-	// And the wire side: FromResult emits eps_bound for ε answers even
-	// when the certified bound is exactly 0.
-	resp := FromResult(engine.Result{Net: net, Eps: 0.02})
-	if resp.EpsBound == nil || *resp.EpsBound != 0 {
-		t.Fatalf("FromResult dropped a certified-0 bound: %+v", resp.EpsBound)
-	}
-	if resp = FromResult(engine.Result{Net: net}); resp.EpsBound != nil {
-		t.Fatalf("exact result carries eps_bound %g", *resp.EpsBound)
 	}
 }
 
@@ -237,7 +119,7 @@ func TestForwardCarriesEps(t *testing.T) {
 func TestFromResultError(t *testing.T) {
 	net := testNet(t)
 	resp := FromResult(engine.Result{Net: net, Err: errors.New("boom")})
-	if resp.Net != "apinet" || resp.Error != "boom" || resp.Feasible {
+	if resp.Net != "apinet" || resp.Err == nil || resp.Err.Message != "boom" || resp.Feasible {
 		t.Fatalf("error result mapped to %+v", resp)
 	}
 }

@@ -162,9 +162,6 @@ type BusResponse struct {
 	// Err is the structured error envelope for a failure; nil on
 	// success. Its Code is the stable field to branch on.
 	Err *ErrorInfo `json:"error,omitempty"`
-	// Error duplicates Err.Message under the pre-envelope key
-	// "error_message". Deprecated: branch on Err.Code.
-	Error string `json:"error_message,omitempty"`
 }
 
 // FromBusResult converts an engine bus result to its wire form.
@@ -172,7 +169,6 @@ func FromBusResult(br engine.BusResult) BusResponse {
 	out := BusResponse{V: WireVersion, Tech: br.Tech}
 	if br.Err != nil {
 		out.Err = errorInfo(br.Err, "", out.Tech)
-		out.Error = br.Err.Error()
 		return out
 	}
 	out.Method = br.Method
@@ -220,8 +216,7 @@ func FromBusResult(br engine.BusResult) BusResponse {
 // under an explicit envelope code.
 func CodedBusErrorResponse(code, techName, msg string) BusResponse {
 	return BusResponse{
-		V:     WireVersion,
-		Err:   &ErrorInfo{Code: code, Message: msg, Tech: techName},
-		Error: msg,
+		V:   WireVersion,
+		Err: &ErrorInfo{Code: code, Message: msg, Tech: techName},
 	}
 }

@@ -33,10 +33,11 @@ func FromJob(j engine.Job) Request {
 		r.TargetsNS = append(r.TargetsNS, b/units.NanoSecond)
 	}
 	if j.TreeNet == nil {
-		// Always explicit for line jobs: a bare absent "eps" would let the
-		// peer's own -eps default relax a job the client asked to be exact.
-		eps := j.Eps
-		r.Eps = &eps
+		// Always an explicit "eps": 0 for line jobs: during a rolling
+		// upgrade, a peer still running a release with ε relaxation would
+		// apply its own -eps default to an absent "eps" and relax the job.
+		zero := 0.0
+		r.Eps = &zero
 		// The crosstalk scenario is explicit for the same reason: an absent
 		// "aggressor" would let the peer's own -aggressor default couple a
 		// job the client asked to be classic, so uncoupled jobs forward a
@@ -72,17 +73,13 @@ func ToResult(resp Response, j engine.Job) engine.Result {
 		Tech:     resp.Tech,
 		CacheHit: resp.CacheHit,
 	}
-	if err := respErr(resp.Err, resp.Error); err != nil {
+	if err := resp.Err.Err(); err != nil {
 		r.Err = err
 		return r
 	}
-	r.Eps = resp.Eps
 	r.Aggressor = resp.Aggressor
 	r.Scheme = resp.Scheme
 	r.MF = resp.MF
-	if resp.EpsBound != nil {
-		r.EpsBound = *resp.EpsBound
-	}
 	tree := j.TreeNet != nil
 	if len(resp.Sweep) > 0 {
 		r.Sweep = make([]engine.BudgetAnswer, len(resp.Sweep))
@@ -111,12 +108,11 @@ func ToFrontResult(resp FrontResponse, j engine.Job) engine.FrontResult {
 		Tech:     resp.Tech,
 		CacheHit: resp.CacheHit,
 	}
-	if err := respErr(resp.Err, resp.Error); err != nil {
+	if err := resp.Err.Err(); err != nil {
 		fr.Err = err
 		return fr
 	}
 	fr.TMin = resp.TMinNS * units.NanoSecond
-	fr.Eps = resp.Eps
 	fr.Aggressor = resp.Aggressor
 	fr.Scheme = resp.Scheme
 	fr.Points = make([]engine.FrontPoint, len(resp.Points))
@@ -133,23 +129,8 @@ func ToFrontResult(resp FrontResponse, j engine.Job) engine.FrontResult {
 	return fr
 }
 
-// respErr reconstructs a response's failure: the envelope when present
-// (preserving its code), else the legacy string.
-func respErr(info *ErrorInfo, legacy string) error {
-	if err := info.Err(); err != nil {
-		return err
-	}
-	if legacy != "" {
-		return Codef(CodeSolveFailed, "%s", legacy)
-	}
-	return nil
-}
-
 func toBudgetAnswer(p SweepPoint, isTree bool) engine.BudgetAnswer {
 	ba := engine.BudgetAnswer{Budget: p.TargetNS * units.NanoSecond}
-	if p.EpsBound != nil {
-		ba.EpsBound = *p.EpsBound
-	}
 	if isTree {
 		ba.TreeRes.Solution = toTreeSolution(p.Feasible, p.SlackNS, p.TotalWidthU, p.Buffers)
 		return ba

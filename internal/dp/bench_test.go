@@ -94,16 +94,10 @@ func BenchmarkSolve(b *testing.B)          { benchmarkSolve(b, 10, MinPower) }
 func BenchmarkSolve_g40(b *testing.B)      { benchmarkSolve(b, 40, MinPower) }
 func BenchmarkSolve_MinDelay(b *testing.B) { benchmarkSolve(b, 10, MinDelay) }
 
-// BenchmarkSolveLadder measures the exact-mode coarse-to-fine ladder: same
+// BenchmarkSolveLadder measures the coarse-to-fine ladder: same
 // bit-identical answers, coarse-pass bounds pruning the fine sweep.
 func BenchmarkSolveLadder(b *testing.B) {
 	benchmarkSolve(b, 10, MinPower, func(o *Options) { o.Ladder = true })
-}
-
-// BenchmarkSolveEps measures the relaxed mode the engine serves when a
-// request opts in: ladder plus ε-dominance at the recommended DefaultEps.
-func BenchmarkSolveEps(b *testing.B) {
-	benchmarkSolve(b, 10, MinPower, func(o *Options) { o.Ladder = true; o.Eps = DefaultEps })
 }
 
 // BenchmarkSolveCoupled_g10 measures the crosstalk-aware kernel the

@@ -29,7 +29,6 @@ package dp
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 
 	"github.com/rip-eda/rip/internal/delay"
@@ -82,14 +81,6 @@ type Options struct {
 	// that growth).
 	MaxGenerated int
 
-	// Eps > 0 enables ε-dominance pruning (MinPower only): the kept
-	// front holds one representative per relaxed cell, and the returned
-	// solution's delay is certified within a (1+Eps) factor of an exact
-	// optimum's — equivalently, its width never exceeds the exact
-	// optimum width at target Target/(1+Eps). 0 is exact; values outside
-	// [0, MaxEps] or NaN are rejected. Exact mode remains the
-	// differential oracle.
-	Eps float64
 	// Ladder enables the coarse-to-fine width ladder for bounded
 	// (MinPower) solves: a first pass on a subsampled width library whose
 	// solution yields admissible width and delay bounds for the
@@ -109,22 +100,6 @@ type Options struct {
 	Coupling *delay.Coupling
 }
 
-const (
-	// MaxEps bounds Options.Eps: beyond 50% delay slack the "certified
-	// bound" stops being a useful contract.
-	MaxEps = 0.5
-	// DefaultEps is the recommended ε for callers that want the speedup
-	// and accept a ≤ 2% certified delay (and therefore power) slack.
-	DefaultEps = 0.02
-)
-
-// validEps reports whether e is a usable ε knob value. NaN is checked
-// explicitly: it fails every ordered comparison, so a bare range check
-// would wave it through.
-func validEps(e float64) bool {
-	return !(e != e) && e >= 0 && e <= MaxEps
-}
-
 // ErrBudget is returned when a solve exceeds Options.MaxGenerated.
 var ErrBudget = errors.New("dp: work budget exceeded")
 
@@ -139,41 +114,6 @@ type Stats struct {
 	Kept int
 	// MaxPerLevel is the largest surviving option set at any level.
 	MaxPerLevel int
-	// EpsPruned counts options the ε-relaxation pruned that exact
-	// dominance would have kept. Always 0 in exact mode.
-	EpsPruned int
-	// EpsLevels counts candidate levels whose prune performed at least
-	// one such relaxed kill. Always 0 in exact mode; at most Candidates.
-	EpsLevels int
-	// EpsInflation is the realized delay-inflation product of the run's
-	// relaxed kills (see EpsFactor); 0 when the relaxation never fired.
-	EpsInflation float64
-}
-
-// EpsFactor returns the certified delay-inflation factor the run the
-// stats describe actually realized: a pruned exact solution's surviving
-// surrogate loses one delay hop at most once per level, and only at a
-// level whose prune performed a relaxed kill, so the hops telescope to
-// (1+eps)^(EpsLevels/Candidates) ≤ 1+eps — and, tighter still, to
-// EpsInflation, the product over those levels of the largest delay
-// ratio a kill actually forced on a witness redirect. A run where the
-// relaxation never fired certifies factor 1 — its results are exact.
-// Certificate consumers (the engine's per-answer bound, the perf
-// harness) query the relaxed front at target·EpsFactor instead of the
-// worst-case target·(1+eps), which tightens the reported bound without
-// weakening it.
-func (st Stats) EpsFactor(eps float64) float64 {
-	if eps <= 0 || st.EpsLevels <= 0 || st.Candidates <= 0 {
-		return 1
-	}
-	f := 1 + eps
-	if st.EpsLevels < st.Candidates {
-		f = math.Pow(1+eps, float64(st.EpsLevels)/float64(st.Candidates))
-	}
-	if st.EpsInflation >= 1 && st.EpsInflation < f {
-		f = st.EpsInflation
-	}
-	return f
 }
 
 // Solution is the result of a DP run.

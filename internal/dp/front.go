@@ -2,7 +2,6 @@ package dp
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -107,19 +106,11 @@ func cmpRoot(a, b frontRoot) int {
 // SolveFront runs one unbounded width-aware DP sweep and extracts the
 // complete root Pareto front. Options.Objective, Target and Ladder are
 // ignored: the sweep is always 3-D (width-aware), unbounded and flat, so
-// the returned Front answers every budget. In exact mode (Eps == 0), for
-// any target T, Front.At(T) selects an assignment with the identical delay
-// and total width a bounded MinPower solve at Target=T over the same
-// Options would pick, because the bounded run's surviving options are
-// exactly the unbounded run's filtered to delay ≤ T.
-//
-// With Eps > 0 the front is ε-relaxed: every point's Delay and TotalWidth
-// are still exact properties of a real, feasible assignment, but the
-// curve may skip points — certified so that for every exact front point
-// (D, W) the relaxed front holds a point with Delay ≤ D·φ and
-// TotalWidth ≤ W, where φ = Stats.EpsFactor(Eps) ≤ 1+Eps is the delay
-// inflation the run actually realized. Front.At(T) therefore never
-// returns a width above the exact optimum at T/φ.
+// the returned Front answers every budget. For any target T, Front.At(T)
+// selects an assignment with the identical delay and total width a
+// bounded MinPower solve at Target=T over the same Options would pick,
+// because the bounded run's surviving options are exactly the unbounded
+// run's filtered to delay ≤ T.
 //
 // All points' Positions and Widths share one backing array (and coupled
 // points' Schemes another), each point's slices capped at their length,
@@ -128,17 +119,13 @@ func (s *Solver) SolveFront(ev *delay.Evaluator, opts Options) (Front, Stats, er
 	if opts.Library.Size() == 0 {
 		return nil, Stats{}, errors.New("dp: empty repeater library")
 	}
-	if !validEps(opts.Eps) {
-		return nil, Stats{}, fmt.Errorf("dp: eps must be in [0, %g], got %g", MaxEps, opts.Eps)
-	}
 	n, err := s.prepare(ev, opts, nil)
 	if err != nil {
 		return nil, Stats{}, err
 	}
 	stats := Stats{Candidates: n}
-	s.configureSweep(opts, true)
+	s.sw = sweepCfg{wUB: math.Inf(1)}
 	ok, err := s.runLevels(ev, opts, math.Inf(1), true, &stats)
-	s.fillEpsStats(&stats)
 	if err != nil || !ok {
 		return nil, stats, err
 	}

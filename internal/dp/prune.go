@@ -57,17 +57,6 @@ import (
 // sweep generated, so a pass that generates a subset of the flat sweep's
 // options (the bounded ladder's fine pass) keeps the same representative
 // of every value both keep.
-//
-// ε-dominance (epsMul > 1) is an opt-in relaxation of stage 2 only: the
-// merge filter treats an incoming option as dominated when a kept entry
-// beats it on c and w and is within a (1+ε)^(1/n) delay factor of it,
-// where n is the candidate count. Stage 1 stays exact, so each level
-// introduces at most one relaxed hop and the whole sweep's delay inflation
-// telescopes to at most 1+ε — and, since a hop only costs its factor at a
-// level whose merge actually performed a relaxed kill, to the tighter
-// (1+ε)^(epsLevels/n) that Stats.EpsFactor certifies per run. Kept entries
-// always record their exact delay, so the relaxation never compounds
-// through the front itself.
 
 // dw is one (delay, width) Pareto-front entry (kept for the preserved
 // reference implementation in reference_test.go).
@@ -125,27 +114,6 @@ type pruner struct {
 	frontD []float64 // incremental front, delay coordinates (ascending)
 	frontW []float64 // incremental front, width coordinates (descending)
 	heap   []mergeHead
-
-	// epsMul > 1 enables ε-relaxed dominance in the merge filter: an
-	// option is pruned when a kept entry dominates its (c, w) and has
-	// d ≤ o.d·epsMul. 1 (or 0) means exact.
-	epsMul float64
-	// epsPruned counts options pruned by the relaxation that exact
-	// dominance would have kept, accumulated across a solve's levels.
-	epsPruned int
-	// epsLevels counts levels whose prune performed at least one such
-	// relaxed kill. A witness chain loses its (1+ε)^(1/n) delay factor
-	// only at those levels, so the run's realized inflation telescopes
-	// to (1+ε)^(epsLevels/n) — the tightened per-run certificate
-	// Stats.EpsFactor reports.
-	epsLevels int
-	// epsFac is the realized inflation product: per level, the largest
-	// delay ratio any relaxed kill actually forced on its cheapest valid
-	// witness redirect (the fastest kept entry at width ≤ the victim's),
-	// multiplied across levels. Always within [1, (1+ε)^(epsLevels/n)]
-	// and usually far below it — each kill's realized ratio is capped by
-	// (1+ε)^(1/n) but typically near 1.
-	epsFac float64
 }
 
 // reset prepares the pruner for a new level. cls holds the downstream
@@ -294,9 +262,6 @@ func (p *pruner) pruneInto(dst []option, threeD bool) []option {
 		p.siftDown(i, threeD)
 	}
 
-	relaxed := p.epsMul > 1
-	epsBefore := p.epsPruned
-	lvlRatio := 1.0
 	p.frontD = p.frontD[:0]
 	p.frontW = p.frontW[:0]
 	for len(p.heap) > 0 {
@@ -311,46 +276,18 @@ func (p *pruner) pruneInto(dst []option, threeD bool) []option {
 
 		// front holds kept (d, w) pairs sorted by d ascending with
 		// strictly decreasing w; every entry's c ≤ o.c by merge order, so
-		// o is dominated iff some entry has d ≤ o.d and w ≤ o.w. Under
-		// ε-dominance the delay window widens to d ≤ o.d·epsMul; kept
-		// entries still record exact delays, so the relaxation never
-		// compounds within a level.
+		// o is dominated iff some entry has d ≤ o.d and w ≤ o.w.
 		ow := o.w
 		if !threeD {
 			ow = 0
 		}
-		key := o.d
-		if relaxed {
-			key = o.d * p.epsMul
-		}
-		lo := p.frontIdx(key)
-		if lo > 0 && p.frontW[lo-1] <= ow {
-			if relaxed {
-				// Attribute the kill: did the relaxation prune what exact
-				// dominance would have kept? Only then is it an ε-prune —
-				// and only then does a witness chain through the victim
-				// pay a delay hop, bounded by the ratio to its cheapest
-				// valid redirect: the fastest kept entry at width ≤ ow
-				// (widths are strictly descending, so the first such).
-				ex := p.frontIdx(o.d)
-				if ex == 0 || p.frontW[ex-1] > ow {
-					p.epsPruned++
-					if r := p.frontD[p.widthIdx(ow)] / o.d; r > lvlRatio {
-						lvlRatio = r
-					}
-				}
-			}
+		ins := p.frontIdx(o.d)
+		if ins > 0 && p.frontW[ins-1] <= ow {
 			continue // dominated (or a duplicate of a kept value)
 		}
 		dst = append(dst, o)
-		// Insert (o.d, ow) at its exact-delay position; drop entries it
-		// dominates (d ≥ o.d, w ≥ ow). The inflated key only widened the
-		// search left of the exact position, so ins ≤ lo and the entries
-		// in between have w > ow — descending order is preserved.
-		ins := lo
-		if relaxed {
-			ins = p.frontIdx(o.d)
-		}
+		// Insert (o.d, ow) at its position; drop entries it dominates
+		// (d ≥ o.d, w ≥ ow).
 		j := ins
 		for j < len(p.frontW) && p.frontW[j] >= ow {
 			j++
@@ -369,27 +306,7 @@ func (p *pruner) pruneInto(dst []option, threeD bool) []option {
 			p.frontW = append(p.frontW[:ins+1], p.frontW[j:]...)
 		}
 	}
-	if p.epsPruned > epsBefore {
-		p.epsLevels++
-		p.epsFac *= lvlRatio
-	}
 	return dst
-}
-
-// widthIdx returns the first front index whose width is ≤ w. Front
-// widths are strictly descending, so the returned entry is the fastest
-// kept option no wider than w; callers guarantee one exists.
-func (p *pruner) widthIdx(w float64) int {
-	lo, hi := 0, len(p.frontW)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if p.frontW[mid] > w {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // headLess orders merge cursors by their head option's (c, d, w), breaking

@@ -52,8 +52,8 @@ type Solver struct {
 
 	pr pruner
 
-	// sw is the per-solve sweep configuration the ladder and ε machinery
-	// hang off runLevels; all defaults mean "exact classic sweep".
+	// sw is the per-solve sweep configuration the ladder hangs off
+	// runLevels; all defaults mean "classic sweep".
 	sw sweepCfg
 
 	// Ladder scratch (bounded solves only): the coarse pass runs on a
@@ -73,20 +73,16 @@ type Solver struct {
 }
 
 // sweepCfg carries the per-solve pruning configuration runLevels reads.
-// The zero value (plus wUB = +Inf, epsC = 1 from configureSweep) is the
-// exact classic sweep.
+// sweepCfg{wUB: +Inf} is the classic sweep.
 type sweepCfg struct {
 	// wUB kills repeater options whose accumulated width exceeds it: the
 	// ladder's coarse solution is a valid full-library solution, so no
 	// partial wider than it can end up optimal. +Inf = no bound.
 	wUB float64
-	// useRem tightens the per-level delay bound to Target − minRem[k]·epsC:
+	// useRem tightens the per-level delay bound to Target − minRem[k]:
 	// an option whose delay plus a lower bound on all remaining stage
-	// delays already misses the (deflated) target is dead.
+	// delays already misses the target is dead.
 	useRem bool
-	// epsC = 1+Eps is the certified delay inflation factor; 1 in exact
-	// mode.
-	epsC float64
 }
 
 // ladderStride is the coarse pass's library subsampling factor: every
@@ -118,9 +114,6 @@ func (s *Solver) MinimumDelay(ev *delay.Evaluator, opts Options) (float64, error
 func (s *Solver) MinimumDelayStats(ev *delay.Evaluator, opts Options) (float64, Stats, error) {
 	opts.Objective = MinDelay
 	opts.Target = 0
-	// τmin is a contract across the repo (relative targets resolve against
-	// it), so it is always computed exactly.
-	opts.Eps = 0
 	opts.Ladder = false
 	if err := s.SolveInto(&s.mdSol, ev, opts); err != nil {
 		return 0, s.mdSol.Stats, err
@@ -161,9 +154,6 @@ func (s *Solver) solveInto(sol *Solution, ev *delay.Evaluator, opts Options, lib
 	if opts.Objective == MinPower && !(opts.Target > 0) {
 		return fmt.Errorf("dp: min-power needs a positive timing target, got %g", opts.Target)
 	}
-	if !validEps(opts.Eps) {
-		return fmt.Errorf("dp: eps must be in [0, %g], got %g", MaxEps, opts.Eps)
-	}
 	n, err := s.prepare(ev, opts, lib)
 	if err != nil {
 		return err
@@ -178,7 +168,7 @@ func (s *Solver) solveInto(sol *Solution, ev *delay.Evaluator, opts Options, lib
 		bound = opts.Target
 	}
 
-	s.configureSweep(opts, threeD)
+	s.sw = sweepCfg{wUB: math.Inf(1)}
 	if threeD && opts.Ladder && len(s.widths) >= 2*ladderStride {
 		if err := s.ladderBounded(ev, opts, &stats); err != nil {
 			sol.Stats = stats
@@ -189,7 +179,6 @@ func (s *Solver) solveInto(sol *Solution, ev *delay.Evaluator, opts Options, lib
 	}
 
 	ok, err := s.runLevels(ev, opts, bound, threeD, &stats)
-	s.fillEpsStats(&stats)
 	if err != nil {
 		sol.Stats = stats
 		return err
@@ -359,50 +348,13 @@ func (s *Solver) prepare(ev *delay.Evaluator, opts Options, lib []float64) (int,
 	return n, nil
 }
 
-// configureSweep resets the sweep configuration and the pruner's ε knobs
-// for a new solve. threeD gates the ε machinery: the relaxation is
-// defined on the width-aware sweep only.
-func (s *Solver) configureSweep(opts Options, threeD bool) {
-	s.sw = sweepCfg{wUB: math.Inf(1), epsC: 1}
-	s.pr.epsMul = 0
-	s.pr.epsPruned = 0
-	s.pr.epsLevels = 0
-	s.pr.epsFac = 1
-	if threeD && opts.Eps > 0 {
-		// The certified delay inflation is at most 1+Eps: the stage-1
-		// bucket reduces are exact, so each level's merge introduces at
-		// most one relaxed hop of factor (1+Eps)^(1/n), and a chain
-		// crosses n levels — the hops telescope to (1+Eps). Per run the
-		// realized inflation is the tighter Stats.EpsFactor, which only
-		// charges the levels whose merge performed a relaxed kill.
-		s.sw.epsC = 1 + opts.Eps
-		if n := len(s.cand); n > 0 {
-			s.pr.epsMul = math.Pow(s.sw.epsC, 1/float64(n))
-		}
-	}
-}
-
-// fillEpsStats copies the pruner's relaxation counters into stats after a
-// sweep. EpsInflation carries a 1e-12 headroom: each realized ratio is a
-// rounded division and the certificate is proved in real arithmetic, so
-// the headroom dwarfs any accumulated ulp without costing measurable
-// tightness. Exact runs leave all three fields zero.
-func (s *Solver) fillEpsStats(stats *Stats) {
-	stats.EpsPruned = s.pr.epsPruned
-	stats.EpsLevels = s.pr.epsLevels
-	if s.pr.epsLevels > 0 {
-		stats.EpsInflation = s.pr.epsFac * (1 + 1e-12)
-	}
-}
-
-// ladderBounded runs the coarse pass of the bounded (MinPower) ladder: an
-// exact solve on every ladderStride-th width at target Target/(1+Eps).
-// Its solution is a valid full-library solution at the deflated target,
-// so its TotalWidth upper-bounds every width the fine pass ever needs to
-// keep (the exact optimum is no wider), and killing wider partials is
-// admissible — for the exact fine pass bit-identically, for the ε pass
-// within the certified bound. The coarse pass's work counters fold into
-// stats so MaxGenerated caps the combined work.
+// ladderBounded runs the coarse pass of the bounded (MinPower) ladder: a
+// solve on every ladderStride-th width at the same target. Its solution
+// is a valid full-library solution, so its TotalWidth upper-bounds every
+// width the fine pass ever needs to keep (the optimum is no wider), and
+// killing wider partials leaves the fine pass's answer bit-identical.
+// The coarse pass's work counters fold into stats so MaxGenerated caps
+// the combined work.
 func (s *Solver) ladderBounded(ev *delay.Evaluator, opts Options, stats *Stats) error {
 	s.ladWidths = s.ladWidths[:0]
 	for i := 0; i < len(s.widths); i += ladderStride {
@@ -413,9 +365,7 @@ func (s *Solver) ladderBounded(ev *delay.Evaluator, opts Options, stats *Stats) 
 	}
 	copts := opts
 	copts.Ladder = false
-	copts.Eps = 0
 	copts.Positions = s.cand
-	copts.Target = opts.Target / s.sw.epsC
 	err := s.lad.solveInto(&s.ladSol, ev, copts, s.ladWidths)
 	cst := s.ladSol.Stats
 	stats.Generated += cst.Generated
@@ -504,12 +454,11 @@ func (s *Solver) runLevels(ev *delay.Evaluator, opts Options, bound float64, thr
 		m := s.wM[k+1]
 
 		// Ladder bounds for options generated at this level. The delay
-		// bound tightens by the remaining-delay floor (deflated targets
-		// inflate it back by epsC so ε-surrogate chains always survive);
-		// the width bound kills partials no completion can redeem.
+		// bound tightens by the remaining-delay floor; the width bound
+		// kills partials no completion can redeem.
 		lb := bound
 		if s.sw.useRem {
-			if b := opts.Target - s.minRem[k]*s.sw.epsC; b < lb {
+			if b := opts.Target - s.minRem[k]; b < lb {
 				lb = b
 			}
 		}

@@ -75,13 +75,6 @@ type cached struct {
 	// achievable worst-sink arrival (tree, uniform mode), retained so
 	// relative-target hits skip the τmin dynamic program too.
 	tmin float64
-	// epsFac is the certified delay-inflation factor the ε front solve
-	// realized (dp.Stats.EpsFactor) — every per-answer bound served from
-	// this entry queries the front at target·epsFac. 0 means unknown
-	// (exact entries, and ε entries restored from a snapshot, which
-	// drops the factor): the bound then falls back to the worst-case
-	// 1+ε. The fallback is never wrong, only looser.
-	epsFac float64
 
 	// Tree entries (key prefix "T") carry treeFront instead. Line and
 	// tree keys are disjoint, so a signature never decodes as the wrong

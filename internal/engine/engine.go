@@ -113,14 +113,6 @@ type Job struct {
 	// positive and finite. For trees each budget is a uniform per-sink
 	// deadline.
 	Budgets []float64
-	// Eps opts the job into ε-relaxed front solving (line nets only).
-	// Served answers still meet the requested budget exactly — the
-	// relaxation only thins the retained front, with the certified
-	// guarantee that the returned width never exceeds the exact optimum
-	// at Target/(1+Eps). 0 (the default) is bit-exact; the valid range
-	// is [0, dp.MaxEps]. ε fronts are cached under keys disjoint from
-	// exact ones, so the two modes never alias.
-	Eps float64
 	// Aggressor opts the job into crosstalk-aware solving (line nets
 	// only): the neighbor-switching assumption coupling capacitance is
 	// priced under — "worst", "best", "quiet", or ""/"none" for the
@@ -177,8 +169,6 @@ type Result struct {
 	// for such jobs. All answers come from one front solve (or one
 	// verified front hit).
 	Sweep []BudgetAnswer
-	// Eps echoes the ε relaxation the answer was solved under (0 = exact).
-	Eps float64
 	// Aggressor and Scheme echo a coupled job's crosstalk scenario in
 	// normalized form ("worst"/"best"/"quiet" and "plain"/"staggered"/
 	// "shielded"/"auto"); both empty for uncoupled jobs. The per-answer
@@ -189,12 +179,6 @@ type Result struct {
 	// MF echoes an explicit-Miller-factor job's factor (nil otherwise);
 	// such jobs leave Aggressor and Scheme empty.
 	MF *float64
-	// EpsBound is the certified relative width-suboptimality of a served
-	// ε answer: (width − lowerBound)/width ∈ [0, 1], where lowerBound is
-	// the ε front's width at Target·(1+Eps) — provably no larger than the
-	// exact optimum's width at Target. 0 for exact jobs, infeasible
-	// answers, and multi-budget jobs (see BudgetAnswer.EpsBound).
-	EpsBound float64
 	// CacheHit reports whether the solution was served from cache.
 	CacheHit bool
 	// Err records a per-net failure (validation or solver error).
@@ -210,10 +194,6 @@ type BudgetAnswer struct {
 	Res core.Result
 	// TreeRes carries a tree job's answer at this budget.
 	TreeRes tree.HybridResult
-	// EpsBound is this budget's certified relative width-suboptimality
-	// bound under an ε job (see Result.EpsBound); 0 for exact jobs and
-	// infeasible budgets.
-	EpsBound float64
 }
 
 // name returns the job's net name regardless of kind, for error paths.
@@ -367,18 +347,6 @@ type Engine struct {
 	frontLookups   atomic.Uint64
 	frontCoalesced atomic.Uint64
 
-	// ε-mode counters, exported at /metrics as rip_dp_eps_*: how many
-	// front solves ran relaxed, how many candidates only the relaxation
-	// pruned, how many answers were served from ε fronts, and a fixed-
-	// bucket histogram of the certified per-answer suboptimality bound.
-	epsSolves   atomic.Uint64
-	epsPruned   atomic.Uint64
-	epsAnswers  atomic.Uint64
-	epsBoundHst [len(EpsBoundBuckets) + 1]atomic.Uint64
-	// epsBoundSum accumulates certified bounds in nano-units (bound·1e9)
-	// so the histogram's _sum renders without a float CAS loop.
-	epsBoundSum atomic.Uint64
-
 	// Crosstalk counters, exported at /metrics as rip_coupling_*: how
 	// many coupled jobs were accepted, how many coupled front solves ran
 	// (hits add none), and how many served answers actually deployed each
@@ -440,10 +408,14 @@ func New(t *tech.Technology, opts Options) (*Engine, error) {
 
 // frontStepFactor scales the pipeline's concise-library granularity
 // (paper §6: 10u) up to the native front space's width step (40u by
-// default): fine enough that front answers stay within a few percent of
-// the per-budget hybrid pipeline's power, coarse enough that one
-// unbounded width-aware sweep per shape stays in the tens of
-// milliseconds on Table 2-scale nets.
+// default), so that one unbounded width-aware sweep per shape stays in
+// the tens of milliseconds on Table 2-scale nets. The coarse step costs
+// answer quality. Measured against a flat fine DP (10u library, 50 µm
+// pitch) on 8 netgen lines per node (4–10 segments) at 1.1, 1.3, 1.6 and
+// 2.0×τmin, served answers spend median 6.2 / 7.1 / 7.7 / 11.1 % more
+// repeater width on 180 / 130 / 90 / 65nm, with a p90 of 22–30 % and a
+// worst case of 50–67 %. ROADMAP.md item 1 ("Serve the paper's answer
+// quality") tracks closing that gap.
 const frontStepFactor = 4
 
 // frontOptions derives the native front space from the pipeline config:
@@ -631,67 +603,6 @@ func (e *Engine) noteFront(points int) {
 			break
 		}
 	}
-}
-
-// EpsBoundBuckets are the upper edges of the certified-bound histogram
-// EpsStats carries: an answer with EpsBound b lands in the first bucket
-// whose edge is ≥ b, or in the overflow slot past the last edge. The
-// edges bracket the regime the default ε targets (≤1 % excess width).
-var EpsBoundBuckets = [...]float64{0.0005, 0.001, 0.005, 0.01, 0.05}
-
-// EpsStats is a point-in-time snapshot of the engine's ε-relaxed solve
-// activity — the rip_dp_eps_* counters ripd exports. Exact solves
-// contribute nothing here.
-type EpsStats struct {
-	// Solves counts front solves performed in ε mode (cache hits on ε
-	// entries add none, mirroring DPStats).
-	Solves uint64
-	// Pruned counts candidates pruned only by the ε relaxation — kills
-	// exact dominance would not have made — summed over those solves.
-	Pruned uint64
-	// Answers counts budget answers served from ε fronts, across cold
-	// solves and verified hits.
-	Answers uint64
-	// BoundHist is the certified EpsBound histogram over those answers:
-	// BoundHist[i] counts answers with bound ≤ EpsBoundBuckets[i] (first
-	// matching bucket); the final slot counts answers past the last edge.
-	BoundHist [len(EpsBoundBuckets) + 1]uint64
-	// BoundSum is the sum of certified bounds over those answers, so
-	// BoundSum/Answers is the mean certified suboptimality.
-	BoundSum float64
-}
-
-// EpsStats snapshots the ε-mode counters.
-func (e *Engine) EpsStats() EpsStats {
-	s := EpsStats{
-		Solves:  e.epsSolves.Load(),
-		Pruned:  e.epsPruned.Load(),
-		Answers: e.epsAnswers.Load(),
-	}
-	for i := range e.epsBoundHst {
-		s.BoundHist[i] = e.epsBoundHst[i].Load()
-	}
-	s.BoundSum = float64(e.epsBoundSum.Load()) / 1e9
-	return s
-}
-
-// noteEps folds one ε-mode front solve's stats into the counters.
-func (e *Engine) noteEps(st dp.Stats) {
-	e.epsSolves.Add(1)
-	e.epsPruned.Add(uint64(st.EpsPruned))
-}
-
-// noteEpsAnswer records one served ε answer's certified bound.
-func (e *Engine) noteEpsAnswer(bound float64) {
-	e.epsAnswers.Add(1)
-	e.epsBoundSum.Add(uint64(bound*1e9 + 0.5))
-	for i, edge := range EpsBoundBuckets {
-		if bound <= edge {
-			e.epsBoundHst[i].Add(1)
-			return
-		}
-	}
-	e.epsBoundHst[len(EpsBoundBuckets)].Add(1)
 }
 
 // CouplingStats is a point-in-time snapshot of the engine's crosstalk-
@@ -890,14 +801,6 @@ func (e *Engine) solve(ctx context.Context, sl *slot, j Job) (res Result) {
 	case j.TreeNet != nil && j.TargetMult <= 0 && j.Target <= 0 && len(j.Budgets) == 0 && !j.TreeNet.HasDeadlines():
 		res.Err = badJob("engine: tree net %q: a positive TargetMult or Target is required unless every sink carries its own deadline", res.name())
 		return res
-	case j.Eps != 0 && !(j.Eps > 0 && j.Eps <= dp.MaxEps):
-		// NaN fails j.Eps > 0, so non-finite, negative and oversized eps
-		// all land here.
-		res.Err = badJob("engine: net %q: eps %g is not in [0, %g]", res.name(), j.Eps, dp.MaxEps)
-		return res
-	case j.TreeNet != nil && j.Eps > 0:
-		res.Err = badJob("engine: tree net %q: eps is only supported for line nets", res.name())
-		return res
 	}
 	for _, bgt := range j.Budgets {
 		if math.IsNaN(bgt) || math.IsInf(bgt, 0) || bgt <= 0 {
@@ -934,7 +837,6 @@ func (e *Engine) solve(ctx context.Context, sl *slot, j Job) (res Result) {
 		return res
 	}
 
-	res.Eps = j.Eps
 	var key string
 	if e.cache != nil {
 		key = e.sig.key(j)
@@ -960,7 +862,6 @@ func (e *Engine) solve(ctx context.Context, sl *slot, j Job) (res Result) {
 		if o == lookupHit {
 			hit.Net = j.Net
 			hit.Tech = e.tech.Name
-			hit.Eps = j.Eps
 			hit.Aggressor = res.Aggressor
 			hit.Scheme = res.Scheme
 			hit.MF = res.MF
@@ -971,19 +872,19 @@ func (e *Engine) solve(ctx context.Context, sl *slot, j Job) (res Result) {
 	// Cold solve: one τmin reference sweep plus one unbounded width-aware
 	// front sweep per distinct shape; the front then answers every budget
 	// this job (and any future shape-equal job) asks for.
-	pts, tmin, fac, err := e.solveLineFront(ctx, ev, j.Net.Name, key, j.Eps, cpl)
+	pts, tmin, err := e.solveLineFront(ctx, ev, j.Net.Name, key, cpl)
 	if err != nil {
 		res.Err = err
 		return res
 	}
 
 	// Answer from the local front, serving the DP's own delay per point.
-	answer := func(target float64) (core.Result, float64) {
+	answer := func(target float64) core.Result {
 		e.frontLookups.Add(1)
 		out := core.Result{Report: core.Report{Picked: core.PhaseFront}}
 		idx, ok := pts.at(target)
 		if !ok {
-			return out, 0 // infeasible at this budget: a verdict, not an error
+			return out // infeasible at this budget: a verdict, not an error
 		}
 		p := pts[idx]
 		out.Solution = dp.Solution{
@@ -1001,17 +902,12 @@ func (e *Engine) solve(ctx context.Context, sl *slot, j Job) (res Result) {
 			out.Solution.ShieldLen = p.shieldLen
 			e.noteCouplingAnswer(p.staggerLen, p.shieldLen)
 		}
-		bound := epsBoundFor(pts, idx, target, j.Eps, fac)
-		if j.Eps > 0 {
-			e.noteEpsAnswer(bound)
-		}
-		return out, bound
+		return out
 	}
 	if len(j.Budgets) > 0 {
 		res.Sweep = make([]BudgetAnswer, len(j.Budgets))
 		for i, bgt := range j.Budgets {
-			r, bound := answer(bgt)
-			res.Sweep[i] = BudgetAnswer{Budget: bgt, Res: r, EpsBound: bound}
+			res.Sweep[i] = BudgetAnswer{Budget: bgt, Res: answer(bgt)}
 		}
 		return res
 	}
@@ -1021,39 +917,8 @@ func (e *Engine) solve(ctx context.Context, sl *slot, j Job) (res Result) {
 		target = j.TargetMult * tmin
 	}
 	res.Target = target
-	res.Res, res.EpsBound = answer(target)
+	res.Res = answer(target)
 	return res
-}
-
-// epsBoundFor certifies one ε answer: with idx the front point served at
-// target, the front's own width at target·φ is provably no larger than
-// the exact optimum's width at target (every exact point (D, W) has an
-// ε-front point at delay ≤ D·φ with width ≤ W), so the served excess
-// width is at most (Wret − Wlb)/Wret. φ is the inflation factor the
-// solve realized (dp.Stats.EpsFactor); fac < 1 means the factor is
-// unknown — snapshot-restored entries — and the worst-case 1+eps is
-// used instead. Returns 0 for exact mode — the served point then IS the
-// optimum.
-func epsBoundFor(f lineFront, idx int, target, eps, fac float64) float64 {
-	if eps <= 0 {
-		return 0
-	}
-	if fac < 1 {
-		fac = 1 + eps
-	}
-	wret := f[idx].totalWidth
-	if !(wret > 0) {
-		return 0
-	}
-	lb, ok := f.at(target * fac)
-	if !ok {
-		return 0
-	}
-	wlb := f[lb].totalWidth
-	if wlb >= wret {
-		return 0
-	}
-	return (wret - wlb) / wret
 }
 
 // solveLineFront computes a line shape's reference-space τmin and native
@@ -1061,19 +926,17 @@ func epsBoundFor(f lineFront, idx int, target, eps, fac float64) float64 {
 // work into the DP counters and caching the entry under key. The τmin is
 // computed unconditionally: the entry must serve future relative-target
 // jobs without re-running any DP, and the second sweep is the expensive
-// one anyway. The front is one flat width-aware sweep; eps > 0 switches
-// it to ε-dominance with the dp layer's certified bound, and the
-// returned fac is the delay-inflation factor that run realized (1 for
-// exact), which per-answer certificates query the front with. The
-// returned points alias the cached entry's slices, which share the
-// front's backing arrays; callers must copy before serving. The caller holds a solve slot; the DP arenas are taken here,
-// so only a job that is actually solving pins any.
-func (e *Engine) solveLineFront(ctx context.Context, ev *delay.Evaluator, name, key string, eps float64, cpl *delay.Coupling) (_ lineFront, tmin, fac float64, _ error) {
+// one anyway. The front is one flat width-aware sweep. The returned
+// points alias the cached entry's slices, which share the front's
+// backing arrays; callers must copy before serving. The caller holds a
+// solve slot; the DP arenas are taken here, so only a job that is
+// actually solving pins any.
+func (e *Engine) solveLineFront(ctx context.Context, ev *delay.Evaluator, name, key string, cpl *delay.Coupling) (_ lineFront, tmin float64, _ error) {
 	if e.testHookSolve != nil {
 		e.testHookSolve()
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, 0, 0, fmt.Errorf("engine: net %q: %w", name, err)
+		return nil, 0, fmt.Errorf("engine: net %q: %w", name, err)
 	}
 	s := dp.AcquireSolver()
 	defer dp.ReleaseSolver(s)
@@ -1086,28 +949,23 @@ func (e *Engine) solveLineFront(ctx context.Context, ev *delay.Evaluator, name, 
 	e.noteDP(st)
 	if err != nil {
 		e.noteDPErr(err)
-		return nil, 0, 0, fmt.Errorf("engine: τmin for %q: %w", name, err)
+		return nil, 0, fmt.Errorf("engine: τmin for %q: %w", name, err)
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, 0, 0, fmt.Errorf("engine: net %q: %w", name, err)
+		return nil, 0, fmt.Errorf("engine: net %q: %w", name, err)
 	}
 	fo := e.frontOpts
-	fo.Eps = eps
 	fo.Coupling = cpl
 	if cpl != nil {
 		e.couplingSolves.Add(1)
 	}
 	front, fst, err := s.SolveFront(ev, fo)
 	e.noteDP(fst)
-	if eps > 0 {
-		e.noteEps(fst)
-	}
 	if err != nil {
 		e.noteDPErr(err)
-		return nil, 0, 0, fmt.Errorf("engine: solving %q: %w", name, err)
+		return nil, 0, fmt.Errorf("engine: solving %q: %w", name, err)
 	}
 	e.noteFront(len(front))
-	fac = fst.EpsFactor(eps)
 	pts := make(lineFront, len(front))
 	for i, p := range front {
 		pts[i] = linePoint{
@@ -1121,9 +979,9 @@ func (e *Engine) solveLineFront(ctx context.Context, ev *delay.Evaluator, name, 
 		}
 	}
 	if e.cache != nil {
-		e.cache.put(key, cached{front: pts, tmin: tmin, epsFac: fac})
+		e.cache.put(key, cached{front: pts, tmin: tmin})
 	}
-	return pts, tmin, fac, nil
+	return pts, tmin, nil
 }
 
 // verifyLine answers a job from a cached front, re-validating the point
@@ -1152,10 +1010,10 @@ func (e *Engine) verifyLine(ev *delay.Evaluator, ent cached, j Job, cpl *delay.C
 		grid = append(grid, ev.Line.Length())
 	}
 	var coupledLens [][2]float64
-	answer := func(target float64) (core.Result, float64, bool) {
+	answer := func(target float64) (core.Result, bool) {
 		idx, ok := ent.front.at(target)
 		if !ok {
-			return core.Result{}, 0, false
+			return core.Result{}, false
 		}
 		p := ent.front[idx]
 		// Served assignments are copies: a caller mutating its result
@@ -1165,23 +1023,23 @@ func (e *Engine) verifyLine(ev *delay.Evaluator, ent cached, j Job, cpl *delay.C
 			Widths:    append([]float64(nil), p.widths...),
 		}
 		if err := ev.Validate(a); err != nil {
-			return core.Result{}, 0, false
+			return core.Result{}, false
 		}
 		var d float64
 		if cpl != nil {
 			if len(p.schemes) != len(grid)-1 {
-				return core.Result{}, 0, false
+				return core.Result{}, false
 			}
 			var err error
 			d, err = ev.CoupledTotal(grid, p.schemes, cpl, a)
 			if err != nil {
-				return core.Result{}, 0, false
+				return core.Result{}, false
 			}
 		} else {
 			d = ev.Total(a)
 		}
 		if d > target {
-			return core.Result{}, 0, false
+			return core.Result{}, false
 		}
 		sol := dp.Solution{
 			Assignment: a,
@@ -1198,7 +1056,7 @@ func (e *Engine) verifyLine(ev *delay.Evaluator, ent cached, j Job, cpl *delay.C
 		return core.Result{
 			Solution: sol,
 			Report:   core.Report{Picked: core.PhaseFront},
-		}, epsBoundFor(ent.front, idx, target, j.Eps, ent.epsFac), true
+		}, true
 	}
 	var res Result
 	var lookups uint64
@@ -1206,11 +1064,11 @@ func (e *Engine) verifyLine(ev *delay.Evaluator, ent cached, j Job, cpl *delay.C
 	case len(j.Budgets) > 0:
 		res.Sweep = make([]BudgetAnswer, len(j.Budgets))
 		for i, bgt := range j.Budgets {
-			r, bound, ok := answer(bgt)
+			r, ok := answer(bgt)
 			if !ok {
 				return Result{}, false
 			}
-			res.Sweep[i] = BudgetAnswer{Budget: bgt, Res: r, EpsBound: bound}
+			res.Sweep[i] = BudgetAnswer{Budget: bgt, Res: r}
 		}
 		lookups = uint64(len(j.Budgets))
 	default:
@@ -1223,28 +1081,19 @@ func (e *Engine) verifyLine(ev *delay.Evaluator, ent cached, j Job, cpl *delay.C
 			target = j.TargetMult * ent.tmin
 		}
 		res.Target = target
-		r, bound, ok := answer(target)
+		r, ok := answer(target)
 		if !ok {
 			return Result{}, false
 		}
 		res.Res = r
-		res.EpsBound = bound
 		lookups = 1
 	}
 	e.frontLookups.Add(lookups)
-	// Count coupled and ε answers only once the whole lookup is accepted: a
+	// Count coupled answers only once the whole lookup is accepted: a
 	// rejected hit falls through to a fresh solve whose answers are counted
 	// there.
 	for _, l := range coupledLens {
 		e.noteCouplingAnswer(l[0], l[1])
-	}
-	if j.Eps > 0 {
-		for _, ba := range res.Sweep {
-			e.noteEpsAnswer(ba.EpsBound)
-		}
-		if len(res.Sweep) == 0 {
-			e.noteEpsAnswer(res.EpsBound)
-		}
 	}
 	res.CacheHit = true
 	return res, true

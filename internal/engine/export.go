@@ -16,9 +16,7 @@ import (
 // that finds an imported entry re-validates the chosen point on the
 // actual net exactly like any other hit, so a stale or corrupt snapshot
 // can only degrade to misses (or verification rejects), never to wrong
-// answers. The realized ε-inflation factor (cached.epsFac) is not
-// exported: ε entries served from a restored cache re-certify with the
-// worst-case 1+ε bound, which is looser but never wrong.
+// answers.
 
 // CachePoint is one exported point of a line net's power–delay front.
 // Schemes, StaggerLen and ShieldLen are populated only on points of

@@ -490,7 +490,7 @@ func followerOutcomes(t *testing.T, eng *Engine, assertStats func(string, uint64
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := eng.solveLineFront(context.Background(), ev, nets[0].Name, key, 0, nil); err != nil {
+	if _, _, err := eng.solveLineFront(context.Background(), ev, nets[0].Name, key, nil); err != nil {
 		t.Fatal(err)
 	}
 	eng.flights.land(key)

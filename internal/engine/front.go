@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"github.com/rip-eda/rip/internal/delay"
-	"github.com/rip-eda/rip/internal/dp"
 	"github.com/rip-eda/rip/internal/tree"
 	"github.com/rip-eda/rip/internal/wire"
 )
@@ -48,10 +47,6 @@ type FrontResult struct {
 	TMin float64
 	// Points is the front, fastest first.
 	Points []FrontPoint
-	// Eps echoes the ε relaxation the curve was solved under (0 = exact).
-	// Relaxed curves may omit points whose delay is within a factor
-	// (1+Eps) of a retained point's.
-	Eps float64
 	// Aggressor and Scheme echo a coupled query's crosstalk scenario in
 	// normalized form; both empty for uncoupled queries.
 	Aggressor string
@@ -98,12 +93,6 @@ func (e *Engine) FrontContext(ctx context.Context, j Job) (fr FrontResult) {
 	case j.Net != nil && j.TreeNet != nil:
 		fr.Err = badJob("engine: net %q: give Net or TreeNet, not both", name)
 		return fr
-	case j.Eps != 0 && !(j.Eps > 0 && j.Eps <= dp.MaxEps):
-		fr.Err = badJob("engine: net %q: eps %g is not in [0, %g]", name, j.Eps, dp.MaxEps)
-		return fr
-	case j.TreeNet != nil && j.Eps > 0:
-		fr.Err = badJob("engine: tree net %q: eps is only supported for line nets", name)
-		return fr
 	}
 	cpl, err := e.resolveCoupling(j, name)
 	if err != nil {
@@ -130,7 +119,6 @@ func (e *Engine) FrontContext(ctx context.Context, j Job) (fr FrontResult) {
 		fr.Err = asBadJob(err)
 		return fr
 	}
-	fr.Eps = j.Eps
 	var key string
 	if e.cache != nil {
 		key = e.sig.key(j)
@@ -156,7 +144,7 @@ func (e *Engine) FrontContext(ctx context.Context, j Job) (fr FrontResult) {
 			return fr
 		}
 	}
-	pts, tmin, _, err := e.solveLineFront(ctx, ev, j.Net.Name, key, j.Eps, cpl)
+	pts, tmin, err := e.solveLineFront(ctx, ev, j.Net.Name, key, cpl)
 	if err != nil {
 		fr.Err = err
 		return fr

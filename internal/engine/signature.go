@@ -78,12 +78,8 @@ func newSigner(t *tech.Technology, opts CacheOptions) *signer {
 // length/RC profile, zone layout and terminal widths. The timing budget
 // is deliberately absent — the cached object is the net's whole Pareto
 // front, which answers every budget by lookup, so nets that canonicalize
-// identically are solved once and served for any target. A positive ε
-// relaxation IS part of the key (appended as a trailing "|e" token):
-// relaxed fronts drop points an exact job is entitled to, so exact and
-// ε entries must never alias — and exact jobs emit the historical key
-// unchanged, keeping existing snapshots importable. A coupled job (a
-// parseable, non-none Aggressor) likewise appends "|a"+aggressor and
+// identically are solved once and served for any target. A coupled job
+// (a parseable, non-none Aggressor) appends "|a"+aggressor and
 // "|s"+scheme mode: fronts priced under different crosstalk scenarios
 // answer different physics and must never alias each other or the
 // uncoupled front — and per-segment coupling densities join the segment
@@ -114,10 +110,6 @@ func (s *signer) key(j Job) string {
 		appendQuant(&b, z.Start, s.lengthQuantum)
 		appendQuant(&b, z.End, s.lengthQuantum)
 		b.WriteByte(';')
-	}
-	if j.Eps > 0 {
-		b.WriteString("|e")
-		appendFloat(&b, j.Eps)
 	}
 	// An explicit-factor job's front answers different physics per factor
 	// value: the factor joins the key so no two factors (or a factor and a

@@ -113,8 +113,8 @@ func TestRequestTimeoutPropagation(t *testing.T) {
 	if rr.Code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504: %s", rr.Code, rr.Body.String())
 	}
-	if resp := decodeResponse(t, rr); !strings.Contains(resp.Error, "deadline exceeded") {
-		t.Fatalf("error %q should surface the deadline", resp.Error)
+	if resp := decodeResponse(t, rr); resp.Err == nil || !strings.Contains(resp.Err.Message, "deadline exceeded") {
+		t.Fatalf("error %+v should surface the deadline", resp.Err)
 	}
 
 	// Batch routes isolate the timeout per net: the request succeeds,
@@ -168,8 +168,8 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	if rr := post(t, s, "/v1/batch", body); rr.Code != http.StatusServiceUnavailable {
 		t.Fatalf("draining server admitted new batch: %d", rr.Code)
 	}
-	if rr := get(t, s, "/healthz"); rr.Code != http.StatusServiceUnavailable {
-		t.Fatalf("draining healthz: %d", rr.Code)
+	if rr := get(t, s, "/readyz"); rr.Code != http.StatusServiceUnavailable {
+		t.Fatalf("draining readyz: %d", rr.Code)
 	}
 
 	close(release) // let the in-flight request finish

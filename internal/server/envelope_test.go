@@ -18,23 +18,36 @@ func TestErrorEnvelopeCodes(t *testing.T) {
 	s, _ := newTestServer(t, 1, Options{MaxBodyBytes: 4096})
 	net := corpus(t, 3, 1)[0]
 
+	eps := func(v float64) *float64 { return &v }
 	cases := []struct {
 		name   string
+		front  bool // POST /v1/front instead of /v1/optimize
 		body   []byte
 		status int
-		code   string
+		code   string // "" = success, no envelope
 	}{
-		{"undecodable JSON", []byte("{not json"), http.StatusBadRequest, api.CodeBadRequest},
-		{"no net", []byte(`{"target_mult": 1.2}`), http.StatusBadRequest, api.CodeBadRequest},
-		{"unknown tech", mustMarshal(t, api.Request{Net: net, Tech: "7nm", TargetMult: 1.2}),
+		{"undecodable JSON", false, []byte("{not json"), http.StatusBadRequest, api.CodeBadRequest},
+		{"no net", false, []byte(`{"target_mult": 1.2}`), http.StatusBadRequest, api.CodeBadRequest},
+		{"unknown tech", false, mustMarshal(t, api.Request{Net: net, Tech: "7nm", TargetMult: 1.2}),
 			http.StatusBadRequest, api.CodeUnknownTech},
-		{"unsupported version", mustMarshal(t, api.Request{V: 99, Net: net, TargetMult: 1.2}),
+		{"unsupported version", false, mustMarshal(t, api.Request{V: 99, Net: net, TargetMult: 1.2}),
 			http.StatusBadRequest, api.CodeUnsupportedVersion},
-		{"oversized body", make([]byte, 8192), http.StatusRequestEntityTooLarge, api.CodeTooLarge},
+		{"oversized body", false, make([]byte, 8192), http.StatusRequestEntityTooLarge, api.CodeTooLarge},
+		// "eps" still decodes, but ε relaxation is gone: only 0 passes.
+		{"nonzero eps", false, mustMarshal(t, api.Request{Net: net, TargetMult: 1.2, Eps: eps(0.02)}),
+			http.StatusBadRequest, api.CodeBadRequest},
+		{"nonzero eps on front", true, mustMarshal(t, api.Request{Net: net, Eps: eps(0.02)}),
+			http.StatusBadRequest, api.CodeBadRequest},
+		{"zero eps", false, mustMarshal(t, api.Request{Net: net, TargetMult: 1.2, Eps: eps(0)}), http.StatusOK, ""},
+		{"zero eps on front", true, mustMarshal(t, api.Request{Net: net, Eps: eps(0)}), http.StatusOK, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rr := post(t, s, "/v1/optimize", tc.body)
+			route := "/v1/optimize"
+			if tc.front {
+				route = "/v1/front"
+			}
+			rr := post(t, s, route, tc.body)
 			if rr.Code != tc.status {
 				t.Fatalf("status %d, want %d: %s", rr.Code, tc.status, rr.Body.Bytes())
 			}
@@ -42,13 +55,14 @@ func TestErrorEnvelopeCodes(t *testing.T) {
 			if err := json.Unmarshal(rr.Body.Bytes(), &resp); err != nil {
 				t.Fatal(err)
 			}
+			if tc.code == "" {
+				if resp.Err != nil {
+					t.Fatalf("unexpected envelope %+v", resp.Err)
+				}
+				return
+			}
 			if resp.Err == nil || resp.Err.Code != tc.code {
 				t.Fatalf("envelope %+v, want code %q", resp.Err, tc.code)
-			}
-			// The legacy string field must carry the same message for one
-			// release of backward compatibility.
-			if resp.Error != resp.Err.Message {
-				t.Fatalf("legacy error_message %q diverges from envelope %q", resp.Error, resp.Err.Message)
 			}
 		})
 	}
@@ -118,7 +132,7 @@ func TestBatchLinesCarryEnvelope(t *testing.T) {
 
 // TestLivezReadyzSplit: /livez is process liveness (200 even while
 // draining or loading); /readyz is traffic readiness (503 with a
-// reason in both states); /healthz aliases /readyz for old probes.
+// reason in both states).
 func TestLivezReadyzSplit(t *testing.T) {
 	s, _ := newTestServer(t, 1, Options{})
 
@@ -133,9 +147,6 @@ func TestLivezReadyzSplit(t *testing.T) {
 	rr := get(t, s, "/readyz")
 	if rr.Code != http.StatusServiceUnavailable || !bytes.Contains(rr.Body.Bytes(), []byte("loading")) {
 		t.Fatalf("readyz while loading: %d %s", rr.Code, rr.Body.Bytes())
-	}
-	if rr := get(t, s, "/healthz"); rr.Code != http.StatusServiceUnavailable {
-		t.Fatalf("healthz must alias readyz, got %d", rr.Code)
 	}
 	if rr := get(t, s, "/livez"); rr.Code != http.StatusOK {
 		t.Fatalf("livez must stay 200 while loading, got %d", rr.Code)

@@ -155,7 +155,6 @@ func (m *metrics) writePrometheus(w io.Writer, eng *engine.Multi, start time.Tim
 		dp    engine.DPStats
 		tree  engine.TreeDPStats
 		front engine.FrontStats
-		eps   engine.EpsStats
 		cpl   engine.CouplingStats
 		busS  engine.BusStats
 	}
@@ -166,7 +165,7 @@ func (m *metrics) writePrometheus(w io.Writer, eng *engine.Multi, start time.Tim
 			continue
 		}
 		snaps = append(snaps, techSnap{name: name, cache: e.CacheStats(), dp: e.DPStats(),
-			tree: e.TreeDPStats(), front: e.FrontStats(), eps: e.EpsStats(), cpl: e.CouplingStats(),
+			tree: e.TreeDPStats(), front: e.FrontStats(), cpl: e.CouplingStats(),
 			busS: e.BusStats()})
 	}
 	perTech := func(metric, kind, help string, get func(techSnap) uint64) {
@@ -227,30 +226,6 @@ func (m *metrics) writePrometheus(w io.Writer, eng *engine.Multi, start time.Tim
 		func(s techSnap) uint64 { return s.front.Lookups })
 	perTech("rip_front_coalesced_total", "counter", "Jobs answered by another job's in-flight solve of their shape, by node.",
 		func(s techSnap) uint64 { return s.front.Coalesced })
-
-	// ε-relaxation counters: how much of the workload runs relaxed, how
-	// many candidates only the relaxation pruned (the work the ε mode
-	// saves), and the certified per-answer suboptimality distribution —
-	// the operator's evidence that the speedup stays inside its bound.
-	perTech("rip_dp_eps_solves_total", "counter", "Front solves performed in ε-relaxed mode, by node.",
-		func(s techSnap) uint64 { return s.eps.Solves })
-	perTech("rip_dp_eps_pruned_total", "counter", "Candidates pruned only by the ε relaxation, by node.",
-		func(s techSnap) uint64 { return s.eps.Pruned })
-	perTech("rip_dp_eps_answers_total", "counter", "Budget answers served from ε-relaxed fronts, by node.",
-		func(s techSnap) uint64 { return s.eps.Answers })
-	fmt.Fprintf(w, "# HELP rip_dp_eps_bound Certified relative width-suboptimality bound per served ε answer.\n")
-	fmt.Fprintf(w, "# TYPE rip_dp_eps_bound histogram\n")
-	for _, s := range snaps {
-		var cum uint64
-		for i, edge := range engine.EpsBoundBuckets {
-			cum += s.eps.BoundHist[i]
-			fmt.Fprintf(w, "rip_dp_eps_bound_bucket{tech=%q,le=\"%g\"} %d\n", s.name, edge, cum)
-		}
-		cum += s.eps.BoundHist[len(engine.EpsBoundBuckets)]
-		fmt.Fprintf(w, "rip_dp_eps_bound_bucket{tech=%q,le=\"+Inf\"} %d\n", s.name, cum)
-		fmt.Fprintf(w, "rip_dp_eps_bound_sum{tech=%q} %g\n", s.name, s.eps.BoundSum)
-		fmt.Fprintf(w, "rip_dp_eps_bound_count{tech=%q} %d\n", s.name, s.eps.Answers)
-	}
 
 	// Crosstalk counters: how much of the workload is priced under a
 	// coupling scenario, and how often the served answers actually deploy

@@ -23,7 +23,6 @@
 //	GET  /readyz        traffic readiness: 503 while draining or while
 //	                    a cache snapshot is still loading; reports ring
 //	                    peers and snapshot age
-//	GET  /healthz       readiness alias (kept for existing probes)
 //	GET  /metrics       Prometheus text: requests, rejections, in-flight,
 //	                    latency histograms, engine cache + front counters,
 //	                    cluster forwarding and snapshot gauges
@@ -81,11 +80,6 @@ type Options struct {
 	// DefaultTargetMult is applied to requests that carry no budget of
 	// their own (default 0: such requests fail per-net).
 	DefaultTargetMult float64
-	// DefaultEps is the ε relaxation applied to line requests that carry
-	// no "eps" of their own (default 0: bit-exact solving). An explicit
-	// "eps": 0 in a request always forces exact mode. /v1/front is not
-	// defaulted — curve queries stay exact unless the request opts in.
-	DefaultEps float64
 	// DefaultAggressor / DefaultScheme are the crosstalk scenario applied
 	// to line requests that carry no "aggressor" of their own (default "":
 	// the classic ground-only model). An explicit "aggressor": "none" in a
@@ -160,10 +154,6 @@ func New(eng *engine.Multi, opts Options) *Server {
 	s.mux.HandleFunc("POST /v1/bus", s.handleBus)
 	s.mux.HandleFunc("GET /livez", s.handleLivez)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
-	// /healthz predates the livez/readyz split; existing probes expect
-	// readiness semantics (it failed while draining), so it aliases
-	// /readyz.
-	s.mux.HandleFunc("GET /healthz", s.handleReadyz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return s
 }
@@ -179,7 +169,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// BeginShutdown puts the server into draining mode: /healthz starts
+// BeginShutdown puts the server into draining mode: /readyz starts
 // failing and new optimize/batch requests are refused with 503, while
 // already-admitted requests run to completion. Pair it with
 // http.Server.Shutdown, which waits for those in-flight handlers.
@@ -305,7 +295,6 @@ func (s *Server) decodeSingle(w http.ResponseWriter, r *http.Request, front bool
 	validate := req.ValidateFront
 	if !front {
 		req.ApplyDefault(s.opts.DefaultTargetMult, 0)
-		req.ApplyDefaultEps(s.opts.DefaultEps)
 		req.ApplyDefaultCoupling(s.opts.DefaultAggressor, s.opts.DefaultScheme)
 		validate = req.Validate
 	}
@@ -491,7 +480,6 @@ func (s *Server) batchArray(ctx context.Context, w http.ResponseWriter, br *bufi
 			continue // zero job: the engine reports it as a nil-net failure
 		}
 		req.ApplyDefault(s.opts.DefaultTargetMult, 0)
-		req.ApplyDefaultEps(s.opts.DefaultEps)
 		req.ApplyDefaultCoupling(s.opts.DefaultAggressor, s.opts.DefaultScheme)
 		jobs[i] = req.Job()
 	}
@@ -545,7 +533,6 @@ func (s *Server) batchJSONL(ctx context.Context, w http.ResponseWriter, br *bufi
 		defer close(jobs)
 		fed, err := api.FeedJSONL(ctx, br, api.FeedOptions{
 			DefaultMult:      s.opts.DefaultTargetMult,
-			DefaultEps:       s.opts.DefaultEps,
 			DefaultAggressor: s.opts.DefaultAggressor,
 			DefaultScheme:    s.opts.DefaultScheme,
 		}, jobs, note)
@@ -620,7 +607,7 @@ func (s *Server) handleLivez(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleReadyz is traffic readiness (also served at /healthz): 503
+// handleReadyz is traffic readiness: 503
 // while draining or while a cache snapshot load is still running, with
 // the ring membership and snapshot age for operators.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {

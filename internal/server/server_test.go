@@ -109,8 +109,8 @@ func TestOptimize(t *testing.T) {
 		t.Fatalf("status %d: %s", rr.Code, rr.Body.String())
 	}
 	resp := decodeResponse(t, rr)
-	if resp.Error != "" {
-		t.Fatalf("unexpected error: %s", resp.Error)
+	if resp.Err != nil {
+		t.Fatalf("unexpected error: %+v", resp.Err)
 	}
 	if !resp.Feasible {
 		t.Fatal("corpus net at 1.3×τmin should be feasible")
@@ -155,14 +155,17 @@ func TestOptimizeRejectsBadRequests(t *testing.T) {
 }
 
 // TestBatchArray: a JSON array mixing wrapper elements, bare nets (which
-// inherit the server default budget) and a malformed element comes back
-// in input order with the error isolated to its element.
+// inherit the server default budget), a malformed element and one with
+// a nonzero "eps" comes back in input order with each error isolated to
+// its element.
 func TestBatchArray(t *testing.T) {
 	s, _ := newTestServer(t, 1, Options{DefaultTargetMult: 1.3})
 	nets := corpus(t, 17, 2)
 	bare := mustMarshal(t, nets[1]) // bare net, no wrapper
+	eps := 0.02
 	elems := []json.RawMessage{
 		mustMarshal(t, api.Request{Net: nets[0], TargetMult: 1.4}),
+		mustMarshal(t, api.Request{Net: nets[1], TargetMult: 1.4, Eps: &eps}),
 		bare,
 		[]byte(`{"net": {"name": "broken", "segments": [{"length_um": -5}]}}`),
 		mustMarshal(t, api.Request{Net: nets[0], TargetMult: 1.4}),
@@ -178,18 +181,21 @@ func TestBatchArray(t *testing.T) {
 	if len(resps) != len(elems) {
 		t.Fatalf("%d responses for %d elements", len(resps), len(elems))
 	}
-	for i, want := range []bool{false, false, true, false} {
-		if got := resps[i].Error != ""; got != want {
-			t.Fatalf("element %d: error=%q, want error=%v", i, resps[i].Error, want)
+	for i, want := range []bool{false, true, false, true, false} {
+		if got := resps[i].Err != nil; got != want {
+			t.Fatalf("element %d: error=%+v, want error=%v", i, resps[i].Err, want)
 		}
 	}
-	if !resps[1].Feasible {
+	if resps[1].Err.Code != api.CodeBadRequest {
+		t.Fatalf("nonzero eps element: code %q, want %q", resps[1].Err.Code, api.CodeBadRequest)
+	}
+	if !resps[2].Feasible {
 		t.Fatal("bare net with server default budget should have solved")
 	}
-	if resps[0].Net != nets[0].Name || resps[1].Net != nets[1].Name {
-		t.Fatalf("order not preserved: %q, %q", resps[0].Net, resps[1].Net)
+	if resps[0].Net != nets[0].Name || resps[2].Net != nets[1].Name {
+		t.Fatalf("order not preserved: %q, %q", resps[0].Net, resps[2].Net)
 	}
-	if !resps[3].CacheHit {
+	if !resps[4].CacheHit {
 		t.Fatal("repeated element should be served from the shared cache")
 	}
 }
@@ -207,16 +213,20 @@ func TestBatchArrayTooLarge(t *testing.T) {
 }
 
 // TestBatchJSONL: streamed bodies come back as one response line per
-// input line, in input order, with parse failures isolated to their line.
+// input line, in input order, with parse failures (malformed JSON, a
+// nonzero "eps") isolated to their line.
 func TestBatchJSONL(t *testing.T) {
 	s, _ := newTestServer(t, 1, Options{DefaultTargetMult: 1.3})
 	nets := corpus(t, 23, 3)
+	eps := 0.02
 	var body bytes.Buffer
 	for _, n := range nets {
 		body.Write(mustMarshal(t, n))
 		body.WriteByte('\n')
 	}
 	body.WriteString("this is not json\n")
+	body.Write(mustMarshal(t, api.Request{Net: nets[1], TargetMult: 1.3, Eps: &eps}))
+	body.WriteByte('\n')
 	body.Write(mustMarshal(t, api.Request{Net: nets[0], TargetMult: 1.3}))
 	body.WriteByte('\n')
 
@@ -237,19 +247,22 @@ func TestBatchJSONL(t *testing.T) {
 		}
 		resps = append(resps, r)
 	}
-	if len(resps) != 5 {
-		t.Fatalf("%d response lines, want 5", len(resps))
+	if len(resps) != 6 {
+		t.Fatalf("%d response lines, want 6", len(resps))
 	}
 	for i := 0; i < 3; i++ {
-		if resps[i].Net != nets[i].Name || resps[i].Error != "" || !resps[i].Feasible {
+		if resps[i].Net != nets[i].Name || resps[i].Err != nil || !resps[i].Feasible {
 			t.Fatalf("line %d: %+v", i, resps[i])
 		}
 	}
-	if !strings.Contains(resps[3].Error, "line 4") {
-		t.Fatalf("parse failure should name its line: %q", resps[3].Error)
+	if resps[3].Err == nil || !strings.Contains(resps[3].Err.Message, "line 4") {
+		t.Fatalf("parse failure should name its line: %+v", resps[3].Err)
 	}
-	if resps[4].Error != "" || !resps[4].CacheHit {
-		t.Fatalf("final repeat should be a cache hit: %+v", resps[4])
+	if resps[4].Err == nil || resps[4].Err.Code != api.CodeBadRequest || !strings.Contains(resps[4].Err.Message, "line 5") {
+		t.Fatalf("nonzero eps line should fail alone as bad_request: %+v", resps[4].Err)
+	}
+	if resps[5].Err != nil || !resps[5].CacheHit {
+		t.Fatalf("final repeat should be a cache hit: %+v", resps[5])
 	}
 }
 
@@ -328,18 +341,22 @@ func metricValue(t *testing.T, text, name string) float64 {
 	return 0
 }
 
-// TestHealthz: healthy → 200 ok; draining → 503, so load balancers stop
-// routing to a server that is shutting down.
+// TestHealthz: healthy → /readyz 200 ok; draining → 503, so load
+// balancers stop routing to a server that is shutting down. The retired
+// /healthz alias is gone: 404.
 func TestHealthz(t *testing.T) {
 	s, _ := newTestServer(t, 4, Options{})
-	rr := get(t, s, "/healthz")
+	rr := get(t, s, "/readyz")
 	if rr.Code != http.StatusOK || !strings.Contains(rr.Body.String(), `"ok"`) {
-		t.Fatalf("healthz %d: %s", rr.Code, rr.Body.String())
+		t.Fatalf("readyz %d: %s", rr.Code, rr.Body.String())
+	}
+	if rr := get(t, s, "/healthz"); rr.Code != http.StatusNotFound {
+		t.Fatalf("retired /healthz: status %d, want 404", rr.Code)
 	}
 	s.BeginShutdown()
-	rr = get(t, s, "/healthz")
+	rr = get(t, s, "/readyz")
 	if rr.Code != http.StatusServiceUnavailable || !strings.Contains(rr.Body.String(), `"draining"`) {
-		t.Fatalf("draining healthz %d: %s", rr.Code, rr.Body.String())
+		t.Fatalf("draining readyz %d: %s", rr.Code, rr.Body.String())
 	}
 	if v := metricValue(t, get(t, s, "/metrics").Body.String(), "rip_draining"); v != 1 {
 		t.Fatalf("rip_draining %g, want 1", v)
@@ -351,107 +368,5 @@ func TestEmptyBatchBody(t *testing.T) {
 	s, _ := newTestServer(t, 4, Options{})
 	if rr := post(t, s, "/v1/batch", nil); rr.Code != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400", rr.Code)
-	}
-}
-
-// TestOptimizeEps: a request's "eps" is solved relaxed with attribution
-// echoed on the wire; an out-of-range eps is a 400 with the bad_request
-// envelope; the server-wide default applies only to requests that carry
-// no eps of their own, with an explicit 0 staying exact; and the ε
-// metrics series appear on /metrics.
-func TestOptimizeEps(t *testing.T) {
-	s, eng := newTestServer(t, 1, Options{DefaultEps: 0.02})
-	net := corpus(t, 17, 1)[0]
-	eps := func(v float64) *float64 { return &v }
-
-	// Explicit eps on the request.
-	rr := post(t, s, "/v1/optimize", mustMarshal(t, api.Request{Net: net, TargetMult: 1.3, Eps: eps(0.1)}))
-	if rr.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rr.Code, rr.Body.String())
-	}
-	resp := decodeResponse(t, rr)
-	if !resp.Feasible || resp.Eps != 0.1 {
-		t.Fatalf("eps echo: feasible=%v eps=%g", resp.Feasible, resp.Eps)
-	}
-	if resp.EpsBound == nil {
-		t.Fatal("ε answer dropped eps_bound (a certified 0 must still be emitted)")
-	}
-	if b := *resp.EpsBound; b < 0 || b > 1 {
-		t.Fatalf("eps_bound %g outside [0,1]", b)
-	}
-	if resp.DelayNS > resp.TargetNS*(1+1e-12) {
-		t.Fatalf("ε answer misses budget: %g > %g", resp.DelayNS, resp.TargetNS)
-	}
-
-	// No eps: the server default (0.02) applies.
-	rr = post(t, s, "/v1/optimize", mustMarshal(t, api.Request{Net: net, TargetMult: 1.3}))
-	if resp = decodeResponse(t, rr); resp.Eps != 0.02 {
-		t.Fatalf("default eps not applied: %g", resp.Eps)
-	}
-
-	// Explicit zero beats the default.
-	rr = post(t, s, "/v1/optimize", mustMarshal(t, api.Request{Net: net, TargetMult: 1.3, Eps: eps(0)}))
-	if resp = decodeResponse(t, rr); resp.Eps != 0 {
-		t.Fatalf("explicit eps=0 overridden: %g", resp.Eps)
-	}
-	if resp.EpsBound != nil {
-		t.Fatalf("exact answer carries eps_bound %g", *resp.EpsBound)
-	}
-
-	// Out of range is a 400 before solving.
-	rr = post(t, s, "/v1/optimize", mustMarshal(t, api.Request{Net: net, TargetMult: 1.3, Eps: eps(0.9)}))
-	if rr.Code != http.StatusBadRequest {
-		t.Fatalf("eps=0.9: status %d, want 400 (%s)", rr.Code, rr.Body.String())
-	}
-	if resp = decodeResponse(t, rr); resp.Err == nil || resp.Err.Code != api.CodeBadRequest {
-		t.Fatalf("eps=0.9 envelope: %+v", resp.Err)
-	}
-
-	// The ε counters moved, and /metrics renders their series.
-	if st := techEngine(t, eng, "180nm").EpsStats(); st.Solves == 0 || st.Answers == 0 {
-		t.Fatalf("ε stats did not move: %+v", st)
-	}
-	body := get(t, s, "/metrics").Body.String()
-	for _, series := range []string{
-		"rip_dp_eps_solves_total", "rip_dp_eps_pruned_total",
-		"rip_dp_eps_answers_total", "rip_dp_eps_bound_bucket",
-	} {
-		if !strings.Contains(body, series) {
-			t.Fatalf("metrics missing %s", series)
-		}
-	}
-}
-
-// TestFrontEps: /v1/front honors an explicit request eps (echoed on the
-// response) but never inherits the server default — curve queries stay
-// exact unless the client opts in.
-func TestFrontEps(t *testing.T) {
-	s, _ := newTestServer(t, 1, Options{DefaultEps: 0.02})
-	net := corpus(t, 19, 1)[0]
-	eps := func(v float64) *float64 { return &v }
-
-	rr := post(t, s, "/v1/front", mustMarshal(t, api.Request{Net: net}))
-	if rr.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rr.Code, rr.Body.String())
-	}
-	var fr api.FrontResponse
-	if err := json.Unmarshal(rr.Body.Bytes(), &fr); err != nil {
-		t.Fatal(err)
-	}
-	if fr.Eps != 0 {
-		t.Fatalf("front inherited the server default eps: %g", fr.Eps)
-	}
-
-	rr = post(t, s, "/v1/front", mustMarshal(t, api.Request{Net: net, Eps: eps(0.1)}))
-	if err := json.Unmarshal(rr.Body.Bytes(), &fr); err != nil {
-		t.Fatal(err)
-	}
-	if fr.Eps != 0.1 || len(fr.Points) == 0 {
-		t.Fatalf("ε front: eps=%g points=%d", fr.Eps, len(fr.Points))
-	}
-
-	rr = post(t, s, "/v1/front", mustMarshal(t, api.Request{Net: net, Eps: eps(-1)}))
-	if rr.Code != http.StatusBadRequest {
-		t.Fatalf("front eps=-1: status %d, want 400", rr.Code)
 	}
 }

@@ -28,8 +28,8 @@ func TestConformanceUnknownTechIs400(t *testing.T) {
 	}
 	resp := decodeResponse(t, rr)
 	for _, known := range []string{"180nm", "65nm"} {
-		if !strings.Contains(resp.Error, known) {
-			t.Fatalf("400 body %q does not list served node %s", resp.Error, known)
+		if resp.Err == nil || !strings.Contains(resp.Err.Message, known) {
+			t.Fatalf("400 envelope %+v does not list served node %s", resp.Err, known)
 		}
 	}
 	if st := eng.CacheStats(); st.Hits+st.Misses != 0 {
@@ -44,7 +44,7 @@ func TestConformanceOmittedTechUsesDefault(t *testing.T) {
 	net := corpus(t, 53, 1)[0]
 	resp := decodeResponse(t, post(t, s, "/v1/optimize",
 		mustMarshal(t, api.Request{Net: net, TargetMult: 1.3})))
-	if resp.Error != "" || !resp.Feasible {
+	if resp.Err != nil || !resp.Feasible {
 		t.Fatalf("response: %+v", resp)
 	}
 	if resp.Tech != "90nm" {
@@ -53,7 +53,7 @@ func TestConformanceOmittedTechUsesDefault(t *testing.T) {
 	// An alias selects the same node and reports the canonical name.
 	aliased := decodeResponse(t, post(t, s, "/v1/optimize",
 		mustMarshal(t, api.Request{Net: net, Tech: "t180", TargetMult: 1.3})))
-	if aliased.Error != "" || aliased.Tech != "180nm" {
+	if aliased.Err != nil || aliased.Tech != "180nm" {
 		t.Fatalf("alias response: %+v", aliased)
 	}
 }
@@ -98,7 +98,7 @@ func TestConformanceMixedTechJSONL(t *testing.T) {
 	}
 	wantTech := []string{"180nm", "65nm", "180nm", "65nm", "180nm"}
 	for i, want := range wantTech {
-		if got[i].Error != "" || !got[i].Feasible {
+		if got[i].Err != nil || !got[i].Feasible {
 			t.Fatalf("line %d: %+v", i, got[i])
 		}
 		if got[i].Tech != want {
@@ -116,7 +116,7 @@ func TestConformanceMixedTechJSONL(t *testing.T) {
 	if got[0].DelayNS == got[1].DelayNS {
 		t.Fatal("180nm and 65nm returned identical delays; routing is suspect")
 	}
-	if got[5].Error == "" || !strings.Contains(got[5].Error, "180nm") {
+	if got[5].Err == nil || !strings.Contains(got[5].Err.Message, "180nm") {
 		t.Fatalf("unknown-node line: %+v", got[5])
 	}
 	for _, name := range []string{"180nm", "65nm"} {
@@ -159,15 +159,15 @@ func TestConformanceMetricsTechLabel(t *testing.T) {
 			t.Fatalf("no DP work recorded for %s", name)
 		}
 	}
-	// /healthz advertises the served nodes.
+	// /readyz advertises the served nodes.
 	var health map[string]any
-	if err := json.Unmarshal(get(t, s, "/healthz").Body.Bytes(), &health); err != nil {
+	if err := json.Unmarshal(get(t, s, "/readyz").Body.Bytes(), &health); err != nil {
 		t.Fatal(err)
 	}
 	if health["default_tech"] != "180nm" {
-		t.Fatalf("healthz default_tech %v", health["default_tech"])
+		t.Fatalf("readyz default_tech %v", health["default_tech"])
 	}
 	if n := len(health["technologies"].([]any)); n != 2 {
-		t.Fatalf("healthz technologies %v", health["technologies"])
+		t.Fatalf("readyz technologies %v", health["technologies"])
 	}
 }

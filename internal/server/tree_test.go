@@ -41,7 +41,7 @@ func TestOptimizeTree(t *testing.T) {
 		t.Fatalf("status %d: %s", rr.Code, rr.Body.String())
 	}
 	resp := decodeResponse(t, rr)
-	if resp.Kind != "tree" || !resp.Feasible || resp.Error != "" {
+	if resp.Kind != "tree" || !resp.Feasible || resp.Err != nil {
 		t.Fatalf("response: %+v", resp)
 	}
 	if resp.TotalWidthU <= 0 || len(resp.Buffers) == 0 {
@@ -108,11 +108,11 @@ func TestBatchMixedKindsJSONL(t *testing.T) {
 		if (got[i].Kind == "tree") != wantTree {
 			t.Errorf("line %d: kind %q, wantTree=%v", i, got[i].Kind, wantTree)
 		}
-		if !got[i].Feasible || got[i].Error != "" {
+		if !got[i].Feasible || got[i].Err != nil {
 			t.Errorf("line %d: %+v", i, got[i])
 		}
 	}
-	if got[4].Error == "" {
+	if got[4].Err == nil {
 		t.Errorf("malformed line should carry an error: %+v", got[4])
 	}
 	if got[4].Tech != "" {
@@ -145,7 +145,7 @@ func TestBatchArrayWithTrees(t *testing.T) {
 		t.Fatalf("responses: %+v", got)
 	}
 	for i, r := range got {
-		if !r.Feasible || r.Error != "" {
+		if !r.Feasible || r.Err != nil {
 			t.Errorf("element %d: %+v", i, r)
 		}
 	}
@@ -233,7 +233,7 @@ func TestBatchJSONLFullDuplexStreaming(t *testing.T) {
 	// Read result 0 (forcing the first flush), then keep uploading.
 	for i := range trees {
 		r := readLine()
-		if r.Error != "" || !r.Feasible || r.Kind != "tree" {
+		if r.Err != nil || !r.Feasible || r.Kind != "tree" {
 			t.Fatalf("line %d: %+v", i, r)
 		}
 		if i+1 < len(trees) {

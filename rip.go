@@ -63,17 +63,6 @@ const (
 	FemtoFarad = units.FemtoFarad
 )
 
-// ε-relaxation constants (see engine.Job.Eps and dp.Options.Eps): a
-// relaxed min-power solve still meets its budget exactly but may return
-// up to the exact optimum width at target/(1+eps) — certified, and an
-// order of magnitude faster at the recommended default.
-const (
-	// MaxEps is the largest accepted ε relaxation.
-	MaxEps = dp.MaxEps
-	// DefaultEps is the recommended relaxation (≈2 % certified bound).
-	DefaultEps = dp.DefaultEps
-)
-
 // T180 returns the default synthetic 0.18 µm node the experiments use.
 func T180() *Technology { return tech.T180() }
 
