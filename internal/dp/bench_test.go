@@ -141,8 +141,45 @@ func BenchmarkSolveCoupled_g10(b *testing.B) {
 
 // BenchmarkSolveFront_Engine measures the front kernel ripd runs for every
 // cold line shape: the engine's front space (10u–400u at a 40u step,
-// 200 µm pitch) on a fixed 10-segment 65nm netgen line.
+// 200 µm pitch) on a fixed 10-segment 65nm netgen line. Its dense 10u
+// lattice puts most levels on the width lattice.
 func BenchmarkSolveFront_Engine(b *testing.B) {
+	benchmarkSolveFront(b, func(*tech.Technology) (repeater.Library, *delay.Coupling, error) {
+		lib, err := repeater.Range(10, 400, 40)
+		return lib, nil, err
+	})
+}
+
+// BenchmarkSolveFront_EngineWorstStaggered is the engine front kernel
+// under worst-case aggressors with staggering allowed: a coupled sweep,
+// so every level sorts its classes off the lattice.
+func BenchmarkSolveFront_EngineWorstStaggered(b *testing.B) {
+	benchmarkSolveFront(b, func(tc *tech.Technology) (repeater.Library, *delay.Coupling, error) {
+		lib, err := repeater.Range(10, 400, 40)
+		if err != nil {
+			return lib, nil, err
+		}
+		cpl, err := delay.NewCoupling(tc, delay.AggressorWorst, delay.SchemeModeStaggered)
+		return lib, cpl, err
+	})
+}
+
+// BenchmarkSolveFront_EngineLib7_400 runs the engine line on the library
+// {7u, 400u}: its lattice step is 1u, so the lattice guard sends levels
+// whose width span outgrows their option count back to the sorted
+// classes.
+func BenchmarkSolveFront_EngineLib7_400(b *testing.B) {
+	benchmarkSolveFront(b, func(*tech.Technology) (repeater.Library, *delay.Coupling, error) {
+		lib, err := repeater.NewLibrary([]float64{7, 400})
+		return lib, nil, err
+	})
+}
+
+// benchmarkSolveFront measures warm SolveFront calls on the engine
+// benchmark line, a fixed 10-segment 65nm netgen line at 200 µm pitch,
+// over the library and coupling scenario space returns. It also reports
+// the lattice skyline's fill work per kept option.
+func benchmarkSolveFront(b *testing.B, space func(*tech.Technology) (repeater.Library, *delay.Coupling, error)) {
 	tc := tech.T65()
 	cfg, err := netgen.DefaultConfig(tc)
 	if err != nil {
@@ -157,23 +194,26 @@ func BenchmarkSolveFront_Engine(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	lib, err := repeater.Range(10, 400, 40)
+	lib, cpl, err := space(tc)
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := Options{Library: lib, Pitch: 200 * units.Micron}
+	opts := Options{Library: lib, Pitch: 200 * units.Micron, Coupling: cpl}
 	s := NewSolver()
+	kept := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		front, _, err := s.SolveFront(ev, opts)
+		front, st, err := s.SolveFront(ev, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if len(front) == 0 {
 			b.Fatal("benchmark instance must have a front")
 		}
+		kept += st.Kept
 	}
+	b.ReportMetric(float64(s.pr.fills)/float64(kept), "fills/kept")
 }
 
 // BenchmarkSolvePooled measures the package-level convenience entry point

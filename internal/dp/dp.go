@@ -21,9 +21,16 @@
 // scratch arenas: steady-state solves perform zero heap allocations, and
 // pruning is bucketed by repeater action and filed into a width-class
 // table (see prune.go), so neither the full 3-key sort of the naive
-// rendering nor any per-bucket sort ever happens. The package-level Solve
-// and MinimumDelay draw Solvers from a pool, so even one-shot callers
-// reuse arenas across calls.
+// rendering nor any per-bucket sort ever happens. When the library's
+// widths are integers, uncoupled accumulated widths lie on a lattice of
+// step gcd(widths), and a width-aware uncoupled level whose lattice is
+// dense enough indexes its class table and its dominance skyline by w/g
+// instead of sorting and binary-searching floats. Every other level —
+// τmin's 2-D levels, coupled levels and sparse lattices — sorts its
+// classes. Each level picks its path from its own inputs, and both paths
+// keep the same options, so answers and Stats never depend on the
+// choice. The package-level Solve and MinimumDelay draw Solvers from a
+// pool, so even one-shot callers reuse arenas across calls.
 package dp
 
 import (

@@ -21,33 +21,53 @@ import (
 //   - Width-class table. A repeater option's width is its downstream
 //     option's width class — that option's accumulated width, plus the
 //     interval's shielding cost when coupled — plus the library width w_i.
-//     runLevels sorts and dedupes a level's classes once; every generated
-//     repeater option then lands in cell (class, w_i), which keeps only the
-//     lowest delay. Ties go to the lower scheme, then to the first option
-//     generated. Repeater options are never stored, let alone sorted.
+//     Every generated repeater option lands in cell (class, w_i), which
+//     keeps only the lowest delay. Ties go to the lower scheme, then to the
+//     first option generated. Repeater options are never stored, let alone
+//     sorted.
+//   - Width lattice. When every library width is a positive integer, an
+//     uncoupled accumulated width is an exact multiple of the library's
+//     gcd g (latticeStep), so class w has the exact index (w − lo)/g
+//     above the level's narrowest class lo. A width-aware uncoupled level
+//     whose lattice extent — its classes' span plus the widest library
+//     width, over g — is no larger than its downstream option count
+//     (onLattice) indexes its table rows that way: one row per lattice
+//     point, unoccupied rows left empty. Every other level — 2-D, coupled
+//     (shielding costs are continuous), non-integer libraries and sparse
+//     lattices past the guard — sorts and dedupes its classes once and
+//     binary-searches each option's row.
 //   - Stage 1 reads each repeater bucket's (d, w) front from one ascending
-//     scan over the classes. Widths never shrink along it, so a cell
-//     survives when its delay undercuts every narrower class's. When two
-//     adjacent classes round to the same post-repeater width, the faster
-//     cell (by the same tie rule) replaces the slower one. Under the delay
-//     objective width is ignored and the table has a single class, so each
-//     bucket reduces to its min-delay cell.
+//     scan over the rows. Widths never shrink along it, so a cell survives
+//     when its delay undercuts every narrower class's. Off the lattice,
+//     two adjacent classes can round to the same post-repeater width; the
+//     faster cell (by the same tie rule) then replaces the slower one. On
+//     the lattice every width is exact, so that never happens. Under the
+//     delay objective width is ignored and the table has a single class,
+//     so each bucket reduces to its min-delay cell.
 //   - The no-repeater bucket inherits the downstream level's (c, d, w)
 //     order (kept runs are emitted sorted), so it is already sorted; a
 //     linear check guards the rare rounding collision that breaks the
 //     inheritance, re-sorting (stably) only then.
 //   - Stage 2 k-way merges the bucket fronts in ascending (c, d, w) order
-//     through one incremental (d, w) front, which performs the exact
+//     through one incremental (d, w) skyline, which performs the exact
 //     dominance filter of the classic algorithm without ever sorting the
-//     full generated set. The front is held as two parallel float slices
-//     (frontD, frontW) so the binary-search filter touches contiguous
-//     floats only.
+//     full generated set. Every option merged so far has c ≤ the current
+//     one's, so it is dominated iff a kept option has d' ≤ d and w' ≤ w.
+//     On the lattice the skyline is a prefix-minimum array over the same
+//     width index: minD[k] is the least kept delay at index ≤ k, an option
+//     is dominated iff minD[k(w)] ≤ d, and a kept option lowers minD from
+//     k(w) up to the first entry already ≤ its delay. Off the lattice it
+//     is two parallel float slices (frontD ascending, frontW descending)
+//     that the filter binary-searches and the insert shifts.
 //
-// The result is exactly the set of non-dominated distinct (c, d, w) values
+// Both renderings decide the same predicate with the same tie rule, so a
+// level keeps the same options in the same order on either path. The
+// result is exactly the set of non-dominated distinct (c, d, w) values
 // (one representative each), emitted in ascending (c, d, w) order — the
 // same value set the reference O(G log G + G·F) prune keeps, which the
 // property tests in prune_test.go verify against an O(G²) dominance
-// filter. Delays are assumed finite: an empty cell holds +Inf.
+// filter on both paths. Delays are assumed finite: an empty cell holds
+// +Inf.
 //
 // Representatives are fixed by value order alone: within a bucket the
 // lower scheme wins an exact tie, then the option generated first (its
@@ -98,6 +118,38 @@ func (c *cell) offer(d, w float64, next int32, sch uint8) {
 // option runs[i] and the end of its run.
 type mergeHead struct{ i, end int32 }
 
+// latticeMaxWidth bounds the library widths the lattice accepts. A line
+// has fewer than 2³¹ levels (arena indices are int32), so accumulated
+// widths stay below 2⁵² and every sum of library widths is exact in
+// float64.
+const latticeMaxWidth = 1 << 21
+
+// latticeStep returns the width lattice step g of a library: the gcd of
+// its widths when every one is an integer in [1, latticeMaxWidth], and 0
+// (no lattice) otherwise.
+func latticeStep(widths []float64) float64 {
+	g := 0
+	for _, w := range widths {
+		if !(w >= 1 && w <= latticeMaxWidth) || w != math.Trunc(w) {
+			return 0
+		}
+		for a := int(w); a != 0; {
+			g, a = a, g%a
+		}
+	}
+	return float64(g)
+}
+
+// onLattice reports whether a width-aware uncoupled level goes on the
+// width lattice of step g (0: the library has none). Its n downstream
+// widths span [lo, hi] and wMax is the widest library width, so its
+// options occupy the lattice extent (hi − lo + wMax)/g; the level
+// qualifies when that is no larger than n, which keeps the table rows and
+// the skyline no costlier than generation.
+func onLattice(lo, hi, wMax, g float64, n int) bool {
+	return g > 0 && (hi-lo+wMax)/g <= float64(n)
+}
+
 // pruner holds the per-level prune scratch. Buffers are retained across
 // levels and solves.
 type pruner struct {
@@ -105,26 +157,56 @@ type pruner struct {
 	// no-repeater bucket, which the solver appends during generation, then
 	// each repeater bucket's front as stage 1 emits it.
 	runs []option
-	// cls is the level's width classes, ascending and distinct; cells is
-	// the class table, row-major with one row of len(coW) cells per class.
-	cls   []float64
-	cells []cell
+	// cells is the class table, row-major with one row of len(coW) cells
+	// per class. Off the lattice (g == 0) cls is the level's width
+	// classes, ascending and distinct, one per row. On it, row k is the
+	// lattice point base + k·g, and minD is the stage-2 skyline over the
+	// same index.
+	cls     []float64
+	g, base float64
+	cells   []cell
+	minD    []float64
+	// fills counts the skyline entries kept options lowered on the
+	// lattice, summed over the pruner's life (a work figure the front
+	// kernel benchmarks report per kept option).
+	fills int
 	// coW is each repeater bucket's constant load Co·w_i.
 	coW    []float64
-	frontD []float64 // incremental front, delay coordinates (ascending)
-	frontW []float64 // incremental front, width coordinates (descending)
+	frontD []float64 // off-lattice front, delay coordinates (ascending)
+	frontW []float64 // off-lattice front, width coordinates (descending)
 	heap   []mergeHead
 }
 
-// reset prepares the pruner for a new level. cls holds the downstream
-// width classes in any order, duplicates allowed; reset sorts and dedupes
-// it in place and keeps it. coW holds the repeater buckets' loads. Every
-// table cell starts empty and the no-repeater bucket starts empty.
+// reset prepares the pruner for a new level off the lattice. cls holds
+// the downstream width classes in any order, duplicates allowed; reset
+// sorts and dedupes it in place and keeps it. coW holds the repeater
+// buckets' loads.
 func (p *pruner) reset(cls, coW []float64) {
 	slices.Sort(cls)
 	p.cls = slices.Compact(cls)
+	p.g = 0
+	p.empty(len(p.cls), coW)
+}
+
+// resetLattice prepares the pruner for a new level on the width lattice
+// of step g: its classes lie on lo + k·g within [lo, hi], so its options'
+// widths lie on the same lattice within [lo, hi+wMax]. Every skyline
+// entry starts at +Inf.
+func (p *pruner) resetLattice(lo, hi, wMax, g float64, coW []float64) {
+	p.g, p.base = g, lo
+	p.empty(int((hi-lo)/g)+1, coW)
+	n := int((hi-lo+wMax)/g) + 1
+	p.minD = slices.Grow(p.minD[:0], n)[:n]
+	for i := range p.minD {
+		p.minD[i] = math.Inf(1)
+	}
+}
+
+// empty sizes the class table to rows rows of len(coW) empty cells and
+// empties the no-repeater bucket.
+func (p *pruner) empty(rows int, coW []float64) {
 	p.coW = coW
-	n := len(p.cls) * len(coW)
+	n := rows * len(coW)
 	p.cells = slices.Grow(p.cells[:0], n)[:n]
 	for i := range p.cells {
 		p.cells[i] = cell{d: math.Inf(1), next: -1}
@@ -133,8 +215,13 @@ func (p *pruner) reset(cls, coW []float64) {
 }
 
 // row returns the table row of width class w, which must be one of the
-// classes reset was given.
+// classes reset was given, or lie on resetLattice's lattice.
 func (p *pruner) row(w float64) []cell {
+	nw := len(p.coW)
+	if p.g > 0 {
+		k := int((w - p.base) / p.g)
+		return p.cells[k*nw : k*nw+nw]
+	}
 	lo, hi := 0, len(p.cls)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -144,7 +231,6 @@ func (p *pruner) row(w float64) []cell {
 			hi = mid
 		}
 	}
-	nw := len(p.coW)
 	return p.cells[lo*nw : lo*nw+nw]
 }
 
@@ -196,8 +282,9 @@ func (p *pruner) reduceTable() {
 				continue
 			}
 			if last := len(p.runs) - 1; last >= start && p.runs[last].w == e.w {
-				// Two classes rounded to one width: the cells are rival
-				// representatives of the same width, so the faster stays.
+				// Two classes rounded to one width (off the lattice only):
+				// the cells are rival representatives of the same width, so
+				// the faster stays.
 				if r := &p.runs[last]; e.beats(r) {
 					r.d, r.next, r.sch = e.d, e.next, e.sch
 					minD = e.d
@@ -236,7 +323,8 @@ func (p *pruner) frontIdx(key float64) int {
 // to dst in ascending (c, d, w) order, returning the extended slice. With
 // threeD it applies the 3-D Pareto rule on (c, d, w); otherwise the 2-D
 // rule on (c, d), comparing as if every width were zero without mutating
-// any option.
+// any option. A level reset onto the lattice is always pruned with
+// threeD.
 func (p *pruner) pruneInto(dst []option, threeD bool) []option {
 	// Stage 1: sort the no-repeater bucket if generation broke its
 	// inherited order, and read every repeater bucket's front off the
@@ -255,11 +343,16 @@ func (p *pruner) pruneInto(dst []option, threeD bool) []option {
 	p.reduceTable()
 
 	// Stage 2: k-way merge of the runs in ascending (c, d, w) order through
-	// a single incremental (d, w) front. Every run is sorted in that order
+	// a single incremental (d, w) skyline: the lattice's prefix minimum, or
+	// the float front off it. Every run is sorted in that order
 	// (repeater fronts have constant c and ascending d), so a small binary
 	// heap over the run heads yields the global order.
 	for i := len(p.heap)/2 - 1; i >= 0; i-- {
 		p.siftDown(i, threeD)
+	}
+
+	if p.g > 0 {
+		return p.mergeLattice(dst)
 	}
 
 	p.frontD = p.frontD[:0]
@@ -306,6 +399,37 @@ func (p *pruner) pruneInto(dst []option, threeD bool) []option {
 			p.frontW = append(p.frontW[:ins+1], p.frontW[j:]...)
 		}
 	}
+	return dst
+}
+
+// mergeLattice is stage 2 on the width lattice: the merge's skyline is
+// minD, where minD[k] is the least kept delay at width index ≤ k. Every
+// kept option's c ≤ o.c by merge order, so o is dominated iff
+// minD[k(o.w)] ≤ o.d; a kept o lowers minD from k(o.w) up to the first
+// entry already ≤ o.d, past which every entry is.
+func (p *pruner) mergeLattice(dst []option) []option {
+	fills := 0
+	for len(p.heap) > 0 {
+		h := &p.heap[0]
+		o := p.runs[h.i]
+		if h.i++; h.i == h.end {
+			last := len(p.heap) - 1
+			p.heap[0] = p.heap[last]
+			p.heap = p.heap[:last]
+		}
+		p.siftDown(0, true)
+
+		k := int((o.w - p.base) / p.g)
+		if p.minD[k] <= o.d {
+			continue // dominated (or a duplicate of a kept value)
+		}
+		dst = append(dst, o)
+		for ; k < len(p.minD) && p.minD[k] > o.d; k++ {
+			p.minD[k] = o.d
+			fills++
+		}
+	}
+	p.fills += fills
 	return dst
 }
 

@@ -3,7 +3,10 @@ package dp
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"github.com/rip-eda/rip/internal/ordertest"
 )
 
 // dominates reports 3-D (or 2-D, width-blind) dominance of a over b.
@@ -85,9 +88,10 @@ func (l genLevel) buckets() [][]option {
 	return out
 }
 
-// prune runs the level through the pruner the way runLevels does: the
-// classes into the table (the single class in 2-D mode), the no-repeater
-// bucket into runs, and each repeater option into its cell.
+// prune runs the level through the pruner the way runLevels does off the
+// lattice: the classes into the sorted table (the single class in 2-D
+// mode), the no-repeater bucket into runs, and each repeater option into
+// its cell.
 func (l genLevel) prune(threeD bool) []option {
 	cls := []float64{0}
 	if threeD {
@@ -98,6 +102,12 @@ func (l genLevel) prune(threeD bool) []option {
 	}
 	var p pruner
 	p.reset(cls, l.coW)
+	return l.load(&p, threeD).pruneInto(nil, threeD)
+}
+
+// load files the level into a reset pruner: the no-repeater bucket into
+// runs and each repeater option into its cell.
+func (l genLevel) load(p *pruner, threeD bool) *pruner {
 	p.runs = append(p.runs, l.b0...)
 	row := p.cells
 	for _, r := range l.reps {
@@ -106,17 +116,87 @@ func (l genLevel) prune(threeD bool) []option {
 		}
 		row[r.wi].offer(r.d, r.cls+l.widths[r.wi], r.next, r.sch)
 	}
-	return p.pruneInto(nil, threeD)
+	return p
 }
 
-// checkPrune feeds a generated level through the class table and verifies
-// the kept set is exactly the Pareto-optimal value set, one representative
-// per value, emitted in ascending (c, d, w) order. Representatives follow
-// the tie rules: a value comes from the lowest bucket holding it (the
-// merge breaks ties by bucket order); within the no-repeater bucket it has
-// the lowest scheme, and within a repeater bucket the lowest scheme, then
-// the first generated.
+// lattice returns the width lattice an integer-class level lies on: its
+// narrowest and widest classes (the no-repeater options' widths count, as
+// they do in the solver), its widest library width, and the gcd of the
+// library widths and every class's offset from the narrowest. ok is
+// false when a class or a library width is not a small nonnegative
+// integer.
+func (l genLevel) lattice() (lo, hi, wMax, g float64, ok bool) {
+	var cls []float64
+	for _, o := range l.b0 {
+		cls = append(cls, o.w)
+	}
+	cls = append(cls, l.cls...)
+	for _, r := range l.reps {
+		cls = append(cls, r.cls)
+	}
+	if len(cls) == 0 {
+		return 0, 0, 0, 0, false
+	}
+	lo, hi = slices.Min(cls), slices.Max(cls)
+	if len(l.widths) > 0 {
+		wMax = slices.Max(l.widths)
+	}
+	gi := 0
+	for i, x := range append(cls, l.widths...) {
+		if x < 0 || x > latticeMaxWidth || x != math.Trunc(x) {
+			return 0, 0, 0, 0, false
+		}
+		if i < len(cls) {
+			x -= lo
+		}
+		for a := int(x); a != 0; {
+			gi, a = a, gi%a
+		}
+	}
+	return lo, hi, wMax, float64(max(gi, 1)), true
+}
+
+// pruneLattice runs an integer-class level through the width lattice the
+// way runLevels runs an uncoupled 3-D level that passes onLattice (the
+// guard is a cost choice, so it is not consulted). ok is false when the
+// level has no lattice.
+func (l genLevel) pruneLattice() (kept []option, p *pruner, ok bool) {
+	lo, hi, wMax, g, ok := l.lattice()
+	if !ok {
+		return nil, nil, false
+	}
+	p = new(pruner)
+	p.resetLattice(lo, hi, wMax, g, l.coW)
+	return l.load(p, true).pruneInto(nil, true), p, true
+}
+
+// checkPrune feeds a generated level through the sorted class table and,
+// when the level is 3-D and integer-class, through the width lattice too.
+// It verifies each path keeps exactly the Pareto-optimal value set, one
+// representative per value, emitted in ascending (c, d, w) order, and
+// that the two paths keep the same options. Representatives follow the
+// tie rules: a value comes from the lowest bucket holding it (the merge
+// breaks ties by bucket order); within the no-repeater bucket it has the
+// lowest scheme, and within a repeater bucket the lowest scheme, then the
+// first generated.
 func checkPrune(t *testing.T, l genLevel, threeD bool) {
+	t.Helper()
+	sorted := l.prune(threeD)
+	checkKept(t, l, threeD, "sorted", sorted)
+	if !threeD {
+		return
+	}
+	if lat, _, ok := l.pruneLattice(); ok {
+		checkKept(t, l, threeD, "lattice", lat)
+		if !slices.Equal(lat, sorted) {
+			t.Fatalf("lattice kept %+v, sorted path kept %+v", lat, sorted)
+		}
+	}
+}
+
+// checkKept judges one path's kept set against the O(n²) oracle and the
+// tie rules.
+func checkKept(t *testing.T, l genLevel, threeD bool, path string, kept []option) {
 	t.Helper()
 	buckets := l.buckets()
 	var all []option
@@ -125,28 +205,26 @@ func checkPrune(t *testing.T, l genLevel, threeD bool) {
 	}
 	want := referenceFront(all, threeD)
 
-	kept := l.prune(threeD)
-
 	got := make(map[optKey]bool, len(kept))
 	for _, o := range kept {
 		k := keyOf(o, threeD)
 		if got[k] {
-			t.Fatalf("duplicate kept value %+v (threeD=%v)", k, threeD)
+			t.Fatalf("%s: duplicate kept value %+v (threeD=%v)", path, k, threeD)
 		}
 		got[k] = true
 	}
 	if len(got) != len(want) {
-		t.Fatalf("kept %d distinct values, want %d (threeD=%v)\nkept: %v\nwant: %v",
-			len(got), len(want), threeD, got, want)
+		t.Fatalf("%s: kept %d distinct values, want %d (threeD=%v)\nkept: %v\nwant: %v",
+			path, len(got), len(want), threeD, got, want)
 	}
 	for k := range want {
 		if !got[k] {
-			t.Fatalf("missing Pareto-optimal value %+v (threeD=%v)", k, threeD)
+			t.Fatalf("%s: missing Pareto-optimal value %+v (threeD=%v)", path, k, threeD)
 		}
 	}
 	for i := 1; i < len(kept); i++ {
 		if cmpOpt(&kept[i-1], &kept[i], threeD) > 0 {
-			t.Fatalf("kept output not sorted at %d: %+v > %+v", i, kept[i-1], kept[i])
+			t.Fatalf("%s: kept output not sorted at %d: %+v > %+v", path, i, kept[i-1], kept[i])
 		}
 	}
 	for _, o := range kept {
@@ -166,46 +244,72 @@ func checkPrune(t *testing.T, l genLevel, threeD bool) {
 			}
 		}
 		if o.act != rep.act || o.sch != rep.sch || (o.act >= 0 && o.next != rep.next) {
-			t.Fatalf("kept %+v, but the tie rule picks %+v (threeD=%v)", o, *rep, threeD)
+			t.Fatalf("%s: kept %+v, but the tie rule picks %+v (threeD=%v)", path, o, *rep, threeD)
 		}
 		// Kept options are inputs: 2-D pruning must not rewrite widths.
 		if o.w != rep.w || o.d != rep.d || o.c != rep.c {
-			t.Fatalf("kept option %+v is not one of the inputs (%+v)", o, *rep)
+			t.Fatalf("%s: kept option %+v is not one of the inputs (%+v)", path, o, *rep)
 		}
 	}
 }
 
+// Level kinds randomLevel draws.
+const (
+	// realLevel draws two-decimal coordinates: few exact ties.
+	realLevel = iota
+	// tieLevel draws every coordinate from a tiny integer grid, so
+	// duplicates, shared load classes and equal delays are common, and
+	// nudges some classes up one ulp so that adjacent classes round to the
+	// same post-repeater width.
+	tieLevel
+	// latticeLevel draws classes and library widths on an integer lattice
+	// of step 1, 2 or 10 at an offset, with tie-heavy delays and loads:
+	// the levels the width lattice serves.
+	latticeLevel
+)
+
 // randomLevel builds a generated level the way the solver does: bucket 0
-// with arbitrary (c, d, w), each repeater bucket pinned to a constant c,
-// repeater widths class + library width. Tie-heavy mode draws every
-// coordinate from a tiny integer grid so duplicates, shared load classes
-// and equal delays are common; some classes are nudged up one ulp so
-// that adjacent classes round to the same post-repeater width.
-func randomLevel(rng *rand.Rand, tieHeavy bool) genLevel {
+// with arbitrary (c, d) and widths drawn like classes, each repeater
+// bucket pinned to a constant c, repeater widths class + library width.
+func randomLevel(rng *rand.Rand, kind int) genLevel {
+	step := []float64{1, 2, 10}[rng.Intn(3)]
+	off := step * float64(rng.Intn(3))
 	draw := func() float64 {
-		if tieHeavy {
-			return float64(rng.Intn(4))
+		if kind == realLevel {
+			return math.Round(rng.Float64()*1000) / 100
 		}
-		return math.Round(rng.Float64()*1000) / 100
+		return float64(rng.Intn(4))
+	}
+	drawCls := func() float64 {
+		if kind == latticeLevel {
+			return off + step*float64(rng.Intn(8))
+		}
+		return draw()
+	}
+	drawWidth := func() float64 {
+		if kind == latticeLevel {
+			return step * float64(1+rng.Intn(4))
+		}
+		return draw()
 	}
 	var l genLevel
 	for i := rng.Intn(12); i > 0; i-- {
-		l.b0 = append(l.b0, option{c: draw(), d: draw(), w: draw(), act: -1, next: int32(i), sch: uint8(rng.Intn(3))})
+		l.b0 = append(l.b0, option{c: draw(), d: draw(), w: drawCls(), act: -1, next: int32(i), sch: uint8(rng.Intn(3))})
 	}
 	for wi := rng.Intn(5); wi > 0; wi-- {
-		l.widths = append(l.widths, draw())
+		l.widths = append(l.widths, drawWidth())
 		l.coW = append(l.coW, draw())
 	}
 	for i := rng.Intn(4); i > 0; i-- {
-		l.cls = append(l.cls, draw())
+		l.cls = append(l.cls, drawCls())
 	}
 	if len(l.widths) == 0 {
 		return l
 	}
 	n := rng.Intn(40)
 	for i := 0; i < n; i++ {
-		cls := draw()
-		if rng.Intn(6) == 0 {
+		cls := drawCls()
+		if kind == tieLevel && rng.Intn(6) == 0 {
 			cls = math.Nextafter(cls, math.Inf(1))
 		}
 		l.reps = append(l.reps, repOpt{
@@ -217,18 +321,26 @@ func randomLevel(rng *rand.Rand, tieHeavy bool) genLevel {
 }
 
 // TestPruneProperty cross-checks the class-table prune against the O(n²)
-// dominance oracle on thousands of randomized levels, in both modes, with
-// and without tie-heavy inputs.
+// dominance oracle on thousands of randomized levels, in both modes, on
+// real-valued, tie-heavy and lattice levels; checkPrune runs every
+// integer-class 3-D level through the width lattice as well.
 func TestPruneProperty(t *testing.T) {
 	trials := 3000
 	if testing.Short() {
 		trials = 500
 	}
 	rng := rand.New(rand.NewSource(14))
+	lattice := 0
 	for trial := 0; trial < trials; trial++ {
-		l := randomLevel(rng, trial%2 == 0)
+		l := randomLevel(rng, trial%3)
+		if _, _, _, _, ok := l.lattice(); ok {
+			lattice++
+		}
 		checkPrune(t, l, true)
 		checkPrune(t, l, false)
+	}
+	if lattice < trials/3 {
+		t.Fatalf("only %d of %d levels ran through the lattice", lattice, trials)
 	}
 }
 
@@ -327,11 +439,13 @@ func TestPruneTieFirstGenerated(t *testing.T) {
 
 // FuzzPrune decodes arbitrary bytes into a generated level and checks the
 // class-table prune against the oracle — the fuzz rendering of
-// TestPruneProperty.
+// TestPruneProperty. Classes are small integers unless nudged an ulp, so
+// most 3-D inputs run through the width lattice too.
 func FuzzPrune(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(2), true)
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1}, uint8(3), false)
 	f.Add([]byte{255, 1, 128, 7, 3, 3, 3, 3, 9, 0, 64, 2, 2, 2, 200, 90, 13, 5}, uint8(4), true)
+	f.Add([]byte{1, 3, 2, 2, 3, 2, 3, 3, 5, 1, 3, 7, 0, 3, 5, 4, 2, 2}, uint8(3), true)
 	f.Fuzz(func(t *testing.T, data []byte, nb uint8, threeD bool) {
 		var l genLevel
 		for wi := 0; wi < int(nb%5); wi++ {
@@ -358,4 +472,146 @@ func FuzzPrune(f *testing.F) {
 		}
 		checkPrune(t, l, threeD)
 	})
+}
+
+// TestPruneLatticeTies pins tie-heavy levels on the width lattice, each
+// run through both paths by checkPrune: equal delays across classes, and
+// a class all of whose repeater options were killed, which still widens
+// the lattice and holds a no-repeater option.
+func TestPruneLatticeTies(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		l    genLevel
+	}{
+		{"equal delays across classes", genLevel{
+			b0:     []option{{c: 1, d: 2, w: 20, act: -1, next: 0}, {c: 1, d: 2, w: 40, act: -1, next: 1}},
+			widths: []float64{10, 30}, coW: []float64{1, 3},
+			reps: []repOpt{
+				{cls: 20, wi: 0, d: 2, next: 0}, {cls: 40, wi: 0, d: 2, next: 1},
+				{cls: 20, wi: 1, d: 2, next: 0}, {cls: 40, wi: 1, d: 2, next: 1},
+				{cls: 30, wi: 0, d: 2, sch: 1, next: 2}, {cls: 30, wi: 1, d: 1, next: 2},
+			},
+		}},
+		{"a class whose repeater options were all killed", genLevel{
+			b0:     []option{{c: 1, d: 1, w: 0, act: -1, next: 0}, {c: 2, d: 3, w: 50, act: -1, next: 1}, {c: 2, d: 0, w: 90, act: -1, next: 2}},
+			widths: []float64{10, 40}, coW: []float64{1, 4},
+			cls: []float64{50, 90},
+			reps: []repOpt{
+				{cls: 0, wi: 0, d: 2, next: 0}, {cls: 0, wi: 1, d: 2, next: 0},
+				{cls: 90, wi: 0, d: 2, next: 2}, {cls: 90, wi: 1, d: 1, next: 2},
+			},
+		}},
+		{"duplicates across buckets", genLevel{
+			b0:     []option{{c: 1, d: 2, w: 30, act: -1, next: 0}, {c: 1, d: 2, w: 30, act: -1, sch: 1, next: 1}},
+			widths: []float64{10, 20}, coW: []float64{1, 1},
+			reps: []repOpt{
+				{cls: 20, wi: 0, d: 2, next: 0}, {cls: 10, wi: 1, d: 2, next: 1},
+				{cls: 10, wi: 1, d: 2, next: 2}, {cls: 0, wi: 0, d: 3, next: 3},
+			},
+		}},
+	} {
+		if _, _, ok := tc.l.pruneLattice(); !ok {
+			t.Fatalf("%s: test bug: the level must lie on a lattice", tc.name)
+		}
+		checkPrune(t, tc.l, true)
+	}
+}
+
+// TestLatticeFillStopsAtEqualDelay pins the skyline's forward fill: a kept
+// option lowers the prefix minimum from its width index up to the first
+// entry already ≤ its delay, and no further. Two options of delay 3 reach
+// the skyline in merge order: A at width 50 fills indices 3–5, then B at
+// width 20 (higher load, so A cannot dominate it) fills 0–2 and stops at
+// A's entry.
+func TestLatticeFillStopsAtEqualDelay(t *testing.T) {
+	l := genLevel{
+		b0: []option{
+			{c: 1, d: 3, w: 50, act: -1, next: 0}, // A
+			{c: 2, d: 3, w: 20, act: -1, next: 1}, // B
+		},
+		widths: []float64{20}, coW: []float64{9},
+	}
+	kept, p, ok := l.pruneLattice()
+	if !ok {
+		t.Fatal("test bug: the level must lie on a lattice")
+	}
+	checkPrune(t, l, true)
+	if len(kept) != 2 {
+		t.Fatalf("kept %+v, want both options", kept)
+	}
+	if want := []float64{3, 3, 3, 3, 3, 3}; !slices.Equal(p.minD, want) {
+		t.Fatalf("skyline %v, want %v", p.minD, want)
+	}
+	if p.fills != 6 {
+		t.Fatalf("the fill lowered %d entries, want 6: each entry once", p.fills)
+	}
+}
+
+// TestOnLatticeGuard pins the lattice guard at its boundary: classes
+// spanning [20, 100] on a 10u lattice with a 30u widest repeater occupy
+// the extent (100 − 20 + 30)/10 = 11, so the level goes on the lattice
+// from 11 downstream options up and sorts its classes below that.
+func TestOnLatticeGuard(t *testing.T) {
+	for _, tc := range []struct {
+		n    int
+		want bool
+	}{{1, false}, {10, false}, {11, true}, {12, true}} {
+		if got := onLattice(20, 100, 30, 10, tc.n); got != tc.want {
+			t.Fatalf("onLattice with %d downstream options = %v, want %v", tc.n, got, tc.want)
+		}
+	}
+	if onLattice(0, 0, 0, 0, 100) {
+		t.Fatal("a library without a lattice step went on the lattice")
+	}
+}
+
+// TestLatticeStep pins which libraries have a width lattice and its step.
+func TestLatticeStep(t *testing.T) {
+	for _, tc := range []struct {
+		widths []float64
+		want   float64
+	}{
+		{[]float64{10, 50, 90, 130, 170, 210, 250, 290, 330, 370}, 10}, // Range(10, 400, 40)
+		{[]float64{7, 400}, 1},
+		{[]float64{11, 53, 97, 131, 173, 211, 257, 293, 331, 397}, 1},
+		{[]float64{60, 120, 180}, 60},
+		{[]float64{latticeMaxWidth}, latticeMaxWidth},
+		{[]float64{10, 12.5}, 0},
+		{[]float64{0.5}, 0},
+		{[]float64{10, latticeMaxWidth + 1}, 0},
+		{[]float64{10, math.Inf(1)}, 0},
+		{[]float64{10, math.NaN()}, 0},
+	} {
+		if got := latticeStep(tc.widths); got != tc.want {
+			t.Fatalf("latticeStep(%v) = %v, want %v", tc.widths, got, tc.want)
+		}
+	}
+}
+
+// TestOrdersAreStrictWeak checks every ordering the line DP sorts or
+// merges by — cmpOpt in both modes, the merge heap's headLess and the
+// front sweep's cmpRoot — on tie-heavy samples with signed zeros.
+func TestOrdersAreStrictWeak(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for trial := 0; trial < 10; trial++ {
+		var p pruner
+		var heads []mergeHead
+		var roots []frontRoot
+		for i := 0; i < 40; i++ {
+			p.runs = append(p.runs, option{
+				c: ordertest.Value(rng), d: ordertest.Value(rng), w: ordertest.Value(rng),
+				act: -1, next: int32(i), sch: uint8(rng.Intn(3)),
+			})
+			heads = append(heads, mergeHead{i: int32(i), end: 40})
+			roots = append(roots, frontRoot{
+				total: ordertest.Value(rng), w: ordertest.Value(rng),
+				idx: int32(rng.Intn(4)), sch: uint8(rng.Intn(3)),
+			})
+		}
+		for _, threeD := range []bool{true, false} {
+			ordertest.Cmp(t, "cmpOpt", p.runs, func(a, b option) int { return cmpOpt(&a, &b, threeD) })
+			ordertest.StrictWeak(t, "headLess", heads, func(x, y mergeHead) bool { return p.headLess(x, y, threeD) })
+		}
+		ordertest.Cmp(t, "cmpRoot", roots, cmpRoot)
+	}
 }

@@ -44,6 +44,9 @@ type Solver struct {
 	widths  []float64
 	rsOverW []float64
 	coW     []float64
+	// g is the library's width lattice step (latticeStep), 0 when it has
+	// none.
+	g float64
 
 	// arena holds every level's kept options, receiver level first.
 	arena  []option
@@ -333,6 +336,7 @@ func (s *Solver) prepare(ev *delay.Evaluator, opts Options, lib []float64) (int,
 		s.rsOverW = append(s.rsOverW, t.Rs/w)
 		s.coW = append(s.coW, t.Co*w)
 	}
+	s.g = latticeStep(s.widths)
 
 	if cap(s.lvlOff) < n+1 {
 		s.lvlOff = make([]int32, n+1)
@@ -447,6 +451,7 @@ func (s *Solver) runLevels(ev *delay.Evaluator, opts Options, bound float64, thr
 	wUB := s.sw.wUB
 	checkUB := !math.IsInf(wUB, 1)
 	cpl := opts.Coupling
+	wMax := s.widths[len(s.widths)-1] // libraries are sorted ascending
 	for k := len(s.cand) - 1; k >= 0; k-- {
 		// Stage k+1 spans [cand[k], next candidate or L].
 		cw := s.wC[k+1]
@@ -466,7 +471,9 @@ func (s *Solver) runLevels(ev *delay.Evaluator, opts Options, bound float64, thr
 		// The level's width-class table (see prune.go): one class per
 		// distinct downstream width, plus each scheme's shielding cost when
 		// coupled. The delay objective ignores width, so 2-D mode is the
-		// one-class table and every option lands in row 0.
+		// one-class table and every option lands in row 0. An uncoupled
+		// width-aware level goes on the width lattice when its extent
+		// passes onLattice's guard.
 		downOff := s.lvlOff[k+1]
 		down := s.arena[downOff : downOff+s.lvlCnt[k+1]]
 		var cwS, mS, wAddS [3]float64
@@ -482,10 +489,23 @@ func (s *Solver) runLevels(ev *delay.Evaluator, opts Options, bound float64, thr
 		cls := s.pr.cls[:0]
 		switch {
 		case !threeD:
-			cls = append(cls, 0)
+			s.pr.reset(append(cls, 0), s.coW)
 		case cpl == nil:
+			lo, hi := down[0].w, down[0].w
 			for di := range down {
-				cls = append(cls, down[di].w)
+				w := down[di].w
+				cls = append(cls, w)
+				if w < lo {
+					lo = w
+				} else if w > hi {
+					hi = w
+				}
+			}
+			if onLattice(lo, hi, wMax, s.g, len(down)) {
+				s.pr.cls = cls[:0] // unused on the lattice; keep the buffer
+				s.pr.resetLattice(lo, hi, wMax, s.g, s.coW)
+			} else {
+				s.pr.reset(cls, s.coW)
 			}
 		default:
 			for di := range down {
@@ -493,8 +513,8 @@ func (s *Solver) runLevels(ev *delay.Evaluator, opts Options, bound float64, thr
 					cls = append(cls, down[di].w+wAddS[si])
 				}
 			}
+			s.pr.reset(cls, s.coW)
 		}
-		s.pr.reset(cls, s.coW)
 		row := s.pr.cells
 		gen := 0
 		if cpl == nil {

@@ -66,7 +66,42 @@ func corpusInstances(t *testing.T) []struct {
 	add("zoned-minpower", zoned, Options{
 		Library: lib(t, 10, 40, 10), Pitch: 200 * units.Micron, Objective: MinPower, Target: 2 * tmin,
 	})
+
+	// Both sides of the width lattice's guard (see prune.go): the engine's
+	// front library on its dense 10u lattice, and two g = 1 libraries whose
+	// sparse lattices send many levels back to the sorted classes.
+	engine, err := repeater.Range(10, 400, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	add("paperish-engine-mindelay", paperish, Options{Library: engine, Pitch: 200 * units.Micron, Objective: MinDelay})
+	for _, l := range []struct {
+		name string
+		lib  repeater.Library
+	}{
+		{"engine", engine},
+		{"g1-7-400", libOf(t, 7, 400)},
+		{"g1-primes", libOf(t, 11, 53, 97, 131, 173, 211, 257, 293, 331, 397)},
+	} {
+		opts := Options{Library: l.lib, Pitch: 200 * units.Micron}
+		ltmin, err := MinimumDelay(paperish, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Objective, opts.Target = MinPower, 1.3*ltmin
+		add("paperish-"+l.name+"-minpower", paperish, opts)
+	}
 	return out
+}
+
+// libOf builds a library from explicit widths.
+func libOf(t *testing.T, widths ...float64) repeater.Library {
+	t.Helper()
+	l, err := repeater.NewLibrary(widths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
 }
 
 // TestSolverMatchesReferenceCorpus differences the rewritten kernel against

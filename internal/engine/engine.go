@@ -408,14 +408,16 @@ func New(t *tech.Technology, opts Options) (*Engine, error) {
 
 // frontStepFactor scales the pipeline's concise-library granularity
 // (paper §6: 10u) up to the native front space's width step (40u by
-// default), so that one unbounded width-aware sweep per shape stays in
-// the tens of milliseconds on Table 2-scale nets. The coarse step costs
-// answer quality. Measured against a flat fine DP (10u library, 50 µm
-// pitch) on 8 netgen lines per node (4–10 segments) at 1.1, 1.3, 1.6 and
-// 2.0×τmin, served answers spend median 6.2 / 7.1 / 7.7 / 11.1 % more
-// repeater width on 180 / 130 / 90 / 65nm, with a p90 of 22–30 % and a
-// worst case of 50–67 %. ROADMAP.md item 1 ("Serve the paper's answer
-// quality") tracks closing that gap.
+// default), so that one unbounded width-aware sweep per shape stays
+// cheap: a traced chip_batch run (netgen lines of 4–10 segments on all
+// four nodes, 2-vCPU host) measured a median of 3.0 ms and a p99 of
+// 14.5 ms per front solve (dp.front_p50_ms, dp.front_p99_ms). The coarse
+// step costs answer quality. Measured against a flat fine DP (10u
+// library, 50 µm pitch) on 8 netgen lines per node (4–10 segments) at
+// 1.1, 1.3, 1.6 and 2.0×τmin, served answers spend median 6.2 / 7.1 /
+// 7.7 / 11.1 % more repeater width on 180 / 130 / 90 / 65nm, with a p90
+// of 22–30 % and a worst case of 50–67 %. ROADMAP.md item 1 ("Serve the
+// paper's answer quality") tracks closing that gap.
 const frontStepFactor = 4
 
 // frontOptions derives the native front space from the pipeline config:

@@ -418,6 +418,20 @@ func (s *Solver) bufferFronts(ts *tech.Technology, width bool) {
 	}
 }
 
+// cmpSopt is pruneS's sort order: load ascending, then required time
+// descending, then width ascending when width matters.
+func cmpSopt(a, b sopt, width bool) int {
+	switch {
+	case a.c != b.c:
+		return cmp.Compare(a.c, b.c)
+	case a.q != b.q:
+		return cmp.Compare(b.q, a.q)
+	case width:
+		return cmp.Compare(a.w, b.w)
+	}
+	return 0
+}
+
 // pruneS removes dominated options in place: o1 dominates o2 when
 // c1 ≤ c2, q1 ≥ q2 and (when width matters) w1 ≤ w2. The sort order and
 // front sweep replicate the pre-Solver pruner exactly, so results are
@@ -432,15 +446,7 @@ func (s *Solver) pruneS(opts []sopt, width bool) []sopt {
 		}
 		return 0
 	}
-	slices.SortFunc(opts, func(a, b sopt) int {
-		if a.c != b.c {
-			return cmp.Compare(a.c, b.c)
-		}
-		if a.q != b.q {
-			return cmp.Compare(b.q, a.q) // required time descending
-		}
-		return cmp.Compare(effW(a), effW(b))
-	})
+	slices.SortFunc(opts, func(a, b sopt) int { return cmpSopt(a, b, width) })
 	front := s.front[:0]
 	kept := opts[:0]
 	for _, o := range opts {
