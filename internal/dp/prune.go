@@ -358,14 +358,7 @@ func (p *pruner) pruneInto(dst []option, threeD bool) []option {
 	p.frontD = p.frontD[:0]
 	p.frontW = p.frontW[:0]
 	for len(p.heap) > 0 {
-		h := &p.heap[0]
-		o := p.runs[h.i]
-		if h.i++; h.i == h.end {
-			last := len(p.heap) - 1
-			p.heap[0] = p.heap[last]
-			p.heap = p.heap[:last]
-		}
-		p.siftDown(0, threeD)
+		o := p.pop(threeD)
 
 		// front holds kept (d, w) pairs sorted by d ascending with
 		// strictly decreasing w; every entry's c ≤ o.c by merge order, so
@@ -378,7 +371,7 @@ func (p *pruner) pruneInto(dst []option, threeD bool) []option {
 		if ins > 0 && p.frontW[ins-1] <= ow {
 			continue // dominated (or a duplicate of a kept value)
 		}
-		dst = append(dst, o)
+		dst = append(dst, *o)
 		// Insert (o.d, ow) at its position; drop entries it dominates
 		// (d ≥ o.d, w ≥ ow).
 		j := ins
@@ -410,20 +403,12 @@ func (p *pruner) pruneInto(dst []option, threeD bool) []option {
 func (p *pruner) mergeLattice(dst []option) []option {
 	fills := 0
 	for len(p.heap) > 0 {
-		h := &p.heap[0]
-		o := p.runs[h.i]
-		if h.i++; h.i == h.end {
-			last := len(p.heap) - 1
-			p.heap[0] = p.heap[last]
-			p.heap = p.heap[:last]
-		}
-		p.siftDown(0, true)
-
+		o := p.pop(true)
 		k := int((o.w - p.base) / p.g)
 		if p.minD[k] <= o.d {
 			continue // dominated (or a duplicate of a kept value)
 		}
-		dst = append(dst, o)
+		dst = append(dst, *o)
 		for ; k < len(p.minD) && p.minD[k] > o.d; k++ {
 			p.minD[k] = o.d
 			fills++
@@ -431,6 +416,21 @@ func (p *pruner) mergeLattice(dst []option) []option {
 	}
 	p.fills += fills
 	return dst
+}
+
+// pop removes and returns the least head option of the merge, advancing
+// its run and dropping the run once it is spent. The option stays in
+// runs, so the pointer is good until the next level resets them.
+func (p *pruner) pop(threeD bool) *option {
+	h := &p.heap[0]
+	o := &p.runs[h.i]
+	if h.i++; h.i == h.end {
+		last := len(p.heap) - 1
+		p.heap[0] = p.heap[last]
+		p.heap = p.heap[:last]
+	}
+	p.siftDown(0, threeD)
+	return o
 }
 
 // headLess orders merge cursors by their head option's (c, d, w), breaking

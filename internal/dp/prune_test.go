@@ -258,9 +258,7 @@ const (
 	// realLevel draws two-decimal coordinates: few exact ties.
 	realLevel = iota
 	// tieLevel draws every coordinate from a tiny integer grid, so
-	// duplicates, shared load classes and equal delays are common, and
-	// nudges some classes up one ulp so that adjacent classes round to the
-	// same post-repeater width.
+	// duplicates, shared load classes and equal delays are common.
 	tieLevel
 	// latticeLevel draws classes and library widths on an integer lattice
 	// of step 1, 2 or 10 at an offset, with tie-heavy delays and loads:
@@ -271,9 +269,14 @@ const (
 // randomLevel builds a generated level the way the solver does: bucket 0
 // with arbitrary (c, d) and widths drawn like classes, each repeater
 // bucket pinned to a constant c, repeater widths class + library width.
+// On real-valued and tie-heavy levels some classes are nudged up one ulp,
+// so that adjacent classes round to the same post-repeater width.
 func randomLevel(rng *rand.Rand, kind int) genLevel {
-	step := []float64{1, 2, 10}[rng.Intn(3)]
-	off := step * float64(rng.Intn(3))
+	var step, off float64
+	if kind == latticeLevel {
+		step = []float64{1, 2, 10}[rng.Intn(3)]
+		off = step * float64(rng.Intn(3))
+	}
 	draw := func() float64 {
 		if kind == realLevel {
 			return math.Round(rng.Float64()*1000) / 100
@@ -309,7 +312,7 @@ func randomLevel(rng *rand.Rand, kind int) genLevel {
 	n := rng.Intn(40)
 	for i := 0; i < n; i++ {
 		cls := drawCls()
-		if kind == tieLevel && rng.Intn(6) == 0 {
+		if kind != latticeLevel && rng.Intn(6) == 0 {
 			cls = math.Nextafter(cls, math.Inf(1))
 		}
 		l.reps = append(l.reps, repOpt{
@@ -321,26 +324,37 @@ func randomLevel(rng *rand.Rand, kind int) genLevel {
 }
 
 // TestPruneProperty cross-checks the class-table prune against the O(n²)
-// dominance oracle on thousands of randomized levels, in both modes, on
-// real-valued, tie-heavy and lattice levels; checkPrune runs every
-// integer-class 3-D level through the width lattice as well.
+// dominance oracle on thousands of randomized levels, in both modes,
+// alternating real-valued and tie-heavy levels, and then on lattice
+// levels; checkPrune runs every integer-class 3-D level through the width
+// lattice as well.
 func TestPruneProperty(t *testing.T) {
 	trials := 3000
 	if testing.Short() {
 		trials = 500
 	}
 	rng := rand.New(rand.NewSource(14))
-	lattice := 0
 	for trial := 0; trial < trials; trial++ {
-		l := randomLevel(rng, trial%3)
+		kind := realLevel
+		if trial%2 == 0 {
+			kind = tieLevel
+		}
+		l := randomLevel(rng, kind)
+		checkPrune(t, l, true)
+		checkPrune(t, l, false)
+	}
+	rng = rand.New(rand.NewSource(18))
+	lattice := 0
+	for trial := 0; trial < trials/2; trial++ {
+		l := randomLevel(rng, latticeLevel)
 		if _, _, _, _, ok := l.lattice(); ok {
 			lattice++
 		}
 		checkPrune(t, l, true)
 		checkPrune(t, l, false)
 	}
-	if lattice < trials/3 {
-		t.Fatalf("only %d of %d levels ran through the lattice", lattice, trials)
+	if lattice < trials/6 {
+		t.Fatalf("only %d of %d lattice levels ran through the lattice", lattice, trials/2)
 	}
 }
 
