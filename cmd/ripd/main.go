@@ -48,9 +48,7 @@
 // unknown names get a 400 (single) or per-line error (batch) listing the
 // served nodes. Every failure carries the structured error envelope
 // {"error": {"code", "message", ...}}. Saturation answers 429 (with
-// Retry-After) rather than queuing unboundedly. Every solve is exact: a
-// request carrying a nonzero "eps" is rejected as bad_request ("eps": 0
-// is still accepted).
+// Retry-After) rather than queuing unboundedly.
 //
 // With -cache-save, the Pareto-front caches are snapshotted to disk
 // periodically and at shutdown (atomic rename — kill -9 never leaves a

@@ -64,11 +64,6 @@ type Request struct {
 	// Mutually exclusive with TargetMult and TargetNS; every entry must be
 	// positive. Trees apply each budget to every sink.
 	TargetsNS []float64 `json:"targets_ns,omitempty"`
-	// Eps is the retired ε-relaxation knob. ε relaxation was removed and
-	// every solve is exact, but the field still decodes for one release so
-	// clients that send it keep working: absent or 0 is accepted, and any
-	// other value is rejected at decode (ParseRequestKind) as bad_request.
-	Eps *float64 `json:"eps,omitempty"`
 	// Aggressor opts the request into crosstalk-aware solving (line nets
 	// only): "worst", "best" or "quiet" prices coupling capacitance under
 	// that neighbor-switching assumption; "none" forces the classic
@@ -229,7 +224,7 @@ func (r *Request) ApplyDefault(targetMult, targetNS float64) {
 // ApplyDefaultEps does nothing: there is no default ε to apply.
 //
 // Deprecated: ε relaxation was removed and every solve is exact. Kept
-// for one release so existing callers still compile.
+// only while the benchmark harness still calls it.
 func (r *Request) ApplyDefaultEps(float64) {}
 
 // ApplyDefaultCoupling fills in the transport-level default crosstalk
@@ -287,11 +282,6 @@ func ParseRequestKind(raw []byte, bare Kind) (Request, error) {
 		var r Request
 		if err := json.Unmarshal(raw, &r); err != nil {
 			return Request{}, fmt.Errorf("decoding request: %v", err)
-		}
-		// Every route decodes here, so this one check rejects a nonzero
-		// "eps" per request, per array element and per JSONL line.
-		if r.Eps != nil && *r.Eps != 0 {
-			return Request{}, fmt.Errorf("api: net %q: eps %g is not supported: ε relaxation was removed and every solve is exact (omit eps or send 0)", r.name(), *r.Eps)
 		}
 		return r, nil
 	}
@@ -660,6 +650,9 @@ type FrontResponse struct {
 	// normalized form; both absent for uncoupled queries.
 	Aggressor string `json:"aggressor,omitempty"`
 	Scheme    string `json:"scheme,omitempty"`
+	// MF echoes an explicit-factor query's Miller factor; such fronts
+	// leave Aggressor and Scheme absent.
+	MF *float64 `json:"mf,omitempty"`
 	// CacheHit reports whether the curve came from the solution cache.
 	CacheHit bool `json:"cache_hit"`
 	// Err is the structured error envelope for a failure (validation,
@@ -684,6 +677,7 @@ func FromFrontResult(fr engine.FrontResult) FrontResponse {
 	out.TMinNS = fr.TMin / units.NanoSecond
 	out.Aggressor = fr.Aggressor
 	out.Scheme = fr.Scheme
+	out.MF = fr.MF
 	out.Points = make([]FrontPoint, len(fr.Points))
 	for i, p := range fr.Points {
 		out.Points[i] = FrontPoint{

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"github.com/rip-eda/rip/internal/engine"
+	"github.com/rip-eda/rip/internal/netgen"
+	"github.com/rip-eda/rip/internal/tech"
 	"github.com/rip-eda/rip/internal/units"
 	"github.com/rip-eda/rip/internal/wire"
 )
@@ -102,17 +104,51 @@ func TestRequestValidateAndJob(t *testing.T) {
 	}
 }
 
-// TestForwardCarriesEps: FromJob pins "eps": 0 on every line job, so a
-// peer still running a release with ε relaxation cannot apply its own
-// -eps default to a forwarded job; tree jobs carry no eps.
-func TestForwardCarriesEps(t *testing.T) {
-	net := testNet(t)
-	if r := FromJob(engine.Job{Net: net, TargetMult: 1.3}); r.Eps == nil || *r.Eps != 0 {
-		t.Fatalf("line job must forward an explicit eps=0, got %+v", r.Eps)
+// TestForwardFrontCarriesMF: an explicit-factor front query crosses the
+// forwarding bridge and back with its "mf" echoed, and with no aggressor
+// or scheme naming the classic model.
+func TestForwardFrontCarriesMF(t *testing.T) {
+	node := tech.T90()
+	cfg, err := netgen.DefaultConfig(node)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if r := FromJob(engine.Job{TreeNet: testTreeNet(t), TargetMult: 1.3}); r.Eps != nil {
-		t.Fatalf("tree job forwarded an eps: %g", *r.Eps)
+	nets, err := netgen.Corpus(90, 1, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	eng, err := engine.New(node, engine.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mf := 1.0
+	j := engine.Job{Net: nets[0], MF: &mf}
+	fwd, err := ParseRequest(mustJSON(t, FromJob(j)))
+	if err != nil || fwd.MF == nil || *fwd.MF != 1 {
+		t.Fatalf("forwarded request: err=%v mf=%v", err, fwd.MF)
+	}
+	raw := mustJSON(t, FromFrontResult(eng.Front(fwd.Job())))
+	if !strings.Contains(string(raw), `"mf":1`) || strings.Contains(string(raw), `"aggressor"`) {
+		t.Fatalf("front response %s: want \"mf\":1 and no aggressor", raw)
+	}
+	var resp FrontResponse
+	if err := json.Unmarshal(raw, &resp); err != nil {
+		t.Fatal(err)
+	}
+	fr := ToFrontResult(resp, j)
+	if fr.Err != nil || fr.MF == nil || *fr.MF != 1 || fr.Aggressor != "" || fr.Scheme != "" || len(fr.Points) == 0 {
+		t.Fatalf("lifted front: err=%v mf=%v aggressor=%q scheme=%q points=%d", fr.Err, fr.MF, fr.Aggressor, fr.Scheme, len(fr.Points))
+	}
+}
+
+// mustJSON marshals v or fails the test.
+func mustJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	raw, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
 }
 
 // TestFromResultError: a failed result carries only the error.

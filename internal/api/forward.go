@@ -33,15 +33,10 @@ func FromJob(j engine.Job) Request {
 		r.TargetsNS = append(r.TargetsNS, b/units.NanoSecond)
 	}
 	if j.TreeNet == nil {
-		// Always an explicit "eps": 0 for line jobs: during a rolling
-		// upgrade, a peer still running a release with ε relaxation would
-		// apply its own -eps default to an absent "eps" and relax the job.
-		zero := 0.0
-		r.Eps = &zero
-		// The crosstalk scenario is explicit for the same reason: an absent
-		// "aggressor" would let the peer's own -aggressor default couple a
-		// job the client asked to be classic, so uncoupled jobs forward a
-		// literal "none". A coupled job with an absent scheme pins "plain".
+		// The crosstalk scenario is always explicit: an absent "aggressor"
+		// would let the peer's own -aggressor default couple a job the
+		// client asked to be classic, so uncoupled jobs forward a literal
+		// "none". A coupled job with an absent scheme pins "plain".
 		// An explicit-factor job forwards "mf" alone — its presence already
 		// pins the scenario, and mixing it with aggressor tokens is invalid.
 		if j.MF != nil {
@@ -115,6 +110,7 @@ func ToFrontResult(resp FrontResponse, j engine.Job) engine.FrontResult {
 	fr.TMin = resp.TMinNS * units.NanoSecond
 	fr.Aggressor = resp.Aggressor
 	fr.Scheme = resp.Scheme
+	fr.MF = resp.MF
 	fr.Points = make([]engine.FrontPoint, len(resp.Points))
 	for i, p := range resp.Points {
 		fr.Points[i] = engine.FrontPoint{

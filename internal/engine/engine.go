@@ -16,16 +16,21 @@
 //     how workers interleave, so batch output is reproducible.
 //   - Error isolation: a net that fails to validate or solve yields a
 //     Result with Err set; it never aborts the rest of the batch.
-//   - Verified hits: a cache hit re-validates the front point chosen for
-//     this job's budget on the actual net (legal positions, recomputed
-//     Elmore delay ≤ target) before being served; entries that fail
-//     verification for any requested budget fall through to a full
-//     solve. For absolute targets the delay check is exact. For relative
-//     targets the budget is TargetMult times the signature's τmin —
-//     exact for byte-identical nets, while a quantized neighbor inherits
-//     a τmin that can differ by up to the quantization error (≈0.01 % of
-//     a global net at the default 1 µm LengthQuantum). Widen the quanta
-//     only when that tolerance is acceptable.
+//   - Verified hits: every job takes one path (acquire.go), and a cached
+//     entry is served only after a check on the actual net. Every checked
+//     point must be legal there (positions, walk positions, schemes) and
+//     its widths must sum to its total width. Solve re-prices the point
+//     chosen for each budget and serves the recomputed delay, which must
+//     meet the budget; Front re-prices every point and serves the cached
+//     values only when each recomputed delay or slack is within verifyTol
+//     (1e-12 relative) of them. An entry that fails falls through to a
+//     full solve. For absolute targets the delay check is exact. For
+//     relative targets the budget is TargetMult times the signature's
+//     τmin — exact for byte-identical nets, while a quantized neighbor
+//     inherits a τmin that can differ by up to the quantization error
+//     (≈0.01 % of a global net at the default 1 µm LengthQuantum). Widen
+//     the quanta only when that tolerance is acceptable. The τmin of an
+//     imported entry is likewise trusted, not re-derived.
 //
 // Cold solves are single-flight per signature: a job that misses while
 // another job is already solving its signature gives its solve slot
@@ -52,7 +57,8 @@
 // ordering and error-isolation machinery, and the solution cache — tree
 // entries are keyed by tree shape and addressed by walk position, so
 // repeated tree shapes (arrayed clock subtrees) hit regardless of node
-// labeling. See tree.go for the tree arm.
+// labeling. See acquire.go for the one path both kinds take and tree.go
+// for the tree-specific solve and key.
 //
 // An Engine solves for exactly one technology node. Multi-technology
 // serving wraps a set of per-node Engines behind a Multi (multi.go),
@@ -194,17 +200,6 @@ type BudgetAnswer struct {
 	Res core.Result
 	// TreeRes carries a tree job's answer at this budget.
 	TreeRes tree.HybridResult
-}
-
-// name returns the job's net name regardless of kind, for error paths.
-func (r *Result) name() string {
-	if r.Net != nil {
-		return r.Net.Name
-	}
-	if r.TreeNet != nil {
-		return r.TreeNet.Name
-	}
-	return ""
 }
 
 // CacheOptions configures the engine's solution cache.
@@ -572,7 +567,8 @@ type FrontStats struct {
 	// mark, not a sum.
 	MaxPoints uint64
 	// Lookups counts budget answers served by front lookup, across cold
-	// solves, verified hits and Front curve queries.
+	// solves and verified hits. Front curve queries answer no budget and
+	// are not counted.
 	Lookups uint64
 	// Coalesced counts jobs answered by another job's in-flight solve:
 	// followers that waited for a running solve of their signature and
@@ -768,158 +764,28 @@ func (e *Engine) SolveContext(ctx context.Context, j Job) Result {
 // each job's slot before starting the job, so one call's jobs start in
 // input order. The caller releases sl.
 func (e *Engine) solve(ctx context.Context, sl *slot, j Job) (res Result) {
-	res.Net = j.Net
-	res.TreeNet = j.TreeNet
-	res.Tech = e.tech.Name
 	defer func() {
 		// A panicking solver run must not take down a million-net batch.
 		if p := recover(); p != nil {
-			res.Err = fmt.Errorf("engine: solver panic: %v", p)
+			res = Result{Net: j.Net, TreeNet: j.TreeNet, Tech: e.tech.Name, Err: fmt.Errorf("engine: solver panic: %v", p)}
 		}
 	}()
-	switch {
-	case !e.acceptsTech(j.Tech):
-		// A Multi resolves Tech and clears it before delegating; a bare
-		// Engine reaching this point would solve under the wrong node.
-		res.Tech = j.Tech
-		res.Err = badJob("engine: net %q requests node %q but this engine solves %q (serve multiple nodes through a Multi)",
-			res.name(), j.Tech, e.tech.Name)
-		return res
-	case j.Net == nil && j.TreeNet == nil:
-		res.Err = badJob("engine: job has a nil net")
-		return res
-	case j.Net != nil && j.TreeNet != nil:
-		res.Err = badJob("engine: net %q: give Net or TreeNet, not both", res.name())
-		return res
-	case j.TargetMult > 0 && j.Target > 0:
-		res.Err = badJob("engine: net %q: give TargetMult or Target, not both", res.name())
-		return res
-	case len(j.Budgets) > 0 && (j.TargetMult > 0 || j.Target > 0):
-		res.Err = badJob("engine: net %q: give Budgets or a single TargetMult/Target, not both", res.name())
-		return res
-	case j.Net != nil && j.TargetMult <= 0 && j.Target <= 0 && len(j.Budgets) == 0:
-		res.Err = badJob("engine: net %q: a positive TargetMult or Target is required", res.name())
-		return res
-	case j.TreeNet != nil && j.TargetMult <= 0 && j.Target <= 0 && len(j.Budgets) == 0 && !j.TreeNet.HasDeadlines():
-		res.Err = badJob("engine: tree net %q: a positive TargetMult or Target is required unless every sink carries its own deadline", res.name())
-		return res
-	}
-	for _, bgt := range j.Budgets {
-		if math.IsNaN(bgt) || math.IsInf(bgt, 0) || bgt <= 0 {
-			res.Err = badJob("engine: net %q: budget %g is not a positive finite time", res.name(), bgt)
-			return res
-		}
-	}
-	cpl, err := e.resolveCoupling(j, res.name())
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	if cpl != nil {
-		if j.MF != nil {
-			res.MF = j.MF
-		} else {
-			res.Aggressor = cpl.Aggressor.String()
-			res.Scheme = cpl.Mode.String()
-		}
-		e.couplingJobs.Add(1)
-	}
-	// Take an engine-wide solve slot: concurrent callers queue here
-	// rather than multiplying parallelism beyond the worker budget.
-	if err := sl.acquire(ctx); err != nil {
-		res.Err = fmt.Errorf("engine: net %q: %w", res.name(), err)
-		return res
-	}
-	if j.TreeNet != nil {
-		return e.solveTree(ctx, sl, j, res)
-	}
-	ev, err := delay.NewEvaluator(j.Net, e.tech)
-	if err != nil {
-		res.Err = asBadJob(err)
-		return res
-	}
-
-	var key string
-	if e.cache != nil {
-		key = e.sig.key(j)
-		var hit Result
-		o, lead, err := e.lookup(ctx, sl, key, func() lookupOutcome {
-			ent, ok := e.cache.get(key)
-			if !ok || ent.tree {
-				return lookupMiss
-			}
-			var verified bool
-			if hit, verified = e.verifyLine(ev, ent, j, cpl); verified {
-				return lookupHit
-			}
-			return lookupRejected
+	p, err := e.prepare(j, true)
+	var ent cached
+	hit := false
+	if err == nil {
+		ent, hit, err = e.acquire(ctx, sl, &p, func(ent cached) (ok bool) {
+			res, ok = e.answer(&p, ent, true)
+			return ok
 		})
-		if lead {
-			defer e.flights.land(key)
-		}
-		if err != nil {
-			res.Err = fmt.Errorf("engine: net %q: %w", res.name(), err)
-			return res
-		}
-		if o == lookupHit {
-			hit.Net = j.Net
-			hit.Tech = e.tech.Name
-			hit.Aggressor = res.Aggressor
-			hit.Scheme = res.Scheme
-			hit.MF = res.MF
-			return hit
-		}
 	}
-
-	// Cold solve: one τmin reference sweep plus one unbounded width-aware
-	// front sweep per distinct shape; the front then answers every budget
-	// this job (and any future shape-equal job) asks for.
-	pts, tmin, err := e.solveLineFront(ctx, ev, j.Net.Name, key, cpl)
-	if err != nil {
+	switch {
+	case err != nil:
+		res = p.head
 		res.Err = err
-		return res
+	case !hit:
+		res, _ = e.answer(&p, ent, false)
 	}
-
-	// Answer from the local front, serving the DP's own delay per point.
-	answer := func(target float64) core.Result {
-		e.frontLookups.Add(1)
-		out := core.Result{Report: core.Report{Picked: core.PhaseFront}}
-		idx, ok := pts.at(target)
-		if !ok {
-			return out // infeasible at this budget: a verdict, not an error
-		}
-		p := pts[idx]
-		out.Solution = dp.Solution{
-			Assignment: delay.Assignment{
-				Positions: append([]float64(nil), p.positions...),
-				Widths:    append([]float64(nil), p.widths...),
-			},
-			Delay:      p.delay,
-			TotalWidth: p.totalWidth,
-			Feasible:   true,
-		}
-		if cpl != nil {
-			out.Solution.Schemes = append([]uint8(nil), p.schemes...)
-			out.Solution.StaggerLen = p.staggerLen
-			out.Solution.ShieldLen = p.shieldLen
-			e.noteCouplingAnswer(p.staggerLen, p.shieldLen)
-		}
-		return out
-	}
-	if len(j.Budgets) > 0 {
-		res.Sweep = make([]BudgetAnswer, len(j.Budgets))
-		for i, bgt := range j.Budgets {
-			res.Sweep[i] = BudgetAnswer{Budget: bgt, Res: answer(bgt)}
-		}
-		return res
-	}
-	target := j.Target
-	if j.TargetMult > 0 {
-		res.TMin = tmin
-		target = j.TargetMult * tmin
-	}
-	res.Target = target
-	res.Res = answer(target)
 	return res
 }
 
@@ -984,119 +850,4 @@ func (e *Engine) solveLineFront(ctx context.Context, ev *delay.Evaluator, name, 
 		e.cache.put(key, cached{front: pts, tmin: tmin})
 	}
 	return pts, tmin, nil
-}
-
-// verifyLine answers a job from a cached front, re-validating the point
-// chosen for every requested budget on the actual net: structurally
-// legal, and its recomputed Elmore delay meets the budget. The served
-// results carry the recomputed delay, so a hit is always consistent with
-// the net it is served for. Any budget the front cannot meet rejects the
-// whole lookup — infeasibility must be pronounced by a fresh solve on
-// the exact net, never inherited from a quantized neighbor's front.
-// Relative budgets are evaluated against the signature's τmin
-// (recomputing τmin per hit would cost the DP the cache exists to skip);
-// see the package comment for the resulting tolerance on quantized
-// neighbors.
-func (e *Engine) verifyLine(ev *delay.Evaluator, ent cached, j Job, cpl *delay.Coupling) (Result, bool) {
-	if len(ent.front) == 0 {
-		return Result{}, false
-	}
-	// A coupled hit is re-priced with CoupledTotal over the engine's own
-	// candidate grid — schemes are properties of grid intervals, so the
-	// entry's scheme vector must match this net's grid exactly or the hit
-	// is rejected (a quantized neighbor whose grid differs re-solves).
-	var grid []float64
-	if cpl != nil {
-		grid = append(grid, 0)
-		grid = ev.Line.AppendLegalPositions(grid, e.frontOpts.Pitch)
-		grid = append(grid, ev.Line.Length())
-	}
-	var coupledLens [][2]float64
-	answer := func(target float64) (core.Result, bool) {
-		idx, ok := ent.front.at(target)
-		if !ok {
-			return core.Result{}, false
-		}
-		p := ent.front[idx]
-		// Served assignments are copies: a caller mutating its result
-		// must not corrupt the shared cache entry.
-		a := delay.Assignment{
-			Positions: append([]float64(nil), p.positions...),
-			Widths:    append([]float64(nil), p.widths...),
-		}
-		if err := ev.Validate(a); err != nil {
-			return core.Result{}, false
-		}
-		var d float64
-		if cpl != nil {
-			if len(p.schemes) != len(grid)-1 {
-				return core.Result{}, false
-			}
-			var err error
-			d, err = ev.CoupledTotal(grid, p.schemes, cpl, a)
-			if err != nil {
-				return core.Result{}, false
-			}
-		} else {
-			d = ev.Total(a)
-		}
-		if d > target {
-			return core.Result{}, false
-		}
-		sol := dp.Solution{
-			Assignment: a,
-			Delay:      d,
-			TotalWidth: p.totalWidth,
-			Feasible:   true,
-		}
-		if cpl != nil {
-			sol.Schemes = append([]uint8(nil), p.schemes...)
-			sol.StaggerLen = p.staggerLen
-			sol.ShieldLen = p.shieldLen
-			coupledLens = append(coupledLens, [2]float64{p.staggerLen, p.shieldLen})
-		}
-		return core.Result{
-			Solution: sol,
-			Report:   core.Report{Picked: core.PhaseFront},
-		}, true
-	}
-	var res Result
-	var lookups uint64
-	switch {
-	case len(j.Budgets) > 0:
-		res.Sweep = make([]BudgetAnswer, len(j.Budgets))
-		for i, bgt := range j.Budgets {
-			r, ok := answer(bgt)
-			if !ok {
-				return Result{}, false
-			}
-			res.Sweep[i] = BudgetAnswer{Budget: bgt, Res: r}
-		}
-		lookups = uint64(len(j.Budgets))
-	default:
-		target := j.Target
-		if j.TargetMult > 0 {
-			if ent.tmin <= 0 {
-				return Result{}, false
-			}
-			res.TMin = ent.tmin
-			target = j.TargetMult * ent.tmin
-		}
-		res.Target = target
-		r, ok := answer(target)
-		if !ok {
-			return Result{}, false
-		}
-		res.Res = r
-		lookups = 1
-	}
-	e.frontLookups.Add(lookups)
-	// Count coupled answers only once the whole lookup is accepted: a
-	// rejected hit falls through to a fresh solve whose answers are counted
-	// there.
-	for _, l := range coupledLens {
-		e.noteCouplingAnswer(l[0], l[1])
-	}
-	res.CacheHit = true
-	return res, true
 }

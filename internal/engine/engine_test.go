@@ -17,9 +17,12 @@ import (
 	"github.com/rip-eda/rip/internal/wire"
 )
 
-func corpus(t *testing.T, seed int64, n int) []*wire.Net {
+func corpus(t *testing.T, seed int64, n int) []*wire.Net { return netgenLines(t, tech.T180(), seed, n) }
+
+// netgenLines returns n netgen lines on node; each carries one forbidden
+// zone.
+func netgenLines(t testing.TB, node *tech.Technology, seed int64, n int) []*wire.Net {
 	t.Helper()
-	node := tech.T180()
 	cfg, err := netgen.DefaultConfig(node)
 	if err != nil {
 		t.Fatal(err)

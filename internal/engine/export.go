@@ -12,11 +12,15 @@ import (
 // entries to the versioned on-disk format; internal/cluster hashes the
 // signatures onto the peer ring.
 //
-// Restored entries keep the cache's core guarantee untouched: a lookup
-// that finds an imported entry re-validates the chosen point on the
-// actual net exactly like any other hit, so a stale or corrupt snapshot
-// can only degrade to misses (or verification rejects), never to wrong
-// answers.
+// Restored entries keep the cache's core guarantee: a lookup that finds
+// an imported entry checks it on the actual net exactly like any other
+// hit (see acquire.go), so a stale or corrupt front degrades to a
+// verification reject and a fresh solve, never to a wrong answer. Solve
+// re-prices and legality-checks the points it serves; Front re-prices
+// every point and requires its cached delay or slack and total width to
+// reproduce. The one value taken on trust is an entry's τmin, which
+// relative budgets multiply: re-deriving it would cost the DP the cache
+// exists to skip.
 
 // CachePoint is one exported point of a line net's power–delay front.
 // Schemes, StaggerLen and ShieldLen are populated only on points of
@@ -112,10 +116,13 @@ func exportEntry(key string, val cached) CacheEntry {
 // (so an ExportCache slice restores LRU→MRU recency) and returns how
 // many were accepted. Structurally unsound entries — non-finite floats,
 // mismatched parallel slices, empty keys or fronts — are skipped rather
-// than trusted: correctness never depends on this filter (hits are
-// re-verified on the actual net), but a poisoned entry would waste a
-// lookup-and-reject cycle on every probe of its shape. Entries are deep
-// copied on the way in. A cache-disabled engine imports nothing.
+// than trusted. The front's correctness never depends on this filter:
+// every hit, Solve or Front, re-checks the served points on the actual
+// net, and a finite but wrong delay, slack, width or placement is
+// rejected there and re-solved. The filter only spares a poisoned entry
+// a lookup-and-reject cycle on every probe of its shape. An entry's TMin
+// is not re-checked (see the file comment). Entries are deep copied on
+// the way in. A cache-disabled engine imports nothing.
 func (e *Engine) ImportCache(entries []CacheEntry) int {
 	if e.cache == nil {
 		return 0

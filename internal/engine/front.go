@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"github.com/rip-eda/rip/internal/delay"
 	"github.com/rip-eda/rip/internal/tree"
 	"github.com/rip-eda/rip/internal/wire"
 )
@@ -51,6 +50,9 @@ type FrontResult struct {
 	// normalized form; both empty for uncoupled queries.
 	Aggressor string
 	Scheme    string
+	// MF echoes an explicit-Miller-factor query's factor (nil otherwise);
+	// such queries leave Aggressor and Scheme empty.
+	MF *float64
 	// CacheHit reports whether the curve came from the solution cache.
 	CacheHit bool
 	// Err records a failure (validation or solver error).
@@ -63,8 +65,9 @@ type FrontResult struct {
 // for trees they only select the mode — any budget form forces the
 // uniform zero-RAT curve, while a budget-less job on a tree whose sinks
 // all carry deadlines returns the embedded-deadline curve. The front is
-// cached (and served from cache) under the same shape-keyed entries the
-// solve path uses.
+// cached under the same shape-keyed entries the solve path uses, and a
+// cached front is served only after every point is re-priced on the
+// actual net and reproduces its cached delay or slack (see checkFront).
 func (e *Engine) Front(j Job) FrontResult {
 	return e.FrontContext(context.Background(), j)
 }
@@ -72,141 +75,32 @@ func (e *Engine) Front(j Job) FrontResult {
 // FrontContext is Front with cancellation, checked at the same phase
 // boundaries as SolveContext.
 func (e *Engine) FrontContext(ctx context.Context, j Job) (fr FrontResult) {
-	fr.Net = j.Net
-	fr.TreeNet = j.TreeNet
-	fr.Tech = e.tech.Name
 	defer func() {
 		if p := recover(); p != nil {
-			fr.Err = fmt.Errorf("engine: solver panic: %v", p)
+			fr = FrontResult{Net: j.Net, TreeNet: j.TreeNet, Tech: e.tech.Name, Err: fmt.Errorf("engine: solver panic: %v", p)}
 		}
 	}()
-	name := jobName(j)
-	switch {
-	case !e.acceptsTech(j.Tech):
-		fr.Tech = j.Tech
-		fr.Err = badJob("engine: net %q requests node %q but this engine solves %q (serve multiple nodes through a Multi)",
-			name, j.Tech, e.tech.Name)
-		return fr
-	case j.Net == nil && j.TreeNet == nil:
-		fr.Err = badJob("engine: job has a nil net")
-		return fr
-	case j.Net != nil && j.TreeNet != nil:
-		fr.Err = badJob("engine: net %q: give Net or TreeNet, not both", name)
-		return fr
-	}
-	cpl, err := e.resolveCoupling(j, name)
+	p, err := e.prepare(j, false)
+	h := p.head
+	fr = FrontResult{Net: h.Net, TreeNet: h.TreeNet, Tech: h.Tech, Aggressor: h.Aggressor, Scheme: h.Scheme, MF: h.MF}
 	if err != nil {
 		fr.Err = err
 		return fr
-	}
-	if cpl != nil {
-		fr.Aggressor = cpl.Aggressor.String()
-		fr.Scheme = cpl.Mode.String()
-		e.couplingJobs.Add(1)
 	}
 	sl := slot{ch: e.solveSlots}
 	defer sl.release()
-	if err := sl.acquire(ctx); err != nil {
-		fr.Err = fmt.Errorf("engine: net %q: %w", name, err)
-		return fr
-	}
-	if j.TreeNet != nil {
-		return e.treeFrontContext(ctx, &sl, j, fr)
-	}
-
-	ev, err := delay.NewEvaluator(j.Net, e.tech)
-	if err != nil {
-		fr.Err = asBadJob(err)
-		return fr
-	}
-	var key string
-	if e.cache != nil {
-		key = e.sig.key(j)
-		var ent cached
-		o, lead, err := e.lookup(ctx, &sl, key, func() lookupOutcome {
-			var ok bool
-			if ent, ok = e.cache.get(key); ok && !ent.tree && len(ent.front) > 0 {
-				return lookupHit
-			}
-			return lookupMiss
-		})
-		if lead {
-			defer e.flights.land(key)
-		}
-		if err != nil {
-			fr.Err = fmt.Errorf("engine: net %q: %w", name, err)
-			return fr
-		}
-		if o == lookupHit {
-			fr.CacheHit = true
-			fr.TMin = ent.tmin
-			fr.Points = lineFrontPoints(ent.front)
-			return fr
-		}
-	}
-	pts, tmin, err := e.solveLineFront(ctx, ev, j.Net.Name, key, cpl)
+	ent, hit, err := e.acquire(ctx, &sl, &p, func(ent cached) bool { return e.checkFront(&p, ent) })
 	if err != nil {
 		fr.Err = err
 		return fr
 	}
-	fr.TMin = tmin
-	fr.Points = lineFrontPoints(pts)
+	fr.CacheHit, fr.TMin = hit, ent.tmin
+	if ent.tree {
+		fr.Points = treeFrontPoints(ent.treeFront, p.embedded)
+	} else {
+		fr.Points = lineFrontPoints(ent.front)
+	}
 	return fr
-}
-
-// treeFrontContext is the tree arm of FrontContext.
-func (e *Engine) treeFrontContext(ctx context.Context, sl *slot, j Job, fr FrontResult) FrontResult {
-	tn := j.TreeNet
-	if err := tn.Validate(); err != nil {
-		fr.Err = asBadJob(err)
-		return fr
-	}
-	embedded := treeEmbedded(j)
-	var key string
-	if e.cache != nil {
-		key = e.sig.treeKey(j, embedded)
-		var ent cached
-		o, lead, err := e.lookup(ctx, sl, key, func() lookupOutcome {
-			var ok bool
-			if ent, ok = e.cache.get(key); ok && ent.tree && len(ent.treeFront) > 0 {
-				return lookupHit
-			}
-			return lookupMiss
-		})
-		if lead {
-			defer e.flights.land(key)
-		}
-		if err != nil {
-			fr.Err = fmt.Errorf("engine: tree net %q: %w", tn.Name, err)
-			return fr
-		}
-		if o == lookupHit {
-			fr.CacheHit = true
-			fr.TMin = ent.tmin
-			fr.Points = treeFrontPoints(ent.treeFront, embedded)
-			return fr
-		}
-	}
-	pts, tmin, err := e.solveTreeFront(ctx, tn, embedded, key)
-	if err != nil {
-		fr.Err = err
-		return fr
-	}
-	fr.TMin = tmin
-	fr.Points = treeFrontPoints(pts, embedded)
-	return fr
-}
-
-// jobName returns the job's net name regardless of kind, for error
-// paths that have no Result to lean on.
-func jobName(j Job) string {
-	if j.Net != nil {
-		return j.Net.Name
-	}
-	if j.TreeNet != nil {
-		return j.TreeNet.Name
-	}
-	return ""
 }
 
 // lineFrontPoints renders a retained line front as public curve points.

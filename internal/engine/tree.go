@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"strconv"
@@ -15,10 +14,6 @@ import (
 // the tree analogue of core.PhaseFront.
 const treePickedFront = "front"
 
-// errTreeShape flags a cached walk position that does not exist on the
-// tree being served — a shape mismatch under quantization.
-var errTreeShape = errors.New("engine: cached walk position outside tree")
-
 // treeEmbedded reports whether the job solves against the tree's
 // embedded per-sink deadlines: no uniform budget of any form, and every
 // sink carries its own RAT. SolveContext's validation rejects the
@@ -27,104 +22,6 @@ var errTreeShape = errors.New("engine: cached walk position outside tree")
 func treeEmbedded(j Job) bool {
 	return j.TargetMult <= 0 && j.Target <= 0 && len(j.Budgets) == 0 &&
 		j.TreeNet.Tree.HasDeadlines()
-}
-
-// solveTree is the tree-job arm of SolveContext: cache lookup with a
-// shape-aware key, one max-slack τmin sweep plus one width-aware front
-// sweep per cold shape, and every requested budget answered from the
-// retained front. It mirrors the line arm phase for phase so both net
-// kinds share the worker pool, the cache and the cancellation
-// discipline.
-//
-// Uniform budgets are answered on a zero-RAT front, where an option's
-// slack is the negated worst-sink arrival: the requirement for budget T
-// is slack ≥ −T, so one front answers every uniform deadline. Embedded
-// deadlines get their own front (and signature mode) on the actual tree,
-// answered at slack ≥ 0.
-func (e *Engine) solveTree(ctx context.Context, sl *slot, j Job, res Result) Result {
-	tn := j.TreeNet
-	if err := tn.Validate(); err != nil {
-		res.Err = asBadJob(err)
-		return res
-	}
-	embedded := treeEmbedded(j)
-
-	var key string
-	if e.cache != nil {
-		key = e.sig.treeKey(j, embedded)
-		var hit Result
-		o, lead, err := e.lookup(ctx, sl, key, func() lookupOutcome {
-			ent, ok := e.cache.get(key)
-			if !ok || !ent.tree {
-				return lookupMiss
-			}
-			var verified bool
-			if hit, verified = e.verifyTree(ent, j, embedded); verified {
-				return lookupHit
-			}
-			return lookupRejected
-		})
-		if lead {
-			defer e.flights.land(key)
-		}
-		if err != nil {
-			res.Err = fmt.Errorf("engine: tree net %q: %w", tn.Name, err)
-			return res
-		}
-		if o == lookupHit {
-			hit.TreeNet = tn
-			hit.Tech = e.tech.Name
-			return hit
-		}
-	}
-
-	pts, tmin, err := e.solveTreeFront(ctx, tn, embedded, key)
-	if err != nil {
-		res.Err = err
-		return res
-	}
-
-	// Answer from the local front; the served slack is recomputed by the
-	// independent evaluator so miss and hit answers agree bit for bit.
-	answer := func(target float64) tree.HybridResult {
-		e.frontLookups.Add(1)
-		out := tree.HybridResult{Picked: treePickedFront}
-		minSlack := 0.0
-		if !embedded {
-			minSlack = -target
-		}
-		idx, ok := pts.at(minSlack)
-		if !ok {
-			return out // infeasible at this budget: a verdict, not an error
-		}
-		p := pts[idx]
-		buffers, slack, err := e.treePlacement(tn, p, target, embedded)
-		if err != nil || slack < 0 {
-			return out
-		}
-		out.Solution = tree.Solution{
-			Buffers:    buffers,
-			Slack:      slack,
-			TotalWidth: p.totalWidth,
-			Feasible:   true,
-		}
-		return out
-	}
-	if len(j.Budgets) > 0 {
-		res.Sweep = make([]BudgetAnswer, len(j.Budgets))
-		for i, bgt := range j.Budgets {
-			res.Sweep[i] = BudgetAnswer{Budget: bgt, TreeRes: answer(bgt)}
-		}
-		return res
-	}
-	target := j.Target
-	if j.TargetMult > 0 {
-		res.TMin = tmin
-		target = j.TargetMult * tmin
-	}
-	res.Target = target
-	res.TreeRes = answer(target)
-	return res
 }
 
 // solveTreeFront computes a tree shape's τmin (uniform mode only) and
@@ -173,10 +70,10 @@ func (e *Engine) solveTreeFront(ctx context.Context, tn *tree.Net, embedded bool
 	}
 	e.noteFront(len(front))
 
-	walk := tn.Tree.WalkOrderIDs(nil)
+	walk := tn.Tree.WalkOrder(nil)
 	pos := make(map[int]int32, len(walk))
-	for i, id := range walk {
-		pos[id] = int32(i)
+	for i, n := range walk {
+		pos[n.ID] = int32(i)
 	}
 	pts := make(treeFront, len(front))
 	for i, p := range front {
@@ -187,7 +84,7 @@ func (e *Engine) solveTreeFront(ctx context.Context, tn *tree.Net, embedded bool
 		slices.Sort(ids)
 		ws := make([]float64, len(ids))
 		for k, q := range ids {
-			ws[k] = p.Buffers[walk[q]]
+			ws[k] = p.Buffers[walk[q].ID]
 		}
 		pts[i] = treePoint{slack: p.Slack, totalWidth: p.TotalWidth, ids: ids, widths: ws}
 	}
@@ -195,98 +92,6 @@ func (e *Engine) solveTreeFront(ctx context.Context, tn *tree.Net, embedded bool
 		e.cache.put(key, cached{tree: true, treeFront: pts, tmin: tmin})
 	}
 	return pts, tmin, nil
-}
-
-// treePlacement maps a retained front point onto the actual tree and
-// recomputes its worst slack under the resolved deadlines with the
-// independent evaluator, so every served tree answer is consistent with
-// the tree it is served for.
-func (e *Engine) treePlacement(tn *tree.Net, p treePoint, target float64, embedded bool) (map[int]float64, float64, error) {
-	walk := tn.Tree.WalkOrderIDs(nil)
-	buffers := make(map[int]float64, len(p.ids))
-	for i, q := range p.ids {
-		if int(q) >= len(walk) {
-			return nil, 0, errTreeShape
-		}
-		buffers[walk[q]] = p.widths[i]
-	}
-	work := tn.Tree
-	if !embedded {
-		work = tn.Tree.CloneWithRAT(target)
-	}
-	slack, err := work.Evaluate(buffers, tn.DriverWidth, e.tech.Rs, e.tech.Co, e.tech.Cp)
-	if err != nil {
-		return nil, 0, err
-	}
-	return buffers, slack, nil
-}
-
-// verifyTree answers a tree job from a cached front: the chosen point's
-// walk positions must exist on this tree and its recomputed worst slack
-// under every requested budget must be non-negative. Any budget the
-// front cannot meet rejects the whole lookup, exactly like the line arm.
-func (e *Engine) verifyTree(ent cached, j Job, embedded bool) (Result, bool) {
-	if len(ent.treeFront) == 0 {
-		return Result{}, false
-	}
-	tn := j.TreeNet
-	answer := func(target float64) (tree.HybridResult, bool) {
-		minSlack := 0.0
-		if !embedded {
-			minSlack = -target
-		}
-		idx, ok := ent.treeFront.at(minSlack)
-		if !ok {
-			return tree.HybridResult{}, false
-		}
-		p := ent.treeFront[idx]
-		buffers, slack, err := e.treePlacement(tn, p, target, embedded)
-		if err != nil || slack < 0 {
-			return tree.HybridResult{}, false
-		}
-		return tree.HybridResult{
-			Solution: tree.Solution{
-				Buffers:    buffers,
-				Slack:      slack,
-				TotalWidth: p.totalWidth,
-				Feasible:   true,
-			},
-			Picked: treePickedFront,
-		}, true
-	}
-	var res Result
-	var lookups uint64
-	switch {
-	case len(j.Budgets) > 0:
-		res.Sweep = make([]BudgetAnswer, len(j.Budgets))
-		for i, bgt := range j.Budgets {
-			r, ok := answer(bgt)
-			if !ok {
-				return Result{}, false
-			}
-			res.Sweep[i] = BudgetAnswer{Budget: bgt, TreeRes: r}
-		}
-		lookups = uint64(len(j.Budgets))
-	default:
-		target := j.Target
-		if j.TargetMult > 0 {
-			if ent.tmin <= 0 {
-				return Result{}, false
-			}
-			res.TMin = ent.tmin
-			target = j.TargetMult * ent.tmin
-		}
-		res.Target = target
-		r, ok := answer(target)
-		if !ok {
-			return Result{}, false
-		}
-		res.TreeRes = r
-		lookups = 1
-	}
-	e.frontLookups.Add(lookups)
-	res.CacheHit = true
-	return res, true
 }
 
 // treeKey canonicalizes a tree job: technology node, driver width, the

@@ -12,8 +12,13 @@ import (
 )
 
 func treeCorpus(t *testing.T, seed int64, n int) []*tree.Net {
+	return netgenTrees(t, tech.T180(), seed, n)
+}
+
+// netgenTrees returns n generated trees on node, with 2–9 sinks each and
+// the generator's uniform sink deadline.
+func netgenTrees(t testing.TB, node *tech.Technology, seed int64, n int) []*tree.Net {
 	t.Helper()
-	node := tech.T180()
 	cfg, err := tree.DefaultGenConfig(node)
 	if err != nil {
 		t.Fatal(err)
@@ -221,20 +226,8 @@ func TestTreeCacheServesRelabeledShape(t *testing.T) {
 	tn := treeCorpus(t, 14, 1)[0]
 
 	// Relabel: same shape and parasitics, IDs shifted by 1000.
-	var relabel func(n *tree.Node) *tree.Node
-	relabel = func(n *tree.Node) *tree.Node {
-		c := &tree.Node{ID: n.ID + 1000, EdgeR: n.EdgeR, EdgeC: n.EdgeC,
-			SinkCap: n.SinkCap, SinkRAT: n.SinkRAT, BufferSite: n.BufferSite}
-		for _, ch := range n.Children {
-			c.Children = append(c.Children, relabel(ch))
-		}
-		return c
-	}
-	shifted, err := tree.New(relabel(tn.Tree.Root))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tn2 := &tree.Net{Name: "shifted", Tree: shifted, DriverWidth: tn.DriverWidth}
+	tn2 := relabeled(t, Job{TreeNet: tn}).TreeNet
+	shifted := tn2.Tree
 
 	r1 := eng.Solve(Job{TreeNet: tn, TargetMult: 1.3})
 	if r1.Err != nil {

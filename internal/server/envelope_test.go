@@ -18,7 +18,6 @@ func TestErrorEnvelopeCodes(t *testing.T) {
 	s, _ := newTestServer(t, 1, Options{MaxBodyBytes: 4096})
 	net := corpus(t, 3, 1)[0]
 
-	eps := func(v float64) *float64 { return &v }
 	cases := []struct {
 		name   string
 		front  bool // POST /v1/front instead of /v1/optimize
@@ -33,13 +32,6 @@ func TestErrorEnvelopeCodes(t *testing.T) {
 		{"unsupported version", false, mustMarshal(t, api.Request{V: 99, Net: net, TargetMult: 1.2}),
 			http.StatusBadRequest, api.CodeUnsupportedVersion},
 		{"oversized body", false, make([]byte, 8192), http.StatusRequestEntityTooLarge, api.CodeTooLarge},
-		// "eps" still decodes, but ε relaxation is gone: only 0 passes.
-		{"nonzero eps", false, mustMarshal(t, api.Request{Net: net, TargetMult: 1.2, Eps: eps(0.02)}),
-			http.StatusBadRequest, api.CodeBadRequest},
-		{"nonzero eps on front", true, mustMarshal(t, api.Request{Net: net, Eps: eps(0.02)}),
-			http.StatusBadRequest, api.CodeBadRequest},
-		{"zero eps", false, mustMarshal(t, api.Request{Net: net, TargetMult: 1.2, Eps: eps(0)}), http.StatusOK, ""},
-		{"zero eps on front", true, mustMarshal(t, api.Request{Net: net, Eps: eps(0)}), http.StatusOK, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

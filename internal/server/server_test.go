@@ -155,17 +155,14 @@ func TestOptimizeRejectsBadRequests(t *testing.T) {
 }
 
 // TestBatchArray: a JSON array mixing wrapper elements, bare nets (which
-// inherit the server default budget), a malformed element and one with
-// a nonzero "eps" comes back in input order with each error isolated to
-// its element.
+// inherit the server default budget) and a malformed element comes back
+// in input order with each error isolated to its element.
 func TestBatchArray(t *testing.T) {
 	s, _ := newTestServer(t, 1, Options{DefaultTargetMult: 1.3})
 	nets := corpus(t, 17, 2)
 	bare := mustMarshal(t, nets[1]) // bare net, no wrapper
-	eps := 0.02
 	elems := []json.RawMessage{
 		mustMarshal(t, api.Request{Net: nets[0], TargetMult: 1.4}),
-		mustMarshal(t, api.Request{Net: nets[1], TargetMult: 1.4, Eps: &eps}),
 		bare,
 		[]byte(`{"net": {"name": "broken", "segments": [{"length_um": -5}]}}`),
 		mustMarshal(t, api.Request{Net: nets[0], TargetMult: 1.4}),
@@ -181,21 +178,18 @@ func TestBatchArray(t *testing.T) {
 	if len(resps) != len(elems) {
 		t.Fatalf("%d responses for %d elements", len(resps), len(elems))
 	}
-	for i, want := range []bool{false, true, false, true, false} {
+	for i, want := range []bool{false, false, true, false} {
 		if got := resps[i].Err != nil; got != want {
 			t.Fatalf("element %d: error=%+v, want error=%v", i, resps[i].Err, want)
 		}
 	}
-	if resps[1].Err.Code != api.CodeBadRequest {
-		t.Fatalf("nonzero eps element: code %q, want %q", resps[1].Err.Code, api.CodeBadRequest)
-	}
-	if !resps[2].Feasible {
+	if !resps[1].Feasible {
 		t.Fatal("bare net with server default budget should have solved")
 	}
-	if resps[0].Net != nets[0].Name || resps[2].Net != nets[1].Name {
-		t.Fatalf("order not preserved: %q, %q", resps[0].Net, resps[2].Net)
+	if resps[0].Net != nets[0].Name || resps[1].Net != nets[1].Name {
+		t.Fatalf("order not preserved: %q, %q", resps[0].Net, resps[1].Net)
 	}
-	if !resps[4].CacheHit {
+	if !resps[3].CacheHit {
 		t.Fatal("repeated element should be served from the shared cache")
 	}
 }
@@ -213,20 +207,16 @@ func TestBatchArrayTooLarge(t *testing.T) {
 }
 
 // TestBatchJSONL: streamed bodies come back as one response line per
-// input line, in input order, with parse failures (malformed JSON, a
-// nonzero "eps") isolated to their line.
+// input line, in input order, with a parse failure isolated to its line.
 func TestBatchJSONL(t *testing.T) {
 	s, _ := newTestServer(t, 1, Options{DefaultTargetMult: 1.3})
 	nets := corpus(t, 23, 3)
-	eps := 0.02
 	var body bytes.Buffer
 	for _, n := range nets {
 		body.Write(mustMarshal(t, n))
 		body.WriteByte('\n')
 	}
 	body.WriteString("this is not json\n")
-	body.Write(mustMarshal(t, api.Request{Net: nets[1], TargetMult: 1.3, Eps: &eps}))
-	body.WriteByte('\n')
 	body.Write(mustMarshal(t, api.Request{Net: nets[0], TargetMult: 1.3}))
 	body.WriteByte('\n')
 
@@ -247,8 +237,8 @@ func TestBatchJSONL(t *testing.T) {
 		}
 		resps = append(resps, r)
 	}
-	if len(resps) != 6 {
-		t.Fatalf("%d response lines, want 6", len(resps))
+	if len(resps) != 5 {
+		t.Fatalf("%d response lines, want 5", len(resps))
 	}
 	for i := 0; i < 3; i++ {
 		if resps[i].Net != nets[i].Name || resps[i].Err != nil || !resps[i].Feasible {
@@ -258,11 +248,8 @@ func TestBatchJSONL(t *testing.T) {
 	if resps[3].Err == nil || !strings.Contains(resps[3].Err.Message, "line 4") {
 		t.Fatalf("parse failure should name its line: %+v", resps[3].Err)
 	}
-	if resps[4].Err == nil || resps[4].Err.Code != api.CodeBadRequest || !strings.Contains(resps[4].Err.Message, "line 5") {
-		t.Fatalf("nonzero eps line should fail alone as bad_request: %+v", resps[4].Err)
-	}
-	if resps[5].Err != nil || !resps[5].CacheHit {
-		t.Fatalf("final repeat should be a cache hit: %+v", resps[5])
+	if resps[4].Err != nil || !resps[4].CacheHit {
+		t.Fatalf("final repeat should be a cache hit: %+v", resps[4])
 	}
 }
 

@@ -50,6 +50,26 @@ func (f Front) MaxSlack() float64 {
 	return f[0].Slack
 }
 
+// rootOpt is one root option as InsertFront's skyline sees it: its
+// driver slack, total width and arena index.
+type rootOpt struct {
+	slack float64
+	w     float64
+	idx   int32
+}
+
+// cmpRootOpt orders root options for the skyline: slack descending, then
+// width ascending, then arena index, so the first of equal options wins.
+func cmpRootOpt(a, b rootOpt) int {
+	if a.slack != b.slack {
+		return cmp.Compare(b.slack, a.slack)
+	}
+	if a.w != b.w {
+		return cmp.Compare(a.w, b.w)
+	}
+	return cmp.Compare(a.idx, b.idx)
+}
+
 // InsertFront runs one width-aware bottom-up sweep and extracts the root
 // Pareto front over driver slack, one reconstructed placement per point.
 // Options.MaxSlack is ignored (the sweep is always width-aware, never
@@ -65,11 +85,6 @@ func (s *Solver) InsertFront(t *Tree, opts Options) (Front, Stats, error) {
 	n := len(t.nodes)
 
 	rootOpts := s.arena[s.nodeOff[0] : s.nodeOff[0]+s.nodeCnt[0]]
-	type rootOpt struct {
-		slack float64
-		w     float64
-		idx   int32
-	}
 	roots := make([]rootOpt, 0, len(rootOpts))
 	for i, o := range rootOpts {
 		slack := o.q - (ts.Rs*ts.Cp + ts.Rs/opts.DriverWidth*o.c)
@@ -80,15 +95,7 @@ func (s *Solver) InsertFront(t *Tree, opts Options) (Front, Stats, error) {
 	// point where the record first drops to width w* is the max-slack,
 	// earliest-arena option of that width — exactly the option the Insert
 	// driver loop picks for any slack requirement that admits it.
-	slices.SortFunc(roots, func(a, b rootOpt) int {
-		if a.slack != b.slack {
-			return cmp.Compare(b.slack, a.slack)
-		}
-		if a.w != b.w {
-			return cmp.Compare(a.w, b.w)
-		}
-		return cmp.Compare(a.idx, b.idx)
-	})
+	slices.SortFunc(roots, cmpRootOpt)
 	front := make(Front, 0, 8)
 	bestW := math.Inf(1)
 	for _, r := range roots {

@@ -27,3 +27,16 @@ func TestCmpSoptStrictWeak(t *testing.T) {
 		}
 	}
 }
+
+// TestCmpRootOptStrictWeak checks InsertFront's root order on tie-heavy
+// slack, width and index samples with signed zeros.
+func TestCmpRootOptStrictWeak(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 10; trial++ {
+		var roots []rootOpt
+		for i := 0; i < 40; i++ {
+			roots = append(roots, rootOpt{slack: -ordertest.Value(rng), w: ordertest.Value(rng), idx: int32(rng.Intn(4))})
+		}
+		ordertest.Cmp(t, "cmpRootOpt", roots, cmpRootOpt)
+	}
+}

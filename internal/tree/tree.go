@@ -115,18 +115,13 @@ func New(root *Node) (*Tree, error) {
 // NumNodes returns the node count.
 func (t *Tree) NumNodes() int { return len(t.nodes) }
 
-// WalkOrderIDs appends the node IDs in the tree's deterministic pre-order
-// walk (node before children, children in Children order) to dst and
-// returns the extended slice. Shape-equal trees yield positionally
-// aligned walks, which is what lets the engine's solution cache address
-// buffers by walk position rather than by node ID and serve a solution
-// across same-shape trees whose IDs differ.
-func (t *Tree) WalkOrderIDs(dst []int) []int {
-	for _, n := range t.nodes {
-		dst = append(dst, n.ID)
-	}
-	return dst
-}
+// WalkOrder appends the nodes in the tree's deterministic pre-order walk
+// (node before children, children in Children order) to dst and returns
+// the extended slice. Shape-equal trees yield positionally aligned walks,
+// which is what lets the engine's solution cache address buffers by walk
+// position rather than by node ID and serve a solution across same-shape
+// trees whose IDs differ.
+func (t *Tree) WalkOrder(dst []*Node) []*Node { return append(dst, t.nodes...) }
 
 // Sinks returns the sink nodes in walk order.
 func (t *Tree) Sinks() []*Node {
