@@ -612,7 +612,7 @@ func runBatch(reg *rip.TechRegistry, defaultTech, path string, relT, absT float6
 		if msg, ok := parseErrs[r.Index]; ok {
 			// An unparsed line carries only its failure — no default-node
 			// tech attribution (same rule as ripd's /v1/batch).
-			line = api.ErrorResponse("", msg)
+			line = api.CodedErrorResponse(api.CodeBadRequest, "", "", msg)
 		}
 		mu.Unlock()
 		switch {

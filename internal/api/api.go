@@ -266,41 +266,68 @@ const (
 	KindTree
 )
 
+// request is the form ParseRequestKind decodes a wrapper into: a Request
+// whose net and tree are the plain on-disk forms. Its "net" and "tree"
+// fields shadow Request's own, so one json.Unmarshal fills every field in
+// one pass over the body, and the nets are built afterwards.
+type request struct {
+	Request
+	Net  *wire.NetJSON `json:"net"`
+	Tree *tree.NetJSON `json:"tree"`
+}
+
 // ParseRequestKind is ParseRequest with an explicit bare-object kind.
+//
+// The body is decoded once, as a wrapper; the nets are then built from
+// their on-disk forms (wire.NetJSON.Net, tree.NetJSON.Net). Only a body
+// with neither a "net" nor a "tree" is decoded a second time, as a bare
+// object of the given kind. Errors name the shape that failed: "decoding
+// request:" for a wrapper, "not a net object:" or "not a tree object:"
+// for a bare object.
 func ParseRequestKind(raw []byte, bare Kind) (Request, error) {
-	// The shape is decided by the presence of a "net"/"tree" key, not by
-	// whether the wrapper decode succeeds: falling back on any wrapper
-	// error would silently misread a wrapper with one bad field as a
-	// bare net (the decoder ignores unknown keys) and bury the real
-	// error behind a baffling empty-net complaint.
-	var probe struct {
-		Net  json.RawMessage `json:"net"`
-		Tree json.RawMessage `json:"tree"`
-	}
-	if err := json.Unmarshal(raw, &probe); err == nil &&
-		(present(probe.Net) || present(probe.Tree)) {
-		var r Request
-		if err := json.Unmarshal(raw, &r); err != nil {
+	// The shape is decided by the presence of a non-null "net"/"tree"
+	// key, not by whether the wrapper decode succeeds: falling back on any
+	// wrapper error would silently misread a wrapper with one bad field as
+	// a bare net (the decoder ignores unknown keys) and bury the real
+	// error behind a baffling empty-net complaint. encoding/json allocates
+	// the pointer for any non-null value, even one of the wrong type, and
+	// keeps decoding the other keys after a type error, so a set pointer
+	// is exactly a present key.
+	var w request
+	err := json.Unmarshal(raw, &w)
+	if w.Net != nil || w.Tree != nil {
+		r := w.Request
+		if err == nil && w.Net != nil {
+			r.Net, err = w.Net.Net()
+		}
+		if err == nil && w.Tree != nil {
+			r.Tree, err = w.Tree.Net()
+		}
+		if err != nil {
 			return Request{}, fmt.Errorf("decoding request: %v", err)
 		}
 		return r, nil
 	}
 	if bare == KindTree {
-		var n tree.Net
-		if err := json.Unmarshal(raw, &n); err != nil {
+		var j tree.NetJSON
+		if err := json.Unmarshal(raw, &j); err != nil {
 			return Request{}, fmt.Errorf("not a tree object: %v", err)
 		}
-		return Request{Tree: &n}, nil
+		n, err := j.Net()
+		if err != nil {
+			return Request{}, fmt.Errorf("not a tree object: %v", err)
+		}
+		return Request{Tree: n}, nil
 	}
-	var n wire.Net
-	if err := json.Unmarshal(raw, &n); err != nil {
+	var j wire.NetJSON
+	if err := json.Unmarshal(raw, &j); err != nil {
 		return Request{}, fmt.Errorf("not a net object: %v", err)
 	}
-	return Request{Net: &n}, nil
-}
-
-func present(raw json.RawMessage) bool {
-	return len(raw) > 0 && string(raw) != "null"
+	n, err := j.Net()
+	if err != nil {
+		return Request{}, fmt.Errorf("not a net object: %v", err)
+	}
+	return Request{Net: n}, nil
 }
 
 // FeedOptions parameterizes the shared JSONL ingest loop.
@@ -580,14 +607,6 @@ func CodedErrorResponse(code, netName, techName, msg string) Response {
 	}
 }
 
-// ErrorResponse builds a response carrying only a per-net failure,
-// classified as a bad request.
-//
-// Deprecated: use CodedErrorResponse with the precise code.
-func ErrorResponse(netName, msg string) Response {
-	return CodedErrorResponse(CodeBadRequest, netName, "", msg)
-}
-
 // ValidateFront checks a request's shape for a /v1/front curve query,
 // which needs a net but no budget: any budget fields present only select
 // the tree mode (a budget of any form forces the uniform zero-RAT curve
@@ -700,12 +719,4 @@ func CodedFrontErrorResponse(code, netName, techName, msg string) FrontResponse 
 		Net: netName,
 		Err: &ErrorInfo{Code: code, Message: msg, Net: netName, Tech: techName},
 	}
-}
-
-// FrontErrorResponse builds a front response carrying only a failure,
-// classified as a bad request.
-//
-// Deprecated: use CodedFrontErrorResponse with the precise code.
-func FrontErrorResponse(netName, msg string) FrontResponse {
-	return CodedFrontErrorResponse(CodeBadRequest, netName, "", msg)
 }

@@ -1,6 +1,7 @@
 package api
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 
@@ -36,6 +37,39 @@ type BusRequest struct {
 	// groups of at most 4 tracks, iterated best-response otherwise),
 	// "exact" or "iterate".
 	Method string `json:"method,omitempty"`
+}
+
+// busRequest is the form ParseBusRequest decodes into: a BusRequest whose
+// tracks are the plain on-disk form, so the body is read in one pass and
+// the nets are built afterwards. Its "tracks" field shadows BusRequest's.
+type busRequest struct {
+	BusRequest
+	Tracks []*wire.NetJSON `json:"tracks"`
+}
+
+// ParseBusRequest decodes one bus request body in one pass: the tracks
+// decode as wire.NetJSON and are then built by its Net method. A null
+// track stays nil, for Validate to report. Errors start "decoding bus
+// request:".
+func ParseBusRequest(raw []byte) (BusRequest, error) {
+	var w busRequest
+	err := json.Unmarshal(raw, &w)
+	r := w.BusRequest
+	if err == nil && w.Tracks != nil {
+		r.Tracks = make([]*wire.Net, len(w.Tracks))
+		for i, t := range w.Tracks {
+			if t == nil {
+				continue
+			}
+			if r.Tracks[i], err = t.Net(); err != nil {
+				break
+			}
+		}
+	}
+	if err != nil {
+		return BusRequest{}, fmt.Errorf("decoding bus request: %v", err)
+	}
+	return r, nil
 }
 
 // Validate checks the request shape without solving anything. Every

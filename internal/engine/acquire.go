@@ -43,9 +43,11 @@ type prepared struct {
 	ev   *delay.Evaluator
 	grid []float64
 	// walk is a tree job's nodes in pre-order, which cached walk
-	// positions index; embedded selects the embedded-deadline front.
+	// positions index; embedded selects the embedded-deadline front, and
+	// deadline is then the latest sink deadline, the scale of its slacks.
 	walk     []*tree.Node
 	embedded bool
+	deadline float64
 }
 
 // errorf labels err with the job's kind and name.
@@ -112,7 +114,11 @@ func (e *Engine) prepare(j Job, solve bool) (p prepared, err error) {
 			return p, asBadJob(err)
 		}
 		p.walk = tn.Tree.WalkOrder(nil)
-		p.embedded = treeEmbedded(j)
+		if p.embedded = treeEmbedded(j); p.embedded {
+			for _, s := range tn.Tree.Sinks() {
+				p.deadline = max(p.deadline, s.SinkRAT)
+			}
+		}
 		return p, nil
 	}
 	if p.ev, err = delay.NewEvaluator(j.Net, e.tech); err != nil {
@@ -186,13 +192,16 @@ func (e *Engine) acquire(ctx context.Context, sl *slot, p *prepared, check func(
 //
 // On a cached entry (verify true) this is Solve's check: every chosen
 // point must pass the point check on the job's own net and meet its
-// budget when re-priced, or the whole answer fails. Infeasibility must be
-// pronounced by a fresh solve on the exact net, never inherited from a
-// quantized neighbor's front. Verified line answers serve the re-priced
-// delay. Relative budgets are evaluated against the entry's τmin
-// (recomputing τmin per hit would cost the DP the cache exists to skip);
-// see the package comment for the resulting tolerance on quantized
-// neighbors.
+// budget when re-priced, or the whole answer fails. So must the next
+// cheaper point, re-priced the same way, when it passes the point check:
+// if it meets the budget by more than verifyTol, the entry's timing reads
+// slower than this net's and a fresh solve would answer narrower.
+// Infeasibility must be pronounced by a fresh solve on the exact net,
+// never inherited from a quantized neighbor's front. Verified line
+// answers serve the re-priced delay. Relative budgets are evaluated
+// against the entry's τmin (recomputing τmin per hit would cost the DP
+// the cache exists to skip); see the package comment for the resulting
+// tolerance on quantized neighbors.
 func (e *Engine) answer(p *prepared, ent cached, verify bool) (Result, bool) {
 	one := func(target float64) (ba BudgetAnswer, ok bool) {
 		ba.Budget = target
@@ -255,6 +264,11 @@ func (e *Engine) lineAnswer(p *prepared, f lineFront, target float64, verify boo
 		if d, ok = checkLinePoint(p, pt); !ok || d > target {
 			return out, false
 		}
+		if idx+1 < len(f) {
+			if dn, ok := checkLinePoint(p, f[idx+1]); ok && dn < target*(1-verifyTol) {
+				return out, false
+			}
+		}
 	}
 	// Served assignments are copies: a caller mutating its result must
 	// not corrupt the shared cache entry.
@@ -299,6 +313,17 @@ func (e *Engine) treeAnswer(p *prepared, f treeFront, target float64, verify boo
 	if !ok || slack < 0 {
 		return out, !verify
 	}
+	if verify && idx+1 < len(f) {
+		// The next cheaper point must miss (see answer). Slacks are scaled
+		// like checkFront's: by the budget, or the latest deadline.
+		scale := p.deadline
+		if !p.embedded {
+			scale = target
+		}
+		if _, s, ok := e.checkTreePoint(p, work, f[idx+1]); ok && s > verifyTol*(scale+math.Abs(s)) {
+			return out, false
+		}
+	}
 	out.Solution = tree.Solution{
 		Buffers:    buffers,
 		Slack:      slack,
@@ -325,17 +350,13 @@ func (e *Engine) checkFront(p *prepared, ent cached) bool {
 		// is the negated arrival. Embedded slacks can sit near zero, so
 		// they are scaled by the latest deadline plus the slack, which
 		// bounds the worst sink's arrival.
-		work, rat := tn.Tree, 0.0
-		if p.embedded {
-			for _, s := range tn.Tree.Sinks() {
-				rat = max(rat, s.SinkRAT)
-			}
-		} else {
+		work := tn.Tree
+		if !p.embedded {
 			work = tn.Tree.CloneWithRAT(0)
 		}
 		for _, pt := range ent.treeFront {
 			_, slack, ok := e.checkTreePoint(p, work, pt)
-			if !ok || !near(slack, pt.slack, rat+math.Abs(slack)) {
+			if !ok || !near(slack, pt.slack, p.deadline+math.Abs(slack)) {
 				return false
 			}
 		}

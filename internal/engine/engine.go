@@ -21,16 +21,18 @@
 //     point must be legal there (positions, walk positions, schemes) and
 //     its widths must sum to its total width. Solve re-prices the point
 //     chosen for each budget and serves the recomputed delay, which must
-//     meet the budget; Front re-prices every point and serves the cached
-//     values only when each recomputed delay or slack is within verifyTol
-//     (1e-12 relative) of them. An entry that fails falls through to a
-//     full solve. For absolute targets the delay check is exact. For
-//     relative targets the budget is TargetMult times the signature's
-//     τmin — exact for byte-identical nets, while a quantized neighbor
-//     inherits a τmin that can differ by up to the quantization error
-//     (≈0.01 % of a global net at the default 1 µm LengthQuantum). Widen
-//     the quanta only when that tolerance is acceptable. The τmin of an
-//     imported entry is likewise trusted, not re-derived.
+//     meet the budget, and re-prices the next cheaper point, which must
+//     not meet it by more than verifyTol; Front re-prices every point and
+//     serves the cached values only when each recomputed delay or slack
+//     is within verifyTol (1e-12 relative) of them. An entry that fails
+//     falls through to a full solve. For absolute targets the delay
+//     check is exact. For relative targets the budget is TargetMult
+//     times the signature's τmin — exact for byte-identical nets, while
+//     a quantized neighbor inherits a τmin that can differ by up to the
+//     quantization error (≈0.01 % of a global net at the default 1 µm
+//     LengthQuantum). Widen the quanta only when that tolerance is
+//     acceptable. The τmin of an imported entry is likewise trusted, not
+//     re-derived.
 //
 // Cold solves are single-flight per signature: a job that misses while
 // another job is already solving its signature gives its solve slot

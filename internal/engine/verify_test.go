@@ -149,11 +149,15 @@ type mutation struct {
 	apply func(t *testing.T, ent *CacheEntry, j Job, at int)
 }
 
-// tamperMutations halve every delay or slack, halve every total width, or
-// make one placement illegal: a line's first repeater moves into its
-// forbidden zone, and a tree's first buffer moves to the root, which is
-// never a buffer site. The placement mutation hits the point Solve picks
-// when that point has a repeater, else the first point that has one.
+// tamperMutations halve every delay or slack, halve every total width,
+// make one placement illegal, or make the point Solve picks read too slow.
+// The placement mutation moves a line's first repeater into its forbidden
+// zone, or a tree's first buffer to the root, which is never a buffer
+// site; it hits the point Solve picks when that point has a repeater, else
+// the first point that has one. The slow mutation inflates the picked
+// line point's delay ×1.5, or puts the picked tree point's slack just
+// below the budget's requirement, so the cached front offers the next
+// wider point instead.
 var tamperMutations = []mutation{
 	{"timing x0.5", func(t *testing.T, ent *CacheEntry, j Job, at int) {
 		for i := range ent.Line {
@@ -189,6 +193,17 @@ var tamperMutations = []mutation{
 			}
 		}
 		t.Fatal("no front point has a repeater")
+	}},
+	{"picked point slower", func(t *testing.T, ent *CacheEntry, j Job, at int) {
+		if !ent.Tree {
+			ent.Line[at].Delay *= 1.5
+			return
+		}
+		req := 0.0 // embedded deadlines: slack ≥ 0
+		if j.TargetMult > 0 {
+			req = -j.TargetMult * ent.TMin
+		}
+		ent.TreePts[at].Slack = req - 1e-12
 	}},
 }
 
@@ -342,9 +357,10 @@ func TestFrontEchoesScenario(t *testing.T) {
 // cache-disabled curve bit for bit; only a hit whose tampering stayed
 // under the check's own tolerance may differ, by at most 2·verifyTol.
 // Every served Solve answer must be legal on the net (positions, buffer
-// sites, schemes and their lengths), re-price within its budget and have
-// widths that sum to its total width. TMin is left alone: an imported
-// τmin is trusted (see export.go).
+// sites, schemes and their lengths), re-price within its budget, have
+// widths that sum to its total width, and be no wider than the
+// cache-disabled engine's answer to the same budget. TMin is left alone:
+// an imported τmin is trusted (see export.go).
 //
 // Mutations: 0 scales a point's delay or slack; 1 scales its total
 // width; 2 moves a line repeater into the forbidden zone, or points a
@@ -356,6 +372,11 @@ func FuzzImportedFront(f *testing.F) {
 		tamperCase
 		ent   CacheEntry
 		front FrontResult
+		// jobs are the Solve jobs asked of every import: the case's own
+		// 1.3×τmin job and a 3-budget ladder; want their cache-disabled
+		// answers.
+		jobs []Job
+		want []Result
 	}
 	var bases []fuzzBase
 	for _, tc := range cases {
@@ -367,7 +388,18 @@ func FuzzImportedFront(f *testing.F) {
 		if fr.Err != nil {
 			f.Fatal(fr.Err)
 		}
-		bases = append(bases, fuzzBase{tc, exportFront(f, tc.node, tc.job), fr})
+		j := tc.job
+		b := fuzzBase{tamperCase: tc, ent: exportFront(f, tc.node, tc.job), front: fr, jobs: []Job{j,
+			{Net: j.Net, TreeNet: j.TreeNet, Aggressor: j.Aggressor, Scheme: j.Scheme,
+				Budgets: []float64{1.1 * fr.TMin, 1.5 * fr.TMin, 2.5 * fr.TMin}}}}
+		for _, j := range b.jobs {
+			r := ref.Solve(j)
+			if r.Err != nil {
+				f.Fatal(r.Err)
+			}
+			b.want = append(b.want, r)
+		}
+		bases = append(bases, b)
 	}
 	for kind := range bases {
 		for mut := range 5 {
@@ -430,16 +462,47 @@ func FuzzImportedFront(f *testing.F) {
 		if fr.TMin != b.front.TMin || !(slices.Equal(fr.Points, b.front.Points) || fr.CacheHit && nearCurve(fr.Points, b.front.Points)) {
 			t.Fatalf("front served %+v (hit %v), want the cache-disabled curve %+v", fr.Points, fr.CacheHit, b.front.Points)
 		}
-		tmin := b.front.TMin
-		for _, j := range []Job{
-			b.job,
-			{Net: b.job.Net, TreeNet: b.job.TreeNet, Aggressor: b.job.Aggressor, Scheme: b.job.Scheme,
-				Budgets: []float64{1.1 * tmin, 1.5 * tmin, 2.5 * tmin}},
-		} {
+		for i, j := range b.jobs {
 			eng := importedEngine(t, b.node, ent)
-			assertServedLegal(t, eng, j, eng.Solve(j))
+			r := eng.Solve(j)
+			assertServedLegal(t, eng, j, r)
+			assertNoWider(t, r, b.want[i])
 		}
 	})
+}
+
+// assertNoWider requires every feasible answer in got to be no wider than
+// want's answer to the same budget, beyond the width tampering the check's
+// own tolerance lets through.
+func assertNoWider(t *testing.T, got, want Result) {
+	t.Helper()
+	g, w := budgetAnswers(got), budgetAnswers(want)
+	if len(g) != len(w) {
+		t.Fatalf("%d answers, want %d", len(g), len(w))
+	}
+	for i, a := range g {
+		gw, gok := servedWidth(a)
+		ww, wok := servedWidth(w[i])
+		if gok && wok && gw > ww*(1+2*verifyTol) {
+			t.Fatalf("budget %g: served width %g, the cache-disabled engine answers %g", a.Budget, gw, ww)
+		}
+	}
+}
+
+// servedWidth is a's total width, and whether a is feasible.
+func servedWidth(a BudgetAnswer) (float64, bool) {
+	if s := a.TreeRes.Solution; s.Feasible {
+		return s.TotalWidth, true
+	}
+	return a.Res.Solution.TotalWidth, a.Res.Solution.Feasible
+}
+
+// budgetAnswers lists r's answers, one per budget.
+func budgetAnswers(r Result) []BudgetAnswer {
+	if len(r.Sweep) > 0 {
+		return r.Sweep
+	}
+	return []BudgetAnswer{{Budget: r.Target, Res: r.Res, TreeRes: r.TreeRes}}
 }
 
 // nearCurve reports whether got matches want point for point, each value
@@ -467,12 +530,8 @@ func assertServedLegal(t *testing.T, eng *Engine, j Job, r Result) {
 	if r.Err != nil {
 		t.Fatal(r.Err)
 	}
-	answers := r.Sweep
-	if len(answers) == 0 {
-		answers = []BudgetAnswer{{Budget: r.Target, Res: r.Res, TreeRes: r.TreeRes}}
-	}
 	node := eng.Technology()
-	for _, a := range answers {
+	for _, a := range budgetAnswers(r) {
 		if tn := j.TreeNet; tn != nil {
 			sol := a.TreeRes.Solution
 			if !sol.Feasible {

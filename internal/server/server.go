@@ -401,9 +401,9 @@ func (s *Server) decodeBus(w http.ResponseWriter, r *http.Request) (api.BusReque
 		failBus(bodyErrCode(err), "", "reading request: "+err.Error())
 		return api.BusRequest{}, false
 	}
-	var req api.BusRequest
-	if err := json.Unmarshal(raw, &req); err != nil {
-		failBus(api.CodeBadRequest, "", "decoding bus request: "+err.Error())
+	req, err := api.ParseBusRequest(raw)
+	if err != nil {
+		failBus(api.CodeBadRequest, "", err.Error())
 		return api.BusRequest{}, false
 	}
 	if _, err := s.eng.Resolve(req.Tech); err != nil {
@@ -497,11 +497,7 @@ func (s *Server) batchArray(ctx context.Context, w http.ResponseWriter, br *bufi
 			s.m.netErrors.Add(1)
 		}
 	}
-	// Bulk machine-to-machine payload: compact, not indented — a 100k-net
-	// array would roughly double in size under writeJSON's indentation.
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	json.NewEncoder(w).Encode(out) //nolint:errcheck // response committed
+	writeJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) batchJSONL(ctx context.Context, w http.ResponseWriter, br *bufio.Reader) {
@@ -679,10 +675,10 @@ func bodyErrCode(err error) string {
 	return api.CodeBadRequest
 }
 
+// writeJSON writes v as one line of compact JSON, the form /v1/batch
+// lines take too.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // the response is already committed
+	json.NewEncoder(w).Encode(v) //nolint:errcheck // the response is already committed
 }

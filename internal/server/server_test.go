@@ -17,7 +17,7 @@ import (
 	"github.com/rip-eda/rip/internal/wire"
 )
 
-func corpus(t *testing.T, seed int64, n int) []*wire.Net {
+func corpus(t testing.TB, seed int64, n int) []*wire.Net {
 	t.Helper()
 	node := tech.T180()
 	cfg, err := netgen.DefaultConfig(node)
@@ -34,14 +34,14 @@ func corpus(t *testing.T, seed int64, n int) []*wire.Net {
 // newTestServer builds a server over a fresh single-node (180nm) multi
 // engine. workers=1 makes cache hit/miss sequences deterministic
 // (duplicate in-flight signatures race by design under parallelism).
-func newTestServer(t *testing.T, workers int, opts Options) (*Server, *engine.Multi) {
+func newTestServer(t testing.TB, workers int, opts Options) (*Server, *engine.Multi) {
 	t.Helper()
 	return newTechServer(t, workers, opts, "180nm")
 }
 
 // newTechServer builds a server over a multi engine serving the listed
 // built-in nodes; the first is the default.
-func newTechServer(t *testing.T, workers int, opts Options, techs ...string) (*Server, *engine.Multi) {
+func newTechServer(t testing.TB, workers int, opts Options, techs ...string) (*Server, *engine.Multi) {
 	t.Helper()
 	reg := tech.NewRegistry()
 	for _, name := range techs {
@@ -66,7 +66,7 @@ func techEngine(t *testing.T, eng *engine.Multi, name string) *engine.Engine {
 	return e
 }
 
-func post(t *testing.T, s *Server, path string, body []byte) *httptest.ResponseRecorder {
+func post(t testing.TB, s *Server, path string, body []byte) *httptest.ResponseRecorder {
 	t.Helper()
 	req := httptest.NewRequest("POST", path, bytes.NewReader(body))
 	rr := httptest.NewRecorder()
@@ -81,7 +81,7 @@ func get(t *testing.T, s *Server, path string) *httptest.ResponseRecorder {
 	return rr
 }
 
-func mustMarshal(t *testing.T, v any) []byte {
+func mustMarshal(t testing.TB, v any) []byte {
 	t.Helper()
 	b, err := json.Marshal(v)
 	if err != nil {

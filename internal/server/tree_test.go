@@ -16,7 +16,7 @@ import (
 	"github.com/rip-eda/rip/internal/tree"
 )
 
-func treeNets(t *testing.T, seed int64, n int) []*tree.Net {
+func treeNets(t testing.TB, seed int64, n int) []*tree.Net {
 	t.Helper()
 	cfg, err := netgen.DefaultTreeConfig(tech.T180())
 	if err != nil {

@@ -40,12 +40,15 @@ func (n *Net) Validate() error {
 // per-sink deadlines (every sink carries a positive RAT).
 func (n *Net) HasDeadlines() bool { return n.Tree != nil && n.Tree.HasDeadlines() }
 
-// treeNetJSON is the on-disk form of a tree Net: a flat node list linked
+// NetJSON is the on-disk form of a tree Net: a flat node list linked
 // by parent IDs, in the paper's unit conventions — edge resistance in Ω,
 // capacitances in fF, times in ns, widths in multiples of u. The root is
 // the one node without a parent. Nodes may appear in any order; siblings
-// keep their listed order.
-type treeNetJSON struct {
+// keep their listed order. It is a plain struct, so a decoder that holds
+// a tree inside a larger document (the api package's request wrapper)
+// fills it in the same pass as the rest and then calls Net, the one
+// conversion to a validated Net.
+type NetJSON struct {
 	Name        string         `json:"name"`
 	DriverWidth float64        `json:"driver_width_u"`
 	Nodes       []treeNodeJSON `json:"nodes"`
@@ -69,7 +72,7 @@ func (n *Net) MarshalJSON() ([]byte, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err
 	}
-	j := treeNetJSON{Name: n.Name, DriverWidth: n.DriverWidth}
+	j := NetJSON{Name: n.Name, DriverWidth: n.DriverWidth}
 	for i, node := range n.Tree.nodes {
 		nj := treeNodeJSON{
 			ID:         node.ID,
@@ -88,21 +91,32 @@ func (n *Net) MarshalJSON() ([]byte, error) {
 	return json.Marshal(j)
 }
 
-// UnmarshalJSON implements json.Unmarshaler; see MarshalJSON for units.
-// The rebuilt tree is validated through New, so a decoded Net carries the
-// same structural guarantees as a programmatically built one.
+// UnmarshalJSON implements json.Unmarshaler; see MarshalJSON for units
+// and NetJSON.Net for the checks.
 func (n *Net) UnmarshalJSON(data []byte) error {
-	var j treeNetJSON
+	var j NetJSON
 	if err := json.Unmarshal(data, &j); err != nil {
 		return fmt.Errorf("tree: decoding net: %w", err)
 	}
+	net, err := j.Net()
+	if err != nil {
+		return err
+	}
+	*n = *net
+	return nil
+}
+
+// Net converts the on-disk form to SI units and builds the validated Net.
+// The rebuilt tree is validated through New, so a decoded Net carries the
+// same structural guarantees as a programmatically built one.
+func (j *NetJSON) Net() (*Net, error) {
 	if len(j.Nodes) == 0 {
-		return fmt.Errorf("tree: net %q has no nodes", j.Name)
+		return nil, fmt.Errorf("tree: net %q has no nodes", j.Name)
 	}
 	byID := make(map[int]*Node, len(j.Nodes))
 	for _, nj := range j.Nodes {
 		if _, dup := byID[nj.ID]; dup {
-			return fmt.Errorf("tree: net %q: duplicate node id %d", j.Name, nj.ID)
+			return nil, fmt.Errorf("tree: net %q: duplicate node id %d", j.Name, nj.ID)
 		}
 		byID[nj.ID] = &Node{
 			ID:         nj.ID,
@@ -118,33 +132,34 @@ func (n *Net) UnmarshalJSON(data []byte) error {
 		node := byID[nj.ID]
 		if nj.Parent == nil {
 			if root != nil {
-				return fmt.Errorf("tree: net %q: nodes %d and %d both lack a parent", j.Name, root.ID, nj.ID)
+				return nil, fmt.Errorf("tree: net %q: nodes %d and %d both lack a parent", j.Name, root.ID, nj.ID)
 			}
 			root = node
 			continue
 		}
 		parent, ok := byID[*nj.Parent]
 		if !ok {
-			return fmt.Errorf("tree: net %q: node %d references unknown parent %d", j.Name, nj.ID, *nj.Parent)
+			return nil, fmt.Errorf("tree: net %q: node %d references unknown parent %d", j.Name, nj.ID, *nj.Parent)
 		}
 		if parent == node {
-			return fmt.Errorf("tree: net %q: node %d is its own parent", j.Name, nj.ID)
+			return nil, fmt.Errorf("tree: net %q: node %d is its own parent", j.Name, nj.ID)
 		}
 		parent.Children = append(parent.Children, node)
 	}
 	if root == nil {
-		return fmt.Errorf("tree: net %q has no root (every node has a parent)", j.Name)
+		return nil, fmt.Errorf("tree: net %q has no root (every node has a parent)", j.Name)
 	}
 	t, err := New(root)
 	if err != nil {
-		return fmt.Errorf("tree: net %q: %w", j.Name, err)
+		return nil, fmt.Errorf("tree: net %q: %w", j.Name, err)
 	}
 	if t.NumNodes() != len(j.Nodes) {
-		return fmt.Errorf("tree: net %q: %d of %d nodes unreachable from root %d (parent cycle)",
+		return nil, fmt.Errorf("tree: net %q: %d of %d nodes unreachable from root %d (parent cycle)",
 			j.Name, len(j.Nodes)-t.NumNodes(), len(j.Nodes), root.ID)
 	}
-	n.Name = j.Name
-	n.Tree = t
-	n.DriverWidth = j.DriverWidth
-	return n.Validate()
+	n := &Net{Name: j.Name, Tree: t, DriverWidth: j.DriverWidth}
+	if err := n.Validate(); err != nil {
+		return nil, err
+	}
+	return n, nil
 }

@@ -40,10 +40,13 @@ func (n *Net) Validate() error {
 	return nil
 }
 
-// netJSON is the on-disk form of a Net. For human editability it uses the
+// NetJSON is the on-disk form of a Net. For human editability it uses the
 // paper's unit conventions rather than SI: lengths and positions in µm,
-// resistance density in Ω/µm, capacitance density in fF/µm.
-type netJSON struct {
+// resistance density in Ω/µm, capacitance density in fF/µm. It is a plain
+// struct, so a decoder that holds a net inside a larger document (the api
+// package's request wrapper) fills it in the same pass as the rest and
+// then calls Net, the one conversion to a validated Net.
+type NetJSON struct {
 	Name          string     `json:"name"`
 	DriverWidth   float64    `json:"driver_width_u"`
 	ReceiverWidth float64    `json:"receiver_width_u"`
@@ -69,7 +72,7 @@ func (n *Net) MarshalJSON() ([]byte, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err
 	}
-	j := netJSON{
+	j := NetJSON{
 		Name:          n.Name,
 		DriverWidth:   n.DriverWidth,
 		ReceiverWidth: n.ReceiverWidth,
@@ -91,10 +94,21 @@ func (n *Net) MarshalJSON() ([]byte, error) {
 
 // UnmarshalJSON implements json.Unmarshaler; see MarshalJSON for units.
 func (n *Net) UnmarshalJSON(data []byte) error {
-	var j netJSON
+	var j NetJSON
 	if err := json.Unmarshal(data, &j); err != nil {
 		return fmt.Errorf("wire: decoding net: %w", err)
 	}
+	net, err := j.Net()
+	if err != nil {
+		return err
+	}
+	*n = *net
+	return nil
+}
+
+// Net converts the on-disk form to SI units and builds the validated Net:
+// the line through New, then Validate.
+func (j *NetJSON) Net() (*Net, error) {
 	segs := make([]Segment, len(j.Segments))
 	for i, s := range j.Segments {
 		segs[i] = Segment{
@@ -111,13 +125,13 @@ func (n *Net) UnmarshalJSON(data []byte) error {
 	}
 	line, err := New(segs, zones)
 	if err != nil {
-		return fmt.Errorf("wire: net %q: %w", j.Name, err)
+		return nil, fmt.Errorf("wire: net %q: %w", j.Name, err)
 	}
-	n.Name = j.Name
-	n.Line = line
-	n.DriverWidth = j.DriverWidth
-	n.ReceiverWidth = j.ReceiverWidth
-	return n.Validate()
+	n := &Net{Name: j.Name, Line: line, DriverWidth: j.DriverWidth, ReceiverWidth: j.ReceiverWidth}
+	if err := n.Validate(); err != nil {
+		return nil, err
+	}
+	return n, nil
 }
 
 // WriteNets serializes a slice of nets as an indented JSON array.
