@@ -1,14 +1,14 @@
 // Benchmarks regenerating the paper's evaluation, one benchmark per table
-// or figure (see DESIGN.md §3 and EXPERIMENTS.md for the mapping):
+// or figure:
 //
 //	BenchmarkTable1_*    — one Table 1 cell: RIP and each baseline DP
 //	BenchmarkTable2_*    — Table 2's runtime column: DP cost vs gDP, and RIP
 //	BenchmarkFigure7_*   — one Figure 7 sample point per panel
-//	BenchmarkAblation_*  — pipeline-variant costs (DESIGN.md ablations)
+//	BenchmarkAblation_*  — pipeline-variant costs (see experiments.Ablations)
 //	Benchmark<micro>     — substrate costs (Elmore, width solve, REFINE)
 //
 // Benchmarks measure cost, not quality; the quality numbers are printed by
-// cmd/ripbench and recorded in EXPERIMENTS.md.
+// cmd/ripbench.
 package rip_test
 
 import (
@@ -171,7 +171,7 @@ func benchmarkFigure7Point(b *testing.B, g float64) {
 func BenchmarkFigure7a_Point(b *testing.B) { benchmarkFigure7Point(b, 10) }
 func BenchmarkFigure7b_Point(b *testing.B) { benchmarkFigure7Point(b, 40) }
 
-// --- Ablation benches: the pipeline variants DESIGN.md calls out ---
+// --- Ablation benches: a subset of experiments.Ablations' variants ---
 
 func benchmarkAblation(b *testing.B, mut func(*core.Config)) {
 	c := benchSetup(b)

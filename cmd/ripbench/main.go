@@ -10,10 +10,10 @@
 //	ripbench -fig9                # crosstalk: pessimistic vs staggered power
 //	ripbench -fig10               # bus co-optimization vs independent sign-off
 //	ripbench -ablate              # pipeline ablations
-//	ripbench -perf BENCH_3.json   # machine-readable perf trajectory point
 //
-// Absolute numbers depend on the host; the paper-versus-measured record
-// lives in EXPERIMENTS.md.
+// Absolute numbers depend on the host. Performance is measured by the
+// benchmark under benchmark/ (end to end, against a live ripd) and by
+// go test -bench (kernels), not here.
 package main
 
 import (
@@ -43,22 +43,15 @@ func main() {
 		targets  = flag.Int("targets", 20, "number of timing targets per net (1-20)")
 		netIdx   = flag.Int("net", -1, "corpus net index for Figure 7 (-1 = median τmin)")
 		csvDir   = flag.String("csv", "", "directory to also write CSV results into")
-		perfOut  = flag.String("perf", "", "run the perf harness and write a machine-readable JSON report to this file (\"-\" for stdout)")
 	)
 	flag.Parse()
-	if *perfOut != "" {
-		if err := runPerf(*perfOut); err != nil {
-			fatal(err)
-		}
-		return
-	}
 	if *all {
 		*table1, *table2, *fig7, *ablate = true, true, true, true
 		*analytic, *zones, *trees, *fig8 = true, true, true, true
 		*fig9, *fig10 = true, true
 	}
 	if !*table1 && !*table2 && !*fig7 && !*fig8 && !*fig9 && !*fig10 && !*ablate && !*analytic && !*zones && !*trees {
-		fmt.Fprintln(os.Stderr, "nothing to do: pass -table1, -table2, -fig7, -fig8, -fig9, -fig10, -ablate, -analytic, -zones, -trees, -perf or -all")
+		fmt.Fprintln(os.Stderr, "nothing to do: pass -table1, -table2, -fig7, -fig8, -fig9, -fig10, -ablate, -analytic, -zones, -trees or -all")
 		flag.Usage()
 		os.Exit(2)
 	}

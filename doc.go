@@ -64,7 +64,7 @@
 //
 // The subpackages under internal implement the substrates (wire model,
 // Elmore evaluator, DP baseline, analytical solver, batch engine,
-// experiment harness); this package re-exports the stable surface. The
-// cmd/ binaries reproduce every table and figure of the paper's
-// evaluation; see EXPERIMENTS.md.
+// experiment harness); this package re-exports the stable surface.
+// cmd/ripbench reproduces every table and figure of the paper's
+// evaluation.
 package rip

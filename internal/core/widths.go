@@ -172,11 +172,11 @@ func (m *stageModel) fixedPoint(lambda float64, w []float64) {
 // Lagrange multiplier λ for fixed positions (Fig. 5, lines 1 and 7): the
 // solution of Eq. (8) with the delay pinned to the target (Eq. 5).
 //
-// The solver is the robust nested scheme described in DESIGN.md: the delay
-// of the KKT widths is monotone decreasing in λ, so an outer bisection on
-// log λ brackets the target and an inner Gauss–Seidel fixed point supplies
-// the widths; a damped Newton–Raphson on the full (w, λ) system polishes
-// the result (this is the Newton–Raphson step the paper names). It returns
+// The solver is a robust nested scheme: the delay of the KKT widths is
+// monotone decreasing in λ, so an outer bisection on log λ brackets the
+// target and an inner Gauss–Seidel fixed point supplies the widths; a
+// damped Newton–Raphson on the full (w, λ) system polishes the result
+// (this is the Newton–Raphson step the paper names). It returns
 // ErrInfeasible when even the delay-optimal sizing misses the target.
 func SolveWidths(ev *delay.Evaluator, positions []float64, target float64, opts WidthOptions) (WidthResult, error) {
 	opts = opts.withDefaults()

@@ -31,25 +31,6 @@ func benchEval(b *testing.B) *delay.Evaluator {
 	return ev
 }
 
-// benchCoupledEval is benchEval's crosstalk twin: the same 8mm net with
-// T180's per-layer coupling densities on every segment.
-func benchCoupledEval(b *testing.B) *delay.Evaluator {
-	b.Helper()
-	line, err := wire.New([]wire.Segment{
-		{Length: 2.5e-3, ROhmPerM: 8e4, CFPerM: 2.3e-10, CcFPerM: 1.6e-10, Layer: "metal4"},
-		{Length: 3.0e-3, ROhmPerM: 6e4, CFPerM: 2.1e-10, CcFPerM: 1.4e-10, Layer: "metal5"},
-		{Length: 2.5e-3, ROhmPerM: 8e4, CFPerM: 2.3e-10, CcFPerM: 1.6e-10, Layer: "metal4"},
-	}, []wire.Zone{{Start: 3.4e-3, End: 5.0e-3}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ev, err := delay.NewEvaluator(&wire.Net{Name: "bench-coupled", Line: line, DriverWidth: 120, ReceiverWidth: 60}, tech.T180())
-	if err != nil {
-		b.Fatal(err)
-	}
-	return ev
-}
-
 func benchOpts(b *testing.B, ev *delay.Evaluator, g float64, objective Objective) Options {
 	b.Helper()
 	lib, err := repeater.Range(10, 400, g)
@@ -70,12 +51,9 @@ func benchOpts(b *testing.B, ev *delay.Evaluator, g float64, objective Objective
 // benchmarkSolve measures the steady-state kernel cost: one warm Solver,
 // one reused Solution, repeated SolveInto — the shape batch workers run.
 // Steady state performs zero heap allocations.
-func benchmarkSolve(b *testing.B, g float64, objective Objective, mut ...func(*Options)) {
+func benchmarkSolve(b *testing.B, g float64, objective Objective) {
 	ev := benchEval(b)
 	opts := benchOpts(b, ev, g, objective)
-	for _, m := range mut {
-		m(&opts)
-	}
 	s := NewSolver()
 	var sol Solution
 	b.ReportAllocs()
@@ -93,51 +71,6 @@ func benchmarkSolve(b *testing.B, g float64, objective Objective, mut ...func(*O
 func BenchmarkSolve(b *testing.B)          { benchmarkSolve(b, 10, MinPower) }
 func BenchmarkSolve_g40(b *testing.B)      { benchmarkSolve(b, 40, MinPower) }
 func BenchmarkSolve_MinDelay(b *testing.B) { benchmarkSolve(b, 10, MinDelay) }
-
-// BenchmarkSolveLadder measures the coarse-to-fine ladder: same
-// bit-identical answers, coarse-pass bounds pruning the fine sweep.
-func BenchmarkSolveLadder(b *testing.B) {
-	benchmarkSolve(b, 10, MinPower, func(o *Options) { o.Ladder = true })
-}
-
-// BenchmarkSolveCoupled_g10 measures the crosstalk-aware kernel the
-// engine runs for coupled requests: worst-case aggressors, staggering on
-// the menu, min-power at 1.3× the coupled τmin through the production
-// ladder. The per-scheme candidate generation roughly doubles the
-// branching of the classic kernel; steady state amortizes to zero
-// allocations the same way the classic kernel does.
-func BenchmarkSolveCoupled_g10(b *testing.B) {
-	ev := benchCoupledEval(b)
-	lib, err := repeater.Range(10, 400, 10)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cpl, err := delay.NewCoupling(tech.T180(), delay.AggressorWorst, delay.SchemeModeStaggered)
-	if err != nil {
-		b.Fatal(err)
-	}
-	base := Options{Library: lib, Pitch: 200 * units.Micron, Coupling: cpl}
-	tmin, err := MinimumDelay(ev, base)
-	if err != nil {
-		b.Fatal(err)
-	}
-	opts := base
-	opts.Objective = MinPower
-	opts.Target = 1.3 * tmin
-	opts.Ladder = true
-	s := NewSolver()
-	var sol Solution
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.SolveInto(&sol, ev, opts); err != nil {
-			b.Fatal(err)
-		}
-		if !sol.Feasible {
-			b.Fatal("benchmark instance must be feasible")
-		}
-	}
-}
 
 // BenchmarkSolveFront_Engine measures the front kernel ripd runs for every
 // cold line shape: the engine's front space (10u–400u at a 40u step,

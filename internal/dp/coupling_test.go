@@ -12,6 +12,10 @@ import (
 	"github.com/rip-eda/rip/internal/wire"
 )
 
+// fpSlack absorbs accumulated float rounding when checking certified
+// bounds that are proved in real arithmetic.
+const fpSlack = 1e-9
+
 // couplingScenarios enumerates every (aggressor, mode) pair a coupled
 // solve accepts.
 func couplingScenarios(t *testing.T) []*delay.Coupling {
@@ -73,8 +77,7 @@ func diffCoupledZeroCc(t *testing.T, name string, got, want Solution) {
 // scheme mode must reproduce the classic solver bit for bit — the plain
 // scheme's arithmetic is the same expressions, staggered duplicates are
 // killed plain-first, and shielded options are strictly dominated. Both
-// the bounded solver and the front solver are differenced, with and
-// without the ladder.
+// the bounded solver and the front solver are differenced.
 func TestCoupledZeroCcMatchesUncoupledCorpus(t *testing.T) {
 	scens := couplingScenarios(t)
 	s, sc := NewSolver(), NewSolver()
@@ -101,19 +104,6 @@ func TestCoupledZeroCcMatchesUncoupledCorpus(t *testing.T) {
 			}
 			if gotErr == nil {
 				diffCoupledZeroCc(t, name, got, want)
-			}
-
-			if cpl.Aggressor != delay.AggressorWorst {
-				continue
-			}
-			lopts := copts
-			lopts.Ladder = true
-			lgot, lerr := sc.Solve(c.ev, lopts)
-			if (lerr == nil) != (wantErr == nil) {
-				t.Fatalf("%s ladder: error mismatch: %v vs %v", name, lerr, wantErr)
-			}
-			if lerr == nil {
-				diffCoupledZeroCc(t, name+"/ladder", lgot, want)
 			}
 		}
 

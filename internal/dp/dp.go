@@ -88,14 +88,11 @@ type Options struct {
 	// that growth).
 	MaxGenerated int
 
-	// Ladder enables the coarse-to-fine width ladder for bounded
-	// (MinPower) solves: a first pass on a subsampled width library whose
-	// solution yields admissible width and delay bounds for the
-	// full-library pass. Results are bit-identical to a non-ladder run
-	// (only Stats differ: the coarse pass's work is folded in), so the
-	// knob is purely a speed/accounting trade. MinDelay solves and
-	// SolveFront ignore it: with the width-class prune a flat front sweep
-	// is faster than a laddered one.
+	// Ladder is ignored: every solve runs one flat sweep.
+	//
+	// Deprecated: the bounded coarse-to-fine width ladder was removed; its
+	// answers equalled the flat sweep's and no served path set it. Kept
+	// only while the benchmark harness still sets it.
 	Ladder bool
 	// Coupling, when non-nil, prices every grid interval's capacitance as
 	// ground + MF·coupling under the scenario's aggressor assumption and

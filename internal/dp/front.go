@@ -104,13 +104,13 @@ func cmpRoot(a, b frontRoot) int {
 }
 
 // SolveFront runs one unbounded width-aware DP sweep and extracts the
-// complete root Pareto front. Options.Objective, Target and Ladder are
-// ignored: the sweep is always 3-D (width-aware), unbounded and flat, so
-// the returned Front answers every budget. For any target T, Front.At(T)
-// selects an assignment with the identical delay and total width a
-// bounded MinPower solve at Target=T over the same Options would pick,
-// because the bounded run's surviving options are exactly the unbounded
-// run's filtered to delay ≤ T.
+// complete root Pareto front. Options.Objective and Target are ignored:
+// the sweep is always 3-D (width-aware) and unbounded, so the returned
+// Front answers every budget. For any target T, Front.At(T) selects an
+// assignment with the identical delay and total width a bounded MinPower
+// solve at Target=T over the same Options would pick, because the
+// bounded run's surviving options are exactly the unbounded run's
+// filtered to delay ≤ T.
 //
 // All points' Positions and Widths share one backing array (and coupled
 // points' Schemes another), each point's slices capped at their length,
@@ -119,12 +119,11 @@ func (s *Solver) SolveFront(ev *delay.Evaluator, opts Options) (Front, Stats, er
 	if opts.Library.Size() == 0 {
 		return nil, Stats{}, errors.New("dp: empty repeater library")
 	}
-	n, err := s.prepare(ev, opts, nil)
+	n, err := s.prepare(ev, opts)
 	if err != nil {
 		return nil, Stats{}, err
 	}
 	stats := Stats{Candidates: n}
-	s.sw = sweepCfg{wUB: math.Inf(1)}
 	ok, err := s.runLevels(ev, opts, math.Inf(1), true, &stats)
 	if err != nil || !ok {
 		return nil, stats, err

@@ -1,7 +1,6 @@
 package dp
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -11,27 +10,6 @@ import (
 	"github.com/rip-eda/rip/internal/tech"
 	"github.com/rip-eda/rip/internal/units"
 )
-
-// fpSlack absorbs accumulated float rounding when checking certified
-// bounds that are proved in real arithmetic.
-const fpSlack = 1e-9
-
-// sameValues compares the parts of two Solutions the ladder guarantees
-// bit-identical: feasibility, delay and total width. (Work Stats differ
-// by design — the coarse pass folds in — and assignments may differ only
-// on exact value ties, where both are equally optimal.)
-func sameValues(t *testing.T, name string, got, want Solution) {
-	t.Helper()
-	if got.Feasible != want.Feasible {
-		t.Fatalf("%s: feasible %v, want %v", name, got.Feasible, want.Feasible)
-	}
-	if got.Delay != want.Delay {
-		t.Fatalf("%s: delay %v, want %v", name, got.Delay, want.Delay)
-	}
-	if got.TotalWidth != want.TotalWidth {
-		t.Fatalf("%s: total width %v, want %v", name, got.TotalWidth, want.TotalWidth)
-	}
-}
 
 // corpusCase is the element type corpusInstances returns.
 type corpusCase = struct {
@@ -83,91 +61,73 @@ func frontSpaceInstances(t *testing.T) []corpusCase {
 	return out
 }
 
-// TestLadderMatchesExactCorpus pins the bounded ladder's contract on the
-// deterministic corpus and on front-space netgen lines: identical
-// feasibility, delay and width, with a still-valid assignment.
-func TestLadderMatchesExactCorpus(t *testing.T) {
-	s, sl := NewSolver(), NewSolver()
+// ladderCases are the deterministic corpus and the front-space lines,
+// each classic and with worst-aggressor, staggered coupling.
+func ladderCases(t *testing.T) []corpusCase {
+	t.Helper()
+	var out []corpusCase
 	for _, c := range append(corpusInstances(t), frontSpaceInstances(t)...) {
-		lopts := c.opts
-		lopts.Ladder = true
-		want, wantErr := s.Solve(c.ev, c.opts)
-		got, gotErr := sl.Solve(c.ev, lopts)
-		if (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("%s: error mismatch: %v vs %v", c.name, gotErr, wantErr)
-		}
-		if gotErr != nil {
-			continue
-		}
-		sameValues(t, c.name, got, want)
-		if got.Feasible {
-			if err := c.ev.Validate(got.Assignment); err != nil {
-				t.Fatalf("%s: ladder assignment invalid: %v", c.name, err)
-			}
-		}
-	}
-}
-
-// TestLadderMatchesExactRandom is the randomized rendering of the bounded
-// ladder differential, including the tie-heavy libraries where
-// representative selection is most fragile.
-func TestLadderMatchesExactRandom(t *testing.T) {
-	trials := 400
-	if testing.Short() {
-		trials = 80
-	}
-	rng := rand.New(rand.NewSource(42))
-	s, sl := NewSolver(), NewSolver()
-	for trial := 0; trial < trials; trial++ {
-		ev, opts := randomInstance(t, rng)
-		lopts := opts
-		lopts.Ladder = true
-		want, wantErr := s.Solve(ev, opts)
-		got, gotErr := sl.Solve(ev, lopts)
-		if (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("trial %d: error mismatch: %v vs %v", trial, gotErr, wantErr)
-		}
-		if gotErr != nil {
-			continue
-		}
-		sameValues(t, "trial", got, want)
-		if got.Feasible {
-			if err := ev.Validate(got.Assignment); err != nil {
-				t.Fatalf("trial %d: ladder assignment invalid: %v", trial, err)
-			}
-		}
-	}
-}
-
-// TestSolveFrontIgnoresLadder pins that SolveFront always runs one flat
-// sweep: with Ladder set it returns a bit-identical front — values,
-// placements, schemes — and identical Stats on the front-space lines,
-// classic and coupled.
-func TestSolveFrontIgnoresLadder(t *testing.T) {
-	cases := frontSpaceInstances(t)
-	for _, c := range cases[:1] {
 		cpl, err := delay.NewCoupling(c.ev.Tech, delay.AggressorWorst, delay.SchemeModeStaggered)
 		if err != nil {
 			t.Fatal(err)
 		}
+		out = append(out, c)
 		c.name += "/coupled"
 		c.opts.Coupling = cpl
-		cases = append(cases, c)
+		out = append(out, c)
 	}
+	return out
+}
+
+// TestLadderMatchesExactCorpus pins that the deprecated Options.Ladder
+// changes no bounded or MinDelay solve: with it set, Solve returns the
+// same Solution and Stats, classic and coupled, on the deterministic
+// corpus and the front-space lines.
+func TestLadderMatchesExactCorpus(t *testing.T) {
 	s, sl := NewSolver(), NewSolver()
-	for _, c := range cases {
+	solve := func(name string, ev *delay.Evaluator, o Options) {
+		t.Helper()
+		lo := o
+		lo.Ladder = true
+		want, wantErr := s.Solve(ev, o)
+		got, gotErr := sl.Solve(ev, lo)
+		if !reflect.DeepEqual(gotErr, wantErr) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s %v: with Ladder %+v (err %v), without %+v (err %v)", name, o.Objective, got, gotErr, want, wantErr)
+		}
+	}
+	// MinDelay ignores Target, so solve it once per name.
+	done := map[string]bool{}
+	for _, c := range ladderCases(t) {
+		solve(c.name, c.ev, c.opts)
+		if done[c.name] {
+			continue
+		}
+		done[c.name] = true
+		md := c.opts
+		md.Objective = MinDelay
+		solve(c.name, c.ev, md)
+	}
+}
+
+// TestSolveFrontIgnoresLadder pins that SolveFront ignores the deprecated
+// Options.Ladder: with it set, it returns the same front and Stats,
+// classic and coupled, on the deterministic corpus and the front-space
+// lines.
+func TestSolveFrontIgnoresLadder(t *testing.T) {
+	s, sl := NewSolver(), NewSolver()
+	// SolveFront ignores Target, so solve it once per name.
+	done := map[string]bool{}
+	for _, c := range ladderCases(t) {
+		if done[c.name] {
+			continue
+		}
+		done[c.name] = true
 		lopts := c.opts
 		lopts.Ladder = true
 		want, wst, wantErr := s.SolveFront(c.ev, c.opts)
 		got, gst, gotErr := sl.SolveFront(c.ev, lopts)
-		if (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("%s: error mismatch: %v vs %v", c.name, gotErr, wantErr)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: front with Ladder differs from the flat sweep's", c.name)
-		}
-		if gst != wst {
-			t.Fatalf("%s: stats %+v with Ladder, %+v without", c.name, gst, wst)
+		if !reflect.DeepEqual(gotErr, wantErr) || !reflect.DeepEqual(got, want) || gst != wst {
+			t.Fatalf("%s: front with Ladder differs (stats %+v vs %+v, err %v vs %v)", c.name, gst, wst, gotErr, wantErr)
 		}
 	}
 }

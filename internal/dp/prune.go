@@ -74,9 +74,9 @@ import (
 // parent comes first in the downstream level's (c, d, w) order), and
 // across buckets the merge keeps the no-repeater bucket's, then the
 // narrowest repeater's. None of that depends on which other options a
-// sweep generated, so a pass that generates a subset of the flat sweep's
-// options (the bounded ladder's fine pass) keeps the same representative
-// of every value both keep.
+// sweep generated, so a bounded solve, which generates the subset of the
+// unbounded front sweep's options that meet its target, keeps the same
+// representative of every value both keep.
 
 // dw is one (delay, width) Pareto-front entry (kept for the preserved
 // reference implementation in reference_test.go).

@@ -426,9 +426,9 @@ func TestPruneRoundingCollision(t *testing.T) {
 
 // TestPruneTieFirstGenerated pins the table's tie rule on exact (d, w)
 // ties inside one cell and across rounding-collided cells: the lower
-// scheme wins, then the option generated first. The flat and the ladder
-// sweeps generate different supersets of one front, so this is what lets
-// them serve the same placement.
+// scheme wins, then the option generated first. A bounded solve generates
+// a subset of the unbounded front sweep's options, so this is what lets
+// both keep the same representative of every value they share.
 func TestPruneTieFirstGenerated(t *testing.T) {
 	for _, tc := range []struct {
 		name     string

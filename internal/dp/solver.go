@@ -55,18 +55,6 @@ type Solver struct {
 
 	pr pruner
 
-	// sw is the per-solve sweep configuration the ladder hangs off
-	// runLevels; all defaults mean "classic sweep".
-	sw sweepCfg
-
-	// Ladder scratch (bounded solves only): the coarse pass runs on a
-	// private inner Solver so the outer arenas survive it. ladWidths is the
-	// subsampled library, minRem the per-level remaining-delay lower bounds.
-	lad       *Solver
-	ladSol    Solution
-	ladWidths []float64
-	minRem    []float64
-
 	// roots is the driver-closure scratch for front extraction.
 	roots []frontRoot
 
@@ -74,23 +62,6 @@ type Solver struct {
 	// allocation-free too.
 	mdSol Solution
 }
-
-// sweepCfg carries the per-solve pruning configuration runLevels reads.
-// sweepCfg{wUB: +Inf} is the classic sweep.
-type sweepCfg struct {
-	// wUB kills repeater options whose accumulated width exceeds it: the
-	// ladder's coarse solution is a valid full-library solution, so no
-	// partial wider than it can end up optimal. +Inf = no bound.
-	wUB float64
-	// useRem tightens the per-level delay bound to Target − minRem[k]:
-	// an option whose delay plus a lower bound on all remaining stage
-	// delays already misses the target is dead.
-	useRem bool
-}
-
-// ladderStride is the coarse pass's library subsampling factor: every
-// ladderStride-th width, so a g10 library's coarse pass is a g40 solve.
-const ladderStride = 4
 
 // NewSolver returns an empty Solver; arenas grow on first use and are
 // retained afterwards.
@@ -117,7 +88,6 @@ func (s *Solver) MinimumDelay(ev *delay.Evaluator, opts Options) (float64, error
 func (s *Solver) MinimumDelayStats(ev *delay.Evaluator, opts Options) (float64, Stats, error) {
 	opts.Objective = MinDelay
 	opts.Target = 0
-	opts.Ladder = false
 	if err := s.SolveInto(&s.mdSol, ev, opts); err != nil {
 		return 0, s.mdSol.Stats, err
 	}
@@ -133,13 +103,6 @@ func (s *Solver) MinimumDelayStats(ev *delay.Evaluator, opts Options) (float64, 
 // that retain solutions across solves must pass distinct *sol values (or
 // use Solve, which always returns fresh memory).
 func (s *Solver) SolveInto(sol *Solution, ev *delay.Evaluator, opts Options) error {
-	return s.solveInto(sol, ev, opts, nil)
-}
-
-// solveInto is SolveInto with an optional library override: when lib is
-// non-nil it replaces opts.Library's width set (the ladder's coarse pass
-// passes its subsample without building a repeater.Library for it).
-func (s *Solver) solveInto(sol *Solution, ev *delay.Evaluator, opts Options, lib []float64) error {
 	sol.Assignment.Positions = sol.Assignment.Positions[:0]
 	sol.Assignment.Widths = sol.Assignment.Widths[:0]
 	sol.Delay = 0
@@ -151,13 +114,13 @@ func (s *Solver) solveInto(sol *Solution, ev *delay.Evaluator, opts Options, lib
 	sol.ShieldLen = 0
 	sol.Cost = 0
 
-	if opts.Library.Size() == 0 && lib == nil {
+	if opts.Library.Size() == 0 {
 		return errors.New("dp: empty repeater library")
 	}
 	if opts.Objective == MinPower && !(opts.Target > 0) {
 		return fmt.Errorf("dp: min-power needs a positive timing target, got %g", opts.Target)
 	}
-	n, err := s.prepare(ev, opts, lib)
+	n, err := s.prepare(ev, opts)
 	if err != nil {
 		return err
 	}
@@ -169,16 +132,6 @@ func (s *Solver) solveInto(sol *Solution, ev *delay.Evaluator, opts Options, lib
 	threeD := opts.Objective == MinPower
 	if threeD {
 		bound = opts.Target
-	}
-
-	s.sw = sweepCfg{wUB: math.Inf(1)}
-	if threeD && opts.Ladder && len(s.widths) >= 2*ladderStride {
-		if err := s.ladderBounded(ev, opts, &stats); err != nil {
-			sol.Stats = stats
-			return err
-		}
-		s.computeMinRem(ev, opts.Coupling)
-		s.sw.useRem = true
 	}
 
 	ok, err := s.runLevels(ev, opts, bound, threeD, &stats)
@@ -292,8 +245,7 @@ func (s *Solver) solveInto(sol *Solution, ev *delay.Evaluator, opts Options, lib
 // buffer: stage wire R/C/M, per-width electrical constants, level tables
 // and the receiver seed at arena[0]. It returns the candidate count.
 // Callers validate Options first (prepare assumes a non-empty library).
-// A non-nil lib overrides opts.Library's width set.
-func (s *Solver) prepare(ev *delay.Evaluator, opts Options, lib []float64) (int, error) {
+func (s *Solver) prepare(ev *delay.Evaluator, opts Options) (int, error) {
 	s.cand = s.cand[:0]
 	if opts.Positions == nil {
 		if !(opts.Pitch > 0) {
@@ -325,11 +277,7 @@ func (s *Solver) prepare(ev *delay.Evaluator, opts Options, lib []float64) (int,
 	if opts.Coupling != nil {
 		s.wCc, s.wMc = ev.StageCcMc(s.points, s.wCc[:0], s.wMc[:0])
 	}
-	if lib != nil {
-		s.widths = append(s.widths[:0], lib...)
-	} else {
-		s.widths = opts.Library.AppendWidths(s.widths[:0])
-	}
+	s.widths = opts.Library.AppendWidths(s.widths[:0])
 	s.rsOverW = s.rsOverW[:0]
 	s.coW = s.coW[:0]
 	for _, w := range s.widths {
@@ -352,104 +300,12 @@ func (s *Solver) prepare(ev *delay.Evaluator, opts Options, lib []float64) (int,
 	return n, nil
 }
 
-// ladderBounded runs the coarse pass of the bounded (MinPower) ladder: a
-// solve on every ladderStride-th width at the same target. Its solution
-// is a valid full-library solution, so its TotalWidth upper-bounds every
-// width the fine pass ever needs to keep (the optimum is no wider), and
-// killing wider partials leaves the fine pass's answer bit-identical.
-// The coarse pass's work counters fold into stats so MaxGenerated caps
-// the combined work.
-func (s *Solver) ladderBounded(ev *delay.Evaluator, opts Options, stats *Stats) error {
-	s.ladWidths = s.ladWidths[:0]
-	for i := 0; i < len(s.widths); i += ladderStride {
-		s.ladWidths = append(s.ladWidths, s.widths[i])
-	}
-	if s.lad == nil {
-		s.lad = NewSolver()
-	}
-	copts := opts
-	copts.Ladder = false
-	copts.Positions = s.cand
-	err := s.lad.solveInto(&s.ladSol, ev, copts, s.ladWidths)
-	cst := s.ladSol.Stats
-	stats.Generated += cst.Generated
-	stats.Kept += cst.Kept
-	if cst.MaxPerLevel > stats.MaxPerLevel {
-		stats.MaxPerLevel = cst.MaxPerLevel
-	}
-	if err != nil {
-		return err
-	}
-	if opts.MaxGenerated > 0 && stats.Generated > opts.MaxGenerated {
-		return fmt.Errorf("%w: %d partial solutions (limit %d)",
-			ErrBudget, stats.Generated, opts.MaxGenerated)
-	}
-	if s.ladSol.Feasible {
-		// The width bound must live in the sweep's own w coordinate, which
-		// for coupled solves includes shielding cost — Solution.Cost, not
-		// the repeater-only TotalWidth (an undercount there could kill a
-		// partial that completes below the coarse solution's true cost).
-		if opts.Coupling != nil {
-			s.sw.wUB = s.ladSol.Cost
-		} else {
-			s.sw.wUB = s.ladSol.TotalWidth
-		}
-	}
-	return nil
-}
-
-// computeMinRem fills minRem[k] with a lower bound on the delay any
-// option at level k still accumulates before the driver closes it: the
-// distributed self-delay of every remaining stage plus the driver's
-// irreducible intrinsic and first-stage-load terms. Everything else
-// (resistance·load cross terms) is nonnegative, so d + minRem[k] ≤ total
-// holds for every completion of every level-k option.
-func (s *Solver) computeMinRem(ev *delay.Evaluator, cpl *delay.Coupling) {
-	n := len(s.cand)
-	if cap(s.minRem) < n {
-		s.minRem = make([]float64, n)
-	}
-	s.minRem = s.minRem[:n]
-	t := ev.Tech
-	// Under coupling, every interval's self-delay is at least its ground
-	// part plus the smallest allowed Miller factor's share of the coupling
-	// part (the sweep may pick schemes per interval, but none prices below
-	// MinMF), so the floor stays admissible.
-	mf := 0.0
-	if cpl != nil {
-		mf = cpl.MinMF()
-	}
-	var acc float64
-	if cpl == nil {
-		acc = t.Rs*t.Cp + (t.Rs/ev.Wd)*s.wC[0] + s.wM[0]
-	} else {
-		acc = t.Rs*t.Cp + (t.Rs/ev.Wd)*(s.wC[0]+mf*s.wCc[0]) + (s.wM[0] + mf*s.wMc[0])
-	}
-	for k := 0; k < n; k++ {
-		if k > 0 {
-			if cpl == nil {
-				acc += s.wM[k]
-			} else {
-				acc += s.wM[k] + mf*s.wMc[k]
-			}
-		}
-		// Deflate by a hair: the bound is proved in real arithmetic, and
-		// the fine sweep accumulates delays through rounded additions, so
-		// an exactly-tight floor could kill a chain rounding just under
-		// it. 1e-9 relative dwarfs any accumulated ulp while costing
-		// nothing measurable in pruning power.
-		s.minRem[k] = acc * (1 - 1e-9)
-	}
-}
-
 // runLevels executes the bottom-up sweep over every candidate level after
 // prepare, growing the arena level by level. It reports ok=false when a
 // level prunes to nothing (every partial timed out — infeasible) and
 // ErrBudget when MaxGenerated is exceeded; stats accumulate either way.
 func (s *Solver) runLevels(ev *delay.Evaluator, opts Options, bound float64, threeD bool, stats *Stats) (bool, error) {
 	rsCp := ev.Tech.Rs * ev.Tech.Cp
-	wUB := s.sw.wUB
-	checkUB := !math.IsInf(wUB, 1)
 	cpl := opts.Coupling
 	wMax := s.widths[len(s.widths)-1] // libraries are sorted ascending
 	for k := len(s.cand) - 1; k >= 0; k-- {
@@ -457,16 +313,6 @@ func (s *Solver) runLevels(ev *delay.Evaluator, opts Options, bound float64, thr
 		cw := s.wC[k+1]
 		rw := s.wR[k+1]
 		m := s.wM[k+1]
-
-		// Ladder bounds for options generated at this level. The delay
-		// bound tightens by the remaining-delay floor; the width bound
-		// kills partials no completion can redeem.
-		lb := bound
-		if s.sw.useRem {
-			if b := opts.Target - s.minRem[k]; b < lb {
-				lb = b
-			}
-		}
 
 		// The level's width-class table (see prune.go): one class per
 		// distinct downstream width, plus each scheme's shielding cost when
@@ -522,7 +368,7 @@ func (s *Solver) runLevels(ev *delay.Evaluator, opts Options, bound float64, thr
 				o := &down[di]
 				baseC := o.c + cw
 				baseD := o.d + rw*o.c + m
-				if baseD > lb {
+				if baseD > bound {
 					continue
 				}
 				next := downOff + int32(di)
@@ -537,15 +383,11 @@ func (s *Solver) runLevels(ev *delay.Evaluator, opts Options, bound float64, thr
 				}
 				for wi, width := range s.widths {
 					d := rsCp + s.rsOverW[wi]*baseC + baseD
-					if d > lb {
-						continue
-					}
-					w := o.w + width
-					if checkUB && w > wUB {
+					if d > bound {
 						continue
 					}
 					gen++
-					row[wi].offer(d, w, next, 0)
+					row[wi].offer(d, o.w+width, next, 0)
 				}
 			}
 		} else {
@@ -565,7 +407,7 @@ func (s *Solver) runLevels(ev *delay.Evaluator, opts Options, bound float64, thr
 				for si, sch := range cpl.Schemes {
 					baseC := o.c + cwS[si]
 					baseD := o.d + rw*o.c + mS[si]
-					if baseD > lb {
+					if baseD > bound {
 						continue
 					}
 					ow := o.w + wAddS[si]
@@ -575,15 +417,11 @@ func (s *Solver) runLevels(ev *delay.Evaluator, opts Options, bound float64, thr
 					}
 					for wi, width := range s.widths {
 						d := rsCp + s.rsOverW[wi]*baseC + baseD
-						if d > lb {
-							continue
-						}
-						w := ow + width
-						if checkUB && w > wUB {
+						if d > bound {
 							continue
 						}
 						gen++
-						row[wi].offer(d, w, next, sch)
+						row[wi].offer(d, ow+width, next, sch)
 					}
 				}
 			}

@@ -413,8 +413,9 @@ func New(t *tech.Technology, opts Options) (*Engine, error) {
 // library, 50 µm pitch) on 8 netgen lines per node (4–10 segments) at
 // 1.1, 1.3, 1.6 and 2.0×τmin, served answers spend median 6.2 / 7.1 /
 // 7.7 / 11.1 % more repeater width on 180 / 130 / 90 / 65nm, with a p90
-// of 22–30 % and a worst case of 50–67 %. ROADMAP.md item 1 ("Serve the
-// paper's answer quality") tracks closing that gap.
+// of 22–30 % and a worst case of 50–67 %. The ROADMAP.md item "Serve the
+// paper's answer quality, not a 4×-coarsened one" tracks closing that
+// gap.
 const frontStepFactor = 4
 
 // frontOptions derives the native front space from the pipeline config:

@@ -35,8 +35,8 @@ type variant struct {
 	mut  func(*core.Config)
 }
 
-// Ablations evaluates the design choices DESIGN.md calls out: the coarse
-// library size, the local candidate window, multi-pass REFINE, the §7
+// Ablations evaluates the pipeline's design choices: the coarse library
+// size, the local candidate window, multi-pass REFINE, the §7
 // zone-crossing extension and the adaptive movement step. Every variant
 // runs the identical corpus sweep; differences isolate one knob each.
 func Ablations(s *Setup) (*AblationResult, error) {

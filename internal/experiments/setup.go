@@ -2,8 +2,8 @@
 // per-net power-savings comparison of Table 1, the savings-vs-target curves
 // of Figure 7, the quality/runtime tradeoff of Table 2, and a set of
 // ablations over the pipeline's design choices (§7). Each runner returns a
-// structured result plus ASCII and CSV renderers, so the same code backs
-// the ripbench CLI, the root-level benchmarks and EXPERIMENTS.md.
+// structured result plus ASCII and CSV renderers, which the ripbench CLI
+// prints.
 package experiments
 
 import (

@@ -8,7 +8,7 @@
 // optima (Bakoglu spacing ≈ 1.3 mm, delay-optimal sizing ≈ 107u) land inside
 // the parameter ranges the paper itself uses (segments of 1000–2500 µm,
 // repeater widths in (10u, 400u)). Scaled 130/90/65 nm nodes are provided
-// for the technology-scaling example and tests. See DESIGN.md §4.
+// for the technology-scaling example and tests.
 //
 // Multi-technology serving resolves nodes through a Registry: built-ins
 // plus JSON-loaded custom nodes, assembled once and then frozen. A frozen
