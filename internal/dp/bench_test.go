@@ -108,11 +108,9 @@ func BenchmarkSolveFront_EngineLib7_400(b *testing.B) {
 	})
 }
 
-// benchmarkSolveFront measures warm SolveFront calls on the engine
-// benchmark line, a fixed 10-segment 65nm netgen line at 200 µm pitch,
-// over the library and coupling scenario space returns. It also reports
-// the lattice skyline's fill work per kept option.
-func benchmarkSolveFront(b *testing.B, space func(*tech.Technology) (repeater.Library, *delay.Coupling, error)) {
+// engineLine is the engine benchmark line: a fixed 10-segment 65nm
+// netgen line.
+func engineLine(b *testing.B) (*delay.Evaluator, *tech.Technology) {
 	tc := tech.T65()
 	cfg, err := netgen.DefaultConfig(tc)
 	if err != nil {
@@ -127,6 +125,34 @@ func benchmarkSolveFront(b *testing.B, space func(*tech.Technology) (repeater.Li
 	if err != nil {
 		b.Fatal(err)
 	}
+	return ev, tc
+}
+
+// BenchmarkMinimumDelay_Engine measures the τmin sweep ripd runs for
+// every cold line shape: MinimumDelay over ReferenceOptions (10u–400u at
+// a 10u step, 200 µm pitch) on the engine benchmark line.
+func BenchmarkMinimumDelay_Engine(b *testing.B) {
+	ev, _ := engineLine(b)
+	opts, err := ReferenceOptions()
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := NewSolver()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.MinimumDelay(ev, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchmarkSolveFront measures warm SolveFront calls on the engine
+// benchmark line at 200 µm pitch, over the library and coupling scenario
+// space returns. It also reports the lattice skyline's fill work per kept
+// option.
+func benchmarkSolveFront(b *testing.B, space func(*tech.Technology) (repeater.Library, *delay.Coupling, error)) {
+	ev, tc := engineLine(b)
 	lib, cpl, err := space(tc)
 	if err != nil {
 		b.Fatal(err)

@@ -21,16 +21,22 @@
 // scratch arenas: steady-state solves perform zero heap allocations, and
 // pruning is bucketed by repeater action and filed into a width-class
 // table (see prune.go), so neither the full 3-key sort of the naive
-// rendering nor any per-bucket sort ever happens. When the library's
-// widths are integers, uncoupled accumulated widths lie on a lattice of
-// step gcd(widths), and a width-aware uncoupled level whose lattice is
-// dense enough indexes its class table and its dominance skyline by w/g
-// instead of sorting and binary-searching floats. Every other level —
-// τmin's 2-D levels, coupled levels and sparse lattices — sorts its
-// classes. Each level picks its path from its own inputs, and both paths
-// keep the same options, so answers and Stats never depend on the
-// choice. The package-level Solve and MinimumDelay draw Solvers from a
-// pool, so even one-shot callers reuse arenas across calls.
+// rendering nor any per-bucket sort ever happens: the bucket fronts come
+// off the table as one sorted run, which a two-way merge joins with the
+// no-repeater bucket. When the library's widths are integers, uncoupled
+// accumulated widths lie on a lattice of step gcd(widths), and a
+// width-aware uncoupled level whose lattice is dense enough indexes its
+// class table and its dominance skyline by w/g instead of sorting and
+// binary-searching floats. Every other level — τmin's 2-D levels, coupled
+// levels and sparse lattices — sorts its classes. Each level picks its
+// path from its own inputs, and both paths keep the same options, so
+// answers and Stats never depend on the choice. An uncoupled τmin level
+// evaluates repeater options only near the lower (c, d) hull of its
+// no-repeater bucket, one pointer walking the hull across the widths
+// (Solver.offerHull), and keeps exactly the options full generation
+// keeps; coupled τmin levels generate every option. The package-level
+// Solve and MinimumDelay draw Solvers from a pool, so even one-shot
+// callers reuse arenas across calls.
 package dp
 
 import (
@@ -112,7 +118,9 @@ var ErrBudget = errors.New("dp: work budget exceeded")
 type Stats struct {
 	// Candidates is the number of candidate locations considered.
 	Candidates int
-	// Generated counts every partial solution created.
+	// Generated counts every partial solution the sweep's option space
+	// generates, including the repeater options an uncoupled τmin level
+	// proves losing without evaluating them (see Solver.offerHull).
 	Generated int
 	// Kept counts partial solutions surviving pruning, summed over levels.
 	Kept int

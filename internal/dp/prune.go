@@ -27,15 +27,16 @@ import (
 //     sorted.
 //   - Width lattice. When every library width is a positive integer, an
 //     uncoupled accumulated width is an exact multiple of the library's
-//     gcd g (latticeStep), so class w has the exact index (w − lo)/g
-//     above the level's narrowest class lo. A width-aware uncoupled level
-//     whose lattice extent — its classes' span plus the widest library
-//     width, over g — is no larger than its downstream option count
-//     (onLattice) indexes its table rows that way: one row per lattice
-//     point, unoccupied rows left empty. Every other level — 2-D, coupled
-//     (shielding costs are continuous), non-integer libraries and sparse
-//     lattices past the guard — sorts and dedupes its classes once and
-//     binary-searches each option's row.
+//     gcd g (repeater.Library.LatticeStep), so class w has the exact
+//     index (w − lo)/g above the level's narrowest class lo. A
+//     width-aware uncoupled level whose lattice extent — its classes'
+//     span plus the widest library width, over g — is no larger than its
+//     downstream option count (onLattice) indexes its table rows that
+//     way: one row per lattice point, unoccupied rows left empty. Every
+//     other level — 2-D, coupled (shielding costs are continuous),
+//     non-integer libraries and sparse lattices past the guard — sorts
+//     and dedupes its classes once and binary-searches each option's
+//     row.
 //   - Stage 1 reads each repeater bucket's (d, w) front from one ascending
 //     scan over the rows. Widths never shrink along it, so a cell survives
 //     when its delay undercuts every narrower class's. Off the lattice,
@@ -43,22 +44,31 @@ import (
 //     faster cell (by the same tie rule) then replaces the slower one. On
 //     the lattice every width is exact, so that never happens. Under the
 //     delay objective width is ignored and the table has a single class,
-//     so each bucket reduces to its min-delay cell.
+//     so each bucket reduces to its min-delay cell; the τmin sweep offers
+//     those cells only the options near the level's lower hull (see
+//     Solver.offerHull).
 //   - The no-repeater bucket inherits the downstream level's (c, d, w)
 //     order (kept runs are emitted sorted), so it is already sorted; a
 //     linear check guards the rare rounding collision that breaks the
 //     inheritance, re-sorting (stably) only then.
-//   - Stage 2 k-way merges the bucket fronts in ascending (c, d, w) order
-//     through one incremental (d, w) skyline, which performs the exact
-//     dominance filter of the classic algorithm without ever sorting the
-//     full generated set. Every option merged so far has c ≤ the current
-//     one's, so it is dominated iff a kept option has d' ≤ d and w' ≤ w.
-//     On the lattice the skyline is a prefix-minimum array over the same
-//     width index: minD[k] is the least kept delay at index ≤ k, an option
-//     is dominated iff minD[k(w)] ≤ d, and a kept option lowers minD from
-//     k(w) up to the first entry already ≤ its delay. Off the lattice it
-//     is two parallel float slices (frontD ascending, frontW descending)
-//     that the filter binary-searches and the insert shifts.
+//   - The repeater fronts come off the table in ascending c (c = Co·w_i,
+//     and the library ascends), each in ascending d, so their
+//     concatenation is already one sorted run. A check at each front's
+//     boundary guards two widths whose Co·w round equal (or a library
+//     out of order), stably re-sorting the run only then.
+//   - Stage 2 is a two-way merge of the two runs in ascending (c, d, w)
+//     order (cmpKey), exact ties to the no-repeater run, through one
+//     incremental skyline, which performs the exact dominance filter of
+//     the classic algorithm without ever sorting the full generated set.
+//     Every option merged so far has c ≤ the current one's, so it is
+//     dominated iff a kept option has d' ≤ d and w' ≤ w. In 2-D that is
+//     the least kept delay. On the lattice the skyline is a prefix-minimum
+//     array over the same width index: minD[k] is the least kept delay at
+//     index ≤ k, an option is dominated iff minD[k(w)] ≤ d, and a kept
+//     option lowers minD from k(w) up to the first entry already ≤ its
+//     delay. Off the lattice it is two parallel float slices (frontD
+//     ascending, frontW descending) that the filter binary-searches and
+//     the insert shifts.
 //
 // Both renderings decide the same predicate with the same tie rule, so a
 // level keeps the same options in the same order on either path. The
@@ -114,32 +124,6 @@ func (c *cell) offer(d, w float64, next int32, sch uint8) {
 	}
 }
 
-// mergeHead is one cursor of the k-way run merge: the next unconsumed
-// option runs[i] and the end of its run.
-type mergeHead struct{ i, end int32 }
-
-// latticeMaxWidth bounds the library widths the lattice accepts. A line
-// has fewer than 2³¹ levels (arena indices are int32), so accumulated
-// widths stay below 2⁵² and every sum of library widths is exact in
-// float64.
-const latticeMaxWidth = 1 << 21
-
-// latticeStep returns the width lattice step g of a library: the gcd of
-// its widths when every one is an integer in [1, latticeMaxWidth], and 0
-// (no lattice) otherwise.
-func latticeStep(widths []float64) float64 {
-	g := 0
-	for _, w := range widths {
-		if !(w >= 1 && w <= latticeMaxWidth) || w != math.Trunc(w) {
-			return 0
-		}
-		for a := int(w); a != 0; {
-			g, a = a, g%a
-		}
-	}
-	return float64(g)
-}
-
 // onLattice reports whether a width-aware uncoupled level goes on the
 // width lattice of step g (0: the library has none). Its n downstream
 // widths span [lo, hi] and wMax is the widest library width, so its
@@ -174,7 +158,6 @@ type pruner struct {
 	coW    []float64
 	frontD []float64 // off-lattice front, delay coordinates (ascending)
 	frontW []float64 // off-lattice front, width coordinates (descending)
-	heap   []mergeHead
 }
 
 // reset prepares the pruner for a new level off the lattice. cls holds
@@ -234,13 +217,11 @@ func (p *pruner) row(w float64) []cell {
 	return p.cells[lo*nw : lo*nw+nw]
 }
 
-// cmpOpt orders options by (c, d, w) ascending — (c, d) only when the
+// cmpKey orders options by (c, d, w) ascending — (c, d) only when the
 // width coordinate is ignored (2-D mode). Width-blindness is a comparison
-// concern: the options' real widths are never modified. Exact value ties
-// break by scheme, plain first, which is what makes a zero-coupling
-// duplicate kill keep the plain option; uncoupled solves carry sch == 0
-// everywhere and are unaffected.
-func cmpOpt(a, b *option, threeD bool) int {
+// concern: the options' real widths are never modified. It is stage 2's
+// merge order, under which exact value ties keep their run order.
+func cmpKey(a, b *option, threeD bool) int {
 	switch {
 	case a.c != b.c:
 		if a.c < b.c {
@@ -257,22 +238,38 @@ func cmpOpt(a, b *option, threeD bool) int {
 			return -1
 		}
 		return 1
-	case a.sch != b.sch:
-		if a.sch < b.sch {
-			return -1
-		}
+	}
+	return 0
+}
+
+// cmpOpt is cmpKey with exact value ties broken by scheme, plain first,
+// which is what makes a zero-coupling duplicate kill keep the plain
+// option; uncoupled solves carry sch == 0 everywhere and are unaffected.
+// It orders the no-repeater bucket.
+func cmpOpt(a, b *option, threeD bool) int {
+	if c := cmpKey(a, b, threeD); c != 0 {
+		return c
+	}
+	switch {
+	case a.sch < b.sch:
+		return -1
+	case a.sch > b.sch:
 		return 1
 	}
 	return 0
 }
 
 // reduceTable appends each repeater bucket's (d, w) front to runs, d
-// ascending and w strictly descending, and pushes a merge cursor for each
-// non-empty one. The scan walks a bucket's column with widths ascending
-// and keeps the survivors in that order, so each front is reversed once
-// at the end.
-func (p *pruner) reduceTable() {
+// ascending and w strictly descending, and reports whether the fronts,
+// in bucket order, form one run in cmpKey order. The scan walks a
+// bucket's column with widths ascending and keeps the survivors in that
+// order, so each front is reversed once at the end. Each front has the
+// constant load Co·w_i, so the fronts concatenate in order whenever the
+// library's loads ascend; two widths whose Co·w round equal interleave.
+func (p *pruner) reduceTable(threeD bool) (sorted bool) {
 	nw := len(p.coW)
+	sorted = true
+	prev := -1 // the last option of the previous non-empty front
 	for wi, c := range p.coW {
 		start := len(p.runs)
 		minD := math.Inf(1)
@@ -298,9 +295,13 @@ func (p *pruner) reduceTable() {
 		}
 		if len(p.runs) > start {
 			slices.Reverse(p.runs[start:])
-			p.heap = append(p.heap, mergeHead{i: int32(start), end: int32(len(p.runs))})
+			if prev >= 0 && cmpKey(&p.runs[prev], &p.runs[start], threeD) > 0 {
+				sorted = false
+			}
+			prev = len(p.runs) - 1
 		}
 	}
+	return sorted
 }
 
 // frontIdx returns the first front index whose delay exceeds key — the
@@ -328,45 +329,49 @@ func (p *pruner) frontIdx(key float64) int {
 func (p *pruner) pruneInto(dst []option, threeD bool) []option {
 	// Stage 1: sort the no-repeater bucket if generation broke its
 	// inherited order, and read every repeater bucket's front off the
-	// table. Runs keep bucket order, so merge ties break the way they
-	// always have: no-repeater first, then by library index.
-	p.heap = p.heap[:0]
-	if n0 := len(p.runs); n0 > 0 {
-		// The re-sort is stable, so exact ties keep generation order: the
-		// same "first generated" rule the table applies.
-		b0 := p.runs[:n0]
-		if !slices.IsSortedFunc(b0, func(a, b option) int { return cmpOpt(&a, &b, threeD) }) {
-			slices.SortStableFunc(b0, func(a, b option) int { return cmpOpt(&a, &b, threeD) })
+	// table. The re-sorts are stable, so exact ties keep generation order
+	// (the table's "first generated" rule) and, across repeater fronts,
+	// bucket order.
+	n0 := len(p.runs)
+	for i := 1; i < n0; i++ {
+		if cmpOpt(&p.runs[i-1], &p.runs[i], threeD) > 0 {
+			slices.SortStableFunc(p.runs[:n0], func(a, b option) int { return cmpOpt(&a, &b, threeD) })
+			break
 		}
-		p.heap = append(p.heap, mergeHead{i: 0, end: int32(n0)})
 	}
-	p.reduceTable()
-
-	// Stage 2: k-way merge of the runs in ascending (c, d, w) order through
-	// a single incremental (d, w) skyline: the lattice's prefix minimum, or
-	// the float front off it. Every run is sorted in that order
-	// (repeater fronts have constant c and ascending d), so a small binary
-	// heap over the run heads yields the global order.
-	for i := len(p.heap)/2 - 1; i >= 0; i-- {
-		p.siftDown(i, threeD)
+	if !p.reduceTable(threeD) {
+		slices.SortStableFunc(p.runs[n0:], func(a, b option) int { return cmpKey(&a, &b, threeD) })
 	}
 
-	if p.g > 0 {
-		return p.mergeLattice(dst)
+	// Stage 2: a two-way merge of the no-repeater run and the repeater
+	// run in cmpKey order, ties to the no-repeater run, through a single
+	// incremental skyline: in 2-D the least kept delay, in 3-D the
+	// lattice's prefix minimum or the float (d, w) front off it.
+	switch {
+	case p.g > 0:
+		return p.mergeLattice(dst, n0)
+	case !threeD:
+		start := len(dst)
+		minD := 0.0
+		for i, j := 0, n0; i < n0 || j < len(p.runs); {
+			o := p.next(&i, &j, n0, false)
+			if len(dst) > start && minD <= o.d {
+				continue // dominated (or a duplicate of a kept value)
+			}
+			dst = append(dst, *o)
+			minD = o.d
+		}
+		return dst
 	}
-
 	p.frontD = p.frontD[:0]
 	p.frontW = p.frontW[:0]
-	for len(p.heap) > 0 {
-		o := p.pop(threeD)
+	for i, j := 0, n0; i < n0 || j < len(p.runs); {
+		o := p.next(&i, &j, n0, true)
 
 		// front holds kept (d, w) pairs sorted by d ascending with
 		// strictly decreasing w; every entry's c ≤ o.c by merge order, so
 		// o is dominated iff some entry has d ≤ o.d and w ≤ o.w.
 		ow := o.w
-		if !threeD {
-			ow = 0
-		}
 		ins := p.frontIdx(o.d)
 		if ins > 0 && p.frontW[ins-1] <= ow {
 			continue // dominated (or a duplicate of a kept value)
@@ -374,11 +379,11 @@ func (p *pruner) pruneInto(dst []option, threeD bool) []option {
 		dst = append(dst, *o)
 		// Insert (o.d, ow) at its position; drop entries it dominates
 		// (d ≥ o.d, w ≥ ow).
-		j := ins
-		for j < len(p.frontW) && p.frontW[j] >= ow {
-			j++
+		end := ins
+		for end < len(p.frontW) && p.frontW[end] >= ow {
+			end++
 		}
-		if j == ins {
+		if end == ins {
 			p.frontD = append(p.frontD, 0)
 			copy(p.frontD[ins+1:], p.frontD[ins:])
 			p.frontD[ins] = o.d
@@ -387,12 +392,26 @@ func (p *pruner) pruneInto(dst []option, threeD bool) []option {
 			p.frontW[ins] = ow
 		} else {
 			p.frontD[ins] = o.d
-			p.frontD = append(p.frontD[:ins+1], p.frontD[j:]...)
+			p.frontD = append(p.frontD[:ins+1], p.frontD[end:]...)
 			p.frontW[ins] = ow
-			p.frontW = append(p.frontW[:ins+1], p.frontW[j:]...)
+			p.frontW = append(p.frontW[:ins+1], p.frontW[end:]...)
 		}
 	}
 	return dst
+}
+
+// next returns the next option of stage 2's two-way merge of the
+// no-repeater run runs[:n0] (cursor i) and the repeater run runs[n0:]
+// (cursor j), advancing its cursor. Exact ties go to the no-repeater
+// run. The option stays in runs, so the pointer is good until the next
+// level resets them.
+func (p *pruner) next(i, j *int, n0 int, threeD bool) *option {
+	if *j == len(p.runs) || (*i < n0 && cmpKey(&p.runs[*i], &p.runs[*j], threeD) <= 0) {
+		*i++
+		return &p.runs[*i-1]
+	}
+	*j++
+	return &p.runs[*j-1]
 }
 
 // mergeLattice is stage 2 on the width lattice: the merge's skyline is
@@ -400,10 +419,10 @@ func (p *pruner) pruneInto(dst []option, threeD bool) []option {
 // kept option's c ≤ o.c by merge order, so o is dominated iff
 // minD[k(o.w)] ≤ o.d; a kept o lowers minD from k(o.w) up to the first
 // entry already ≤ o.d, past which every entry is.
-func (p *pruner) mergeLattice(dst []option) []option {
+func (p *pruner) mergeLattice(dst []option, n0 int) []option {
 	fills := 0
-	for len(p.heap) > 0 {
-		o := p.pop(true)
+	for i, j := 0, n0; i < n0 || j < len(p.runs); {
+		o := p.next(&i, &j, n0, true)
 		k := int((o.w - p.base) / p.g)
 		if p.minD[k] <= o.d {
 			continue // dominated (or a duplicate of a kept value)
@@ -416,53 +435,4 @@ func (p *pruner) mergeLattice(dst []option) []option {
 	}
 	p.fills += fills
 	return dst
-}
-
-// pop removes and returns the least head option of the merge, advancing
-// its run and dropping the run once it is spent. The option stays in
-// runs, so the pointer is good until the next level resets them.
-func (p *pruner) pop(threeD bool) *option {
-	h := &p.heap[0]
-	o := &p.runs[h.i]
-	if h.i++; h.i == h.end {
-		last := len(p.heap) - 1
-		p.heap[0] = p.heap[last]
-		p.heap = p.heap[:last]
-	}
-	p.siftDown(0, threeD)
-	return o
-}
-
-// headLess orders merge cursors by their head option's (c, d, w), breaking
-// exact value ties by run position — bucket order — for determinism.
-func (p *pruner) headLess(x, y mergeHead, threeD bool) bool {
-	a, b := &p.runs[x.i], &p.runs[y.i]
-	switch {
-	case a.c != b.c:
-		return a.c < b.c
-	case a.d != b.d:
-		return a.d < b.d
-	case threeD && a.w != b.w:
-		return a.w < b.w
-	}
-	return x.i < y.i
-}
-
-// siftDown restores the heap property from index i.
-func (p *pruner) siftDown(i int, threeD bool) {
-	for {
-		l := 2*i + 1
-		if l >= len(p.heap) {
-			return
-		}
-		min := l
-		if r := l + 1; r < len(p.heap) && p.headLess(p.heap[r], p.heap[l], threeD) {
-			min = r
-		}
-		if !p.headLess(p.heap[min], p.heap[i], threeD) {
-			return
-		}
-		p.heap[i], p.heap[min] = p.heap[min], p.heap[i]
-		i = min
-	}
 }

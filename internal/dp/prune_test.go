@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/rip-eda/rip/internal/ordertest"
+	"github.com/rip-eda/rip/internal/repeater"
 )
 
 // dominates reports 3-D (or 2-D, width-blind) dominance of a over b.
@@ -143,7 +144,7 @@ func (l genLevel) lattice() (lo, hi, wMax, g float64, ok bool) {
 	}
 	gi := 0
 	for i, x := range append(cls, l.widths...) {
-		if x < 0 || x > latticeMaxWidth || x != math.Trunc(x) {
+		if x < 0 || x > repeater.LatticeMaxWidth || x != math.Trunc(x) {
 			return 0, 0, 0, 0, false
 		}
 		if i < len(cls) {
@@ -589,42 +590,46 @@ func TestLatticeStep(t *testing.T) {
 		{[]float64{7, 400}, 1},
 		{[]float64{11, 53, 97, 131, 173, 211, 257, 293, 331, 397}, 1},
 		{[]float64{60, 120, 180}, 60},
-		{[]float64{latticeMaxWidth}, latticeMaxWidth},
+		{[]float64{repeater.LatticeMaxWidth}, repeater.LatticeMaxWidth},
 		{[]float64{10, 12.5}, 0},
 		{[]float64{0.5}, 0},
-		{[]float64{10, latticeMaxWidth + 1}, 0},
+		{[]float64{10, repeater.LatticeMaxWidth + 1}, 0},
 		{[]float64{10, math.Inf(1)}, 0},
 		{[]float64{10, math.NaN()}, 0},
 	} {
-		if got := latticeStep(tc.widths); got != tc.want {
-			t.Fatalf("latticeStep(%v) = %v, want %v", tc.widths, got, tc.want)
+		// A width list no library accepts has no lattice either.
+		got := 0.0
+		if lib, err := repeater.NewLibrary(tc.widths); err == nil {
+			got = lib.LatticeStep()
+		}
+		if got != tc.want {
+			t.Fatalf("LatticeStep(%v) = %v, want %v", tc.widths, got, tc.want)
 		}
 	}
 }
 
 // TestOrdersAreStrictWeak checks every ordering the line DP sorts or
-// merges by — cmpOpt in both modes, the merge heap's headLess and the
-// front sweep's cmpRoot — on tie-heavy samples with signed zeros.
+// merges by — cmpOpt in both modes, stage 2's two-way merge order cmpKey
+// in both modes and the front sweep's cmpRoot — on tie-heavy samples
+// with signed zeros.
 func TestOrdersAreStrictWeak(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	for trial := 0; trial < 10; trial++ {
-		var p pruner
-		var heads []mergeHead
+		var opts []option
 		var roots []frontRoot
 		for i := 0; i < 40; i++ {
-			p.runs = append(p.runs, option{
+			opts = append(opts, option{
 				c: ordertest.Value(rng), d: ordertest.Value(rng), w: ordertest.Value(rng),
 				act: -1, next: int32(i), sch: uint8(rng.Intn(3)),
 			})
-			heads = append(heads, mergeHead{i: int32(i), end: 40})
 			roots = append(roots, frontRoot{
 				total: ordertest.Value(rng), w: ordertest.Value(rng),
 				idx: int32(rng.Intn(4)), sch: uint8(rng.Intn(3)),
 			})
 		}
 		for _, threeD := range []bool{true, false} {
-			ordertest.Cmp(t, "cmpOpt", p.runs, func(a, b option) int { return cmpOpt(&a, &b, threeD) })
-			ordertest.StrictWeak(t, "headLess", heads, func(x, y mergeHead) bool { return p.headLess(x, y, threeD) })
+			ordertest.Cmp(t, "cmpOpt", opts, func(a, b option) int { return cmpOpt(&a, &b, threeD) })
+			ordertest.Cmp(t, "cmpKey", opts, func(a, b option) int { return cmpKey(&a, &b, threeD) })
 		}
 		ordertest.Cmp(t, "cmpRoot", roots, cmpRoot)
 	}

@@ -44,8 +44,8 @@ type Solver struct {
 	widths  []float64
 	rsOverW []float64
 	coW     []float64
-	// g is the library's width lattice step (latticeStep), 0 when it has
-	// none.
+	// g is the library's width lattice step (Library.LatticeStep), 0 when
+	// it has none.
 	g float64
 
 	// arena holds every level's kept options, receiver level first.
@@ -54,6 +54,13 @@ type Solver struct {
 	lvlCnt []int32
 
 	pr pruner
+
+	// hull, near and nearAt are offerHull's scratch: the lower hull's
+	// vertices, the options near it (vertices included), and each
+	// vertex's position in near.
+	hull   []int32
+	near   []int32
+	nearAt []int32
 
 	// roots is the driver-closure scratch for front extraction.
 	roots []frontRoot
@@ -284,7 +291,7 @@ func (s *Solver) prepare(ev *delay.Evaluator, opts Options) (int, error) {
 		s.rsOverW = append(s.rsOverW, t.Rs/w)
 		s.coW = append(s.coW, t.Co*w)
 	}
-	s.g = latticeStep(s.widths)
+	s.g = opts.Library.LatticeStep()
 
 	if cap(s.lvlOff) < n+1 {
 		s.lvlOff = make([]int32, n+1)
@@ -363,7 +370,18 @@ func (s *Solver) runLevels(ev *delay.Evaluator, opts Options, bound float64, thr
 		}
 		row := s.pr.cells
 		gen := 0
-		if cpl == nil {
+		switch {
+		case cpl == nil && !threeD:
+			// τmin: unbounded (the delay objective has no target), and
+			// every option lands in the one class, so only options near
+			// the lower hull of the no-repeater bucket can win a cell.
+			for di := range down {
+				o := &down[di]
+				s.pr.runs = append(s.pr.runs, option{c: o.c + cw, d: o.d + rw*o.c + m, w: o.w, act: -1, next: downOff + int32(di)})
+			}
+			gen += len(down) * len(s.widths)
+			s.offerHull(rsCp, row)
+		case cpl == nil:
 			for di := range down {
 				o := &down[di]
 				baseC := o.c + cw
@@ -378,9 +396,7 @@ func (s *Solver) runLevels(ev *delay.Evaluator, opts Options, bound float64, thr
 				// (o's width class, wi), which keeps the fastest. Uncoupled
 				// options all carry the plain scheme, so the tie rule is
 				// just "first generated".
-				if threeD {
-					row = s.pr.row(o.w)
-				}
+				row = s.pr.row(o.w)
 				for wi, width := range s.widths {
 					d := rsCp + s.rsOverW[wi]*baseC + baseD
 					if d > bound {
@@ -390,7 +406,7 @@ func (s *Solver) runLevels(ev *delay.Evaluator, opts Options, bound float64, thr
 					row[wi].offer(d, o.w+width, next, 0)
 				}
 			}
-		} else {
+		default:
 			// Coupled arm: generate one option per allowed scheme of the
 			// interval, pricing it at the scheme's effective capacitance /
 			// self-delay and charging any shielding cost into w. The pruner
@@ -446,4 +462,175 @@ func (s *Solver) runLevels(ev *delay.Evaluator, opts Options, bound float64, thr
 		s.lvlCnt[k] = kept
 	}
 	return true, nil
+}
+
+// Tolerances of offerHull, as fractions of the level's delay scale M
+// (see offerHull). A float64 evaluation of a delay is within 3·2⁻⁵³·M of
+// its exact value, and the hull's own arithmetic within about 2⁻⁴⁹·M.
+const (
+	// hullConvex is how far below the chord of its neighbours a vertex
+	// must lie: every kept triple is then exactly convex.
+	hullConvex = 0x1p-46
+	// hullFar is the height above the hull past which an option can never
+	// win a cell: it is worse than a vertex by more than twice any
+	// rounding error.
+	hullFar = 0x1p-40
+	// hullScan is the delay margin, above the least vertex delay, within
+	// which vertices are treated as tied.
+	hullScan = 0x1p-42
+)
+
+// offerHull files the repeater options of a τmin level — unbounded,
+// uncoupled and 2-D — into its one-class table row. The level's
+// no-repeater bucket, in runs, holds each downstream option's (baseC,
+// baseD) in generation order, so baseC never decreases along it. Width
+// w_i's option from it has delay rsCp + (Rs/w_i)·baseC + baseD, linear in
+// (baseC, baseD), so only options near the lower convex hull of those
+// points can be a cell's fastest; since Rs/w_i falls as w_i grows, one
+// pointer walks the hull across the widths. Each cell still sees, in
+// generation order, every option that can win or tie it, so it keeps the
+// option the full n·|B| loop keeps, bit for bit.
+//
+// Exactness rests on three margins of the delay scale M, which bounds
+// every term of every delay on the level: a far option is above the
+// segment between two vertices by more than twice the rounding error of
+// any evaluation, so at every slope one of the two beats it; the vertices
+// form an exactly convex chain, so along it each width's exact delay
+// falls and then rises; and every vertex within a scan margin of the
+// least evaluated delay is offered, with the near options on the edges
+// around them. Levels with non-finite values, or too few options for the
+// hull to pay, run the full loop.
+func (s *Solver) offerHull(rsCp float64, row []cell) {
+	pts := s.pr.runs
+	n := len(pts)
+	sMax := 0.0
+	for _, sw := range s.rsOverW {
+		sMax = max(sMax, math.Abs(sw))
+	}
+	cMax, dMax := 0.0, 0.0
+	for i := range pts {
+		cMax = max(cMax, math.Abs(pts[i].c))
+		dMax = max(dMax, math.Abs(pts[i].d))
+	}
+	scale := math.Abs(rsCp) + sMax*cMax + dMax
+	if n < 4 || math.IsInf(scale, 0) || math.IsNaN(scale) {
+		for i := range pts {
+			o := &pts[i]
+			for wi, width := range s.widths {
+				row[wi].offer(rsCp+s.rsOverW[wi]*o.c+o.d, o.w+width, o.next, 0)
+			}
+		}
+		return
+	}
+
+	// Lower hull, Andrew's monotone chain over the c-sorted points. Of
+	// equal loads only the first of least delay can be a vertex, and a
+	// vertex b stays only when it lies clearly below the chord from its
+	// predecessor a to the next point p: its height over the chord, times
+	// p.c − a.c > 0, is below −tolConvex·(p.c − a.c).
+	tolConvex := hullConvex * scale
+	h := s.hull[:0]
+	for i := range pts {
+		p := &pts[i]
+		if top := len(h) - 1; top >= 0 && pts[h[top]].c == p.c {
+			if p.d >= pts[h[top]].d {
+				continue
+			}
+			h = h[:top]
+		}
+		for len(h) >= 2 {
+			a, b := &pts[h[len(h)-2]], &pts[h[len(h)-1]]
+			if dc := p.c - a.c; (b.d-a.d)*dc-(p.d-a.d)*(b.c-a.c) < -tolConvex*dc {
+				break
+			}
+			h = h[:len(h)-1]
+		}
+		h = append(h, int32(i))
+	}
+	s.hull = h
+
+	// Near options: the vertices, plus every other option within hullFar
+	// of the edge below it (options before the first vertex or after the
+	// last share its load). below is the deepest a near option lies under
+	// the chain, which widens the scan margin.
+	tolFar := hullFar * scale
+	below := 0.0
+	near := s.near[:0]
+	s.nearAt = slices.Grow(s.nearAt[:0], len(h))[:len(h)]
+	for i, v := 0, 0; i < n; i++ {
+		if v < len(h) && h[v] == int32(i) {
+			s.nearAt[v] = int32(len(near))
+			near = append(near, int32(i))
+			v++
+			continue
+		}
+		p := &pts[i]
+		var gap float64
+		switch {
+		case v == 0:
+			gap = p.d - pts[h[0]].d
+		case v == len(h):
+			gap = p.d - pts[h[v-1]].d
+		default:
+			a, b := &pts[h[v-1]], &pts[h[v]]
+			switch {
+			case p.c == a.c:
+				gap = p.d - a.d
+			case p.c == b.c:
+				gap = p.d - b.d
+			default:
+				gap = p.d - (a.d + (b.d-a.d)*((p.c-a.c)/(b.c-a.c)))
+			}
+		}
+		if gap > tolFar {
+			continue
+		}
+		below = max(below, -gap)
+		near = append(near, int32(i))
+	}
+	s.near = near
+
+	// The walk: for each width, scan the vertices from the pointer both
+	// ways while their delay stays within the margin of the least seen,
+	// then offer the near options strictly between the vertices that
+	// ended the scans, in generation order.
+	tolScan := hullScan*scale + 2*below
+	at := 0
+	for wi, width := range s.widths {
+		sw := s.rsOverW[wi]
+		best := rsCp + sw*pts[h[at]].c + pts[h[at]].d
+		lo, hi, bestAt := at, at, at
+		for hi+1 < len(h) {
+			p := &pts[h[hi+1]]
+			d := rsCp + sw*p.c + p.d
+			if d > best+tolScan {
+				break
+			}
+			if hi++; d < best {
+				best, bestAt = d, hi
+			}
+		}
+		for lo > 0 {
+			p := &pts[h[lo-1]]
+			d := rsCp + sw*p.c + p.d
+			if d > best+tolScan {
+				break
+			}
+			if lo--; d < best {
+				best, bestAt = d, lo
+			}
+		}
+		at = bestAt
+		from, to := int32(0), int32(len(near))
+		if lo > 0 {
+			from = s.nearAt[lo-1] + 1
+		}
+		if hi+1 < len(h) {
+			to = s.nearAt[hi+1]
+		}
+		for _, i := range near[from:to] {
+			o := &pts[i]
+			row[wi].offer(rsCp+sw*o.c+o.d, o.w+width, o.next, 0)
+		}
+	}
 }

@@ -406,9 +406,10 @@ func New(t *tech.Technology, opts Options) (*Engine, error) {
 // frontStepFactor scales the pipeline's concise-library granularity
 // (paper §6: 10u) up to the native front space's width step (40u by
 // default), so that one unbounded width-aware sweep per shape stays
-// cheap: a traced chip_batch run (netgen lines of 4–10 segments on all
-// four nodes, 2-vCPU host) measured a median of 3.0 ms and a p99 of
-// 14.5 ms per front solve (dp.front_p50_ms, dp.front_p99_ms). The coarse
+// cheap: a traced chip_batch run (seed 3101: netgen lines of 4–10
+// segments on all four nodes, 2-vCPU host, Go 1.24.0) measured a median
+// of 3.1 ms and a p99 of 17.3 ms per front solve (dp.front_p50_ms,
+// dp.front_p99_ms), against 0.27 ms for the τmin sweep. The coarse
 // step costs answer quality. Measured against a flat fine DP (10u
 // library, 50 µm pitch) on 8 netgen lines per node (4–10 segments) at
 // 1.1, 1.3, 1.6 and 2.0×τmin, served answers spend median 6.2 / 7.1 /

@@ -139,6 +139,29 @@ func (l Library) Min() float64 { return l.widths[0] }
 // Max returns the largest width. It panics on an empty library.
 func (l Library) Max() float64 { return l.widths[len(l.widths)-1] }
 
+// LatticeMaxWidth bounds the widths LatticeStep accepts. A DP option's
+// width is a sum of fewer than 2³¹ library widths (line levels and tree
+// nodes are int32-indexed), so every such sum stays below 2⁵² and is
+// exact in float64.
+const LatticeMaxWidth = 1 << 21
+
+// LatticeStep returns the library's width lattice step: the gcd of its
+// widths when every one is an integer in [1, LatticeMaxWidth], and 0 (no
+// lattice) otherwise. Every sum of library widths is an exact multiple
+// of the step, so the DP indexes accumulated widths by (w − lo)/step.
+func (l Library) LatticeStep() float64 {
+	g := 0
+	for _, w := range l.widths {
+		if !(w >= 1 && w <= LatticeMaxWidth) || w != math.Trunc(w) {
+			return 0
+		}
+		for a := int(w); a != 0; {
+			g, a = a, g%a
+		}
+	}
+	return float64(g)
+}
+
 // Round returns the library width nearest to w (ties go down, matching
 // sort order stability).
 func (l Library) Round(w float64) float64 {

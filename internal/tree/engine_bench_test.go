@@ -10,17 +10,17 @@ import (
 	"github.com/rip-eda/rip/internal/tree"
 )
 
-// BenchmarkTreeFront_Engine measures the two tree DPs ripd runs for every
-// cold uniform-deadline tree shape: MinArrival on the 10u reference
-// library (10u–400u) and InsertFront on the engine's 40u front library,
-// over the zero-RAT clone, for a fixed 65nm netgen tree.
-func BenchmarkTreeFront_Engine(b *testing.B) {
+// engineTreeBench is the fixed 65nm netgen tree ripd solves in the tree
+// kernel benchmarks, with the two options it sweeps it under: the 10u
+// reference library (10u–400u) for MinArrival and the engine's 40u front
+// library for InsertFront, whose sweep runs on the zero-RAT clone work.
+func engineTreeBench(b *testing.B) (net *tree.Net, work *tree.Tree, ref, fo tree.Options) {
 	tc := tech.T65()
 	cfg, err := netgen.DefaultTreeConfig(tc)
 	if err != nil {
 		b.Fatal(err)
 	}
-	net, err := netgen.GenerateTree(rand.New(rand.NewSource(1)), cfg, "bench-65nm-tree")
+	net, err = netgen.GenerateTree(rand.New(rand.NewSource(1)), cfg, "bench-65nm-tree")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -32,9 +32,18 @@ func BenchmarkTreeFront_Engine(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ref := tree.Options{Library: refLib, Tech: tc, DriverWidth: net.DriverWidth}
-	fo := tree.Options{Library: frontLib, Tech: tc, DriverWidth: net.DriverWidth}
-	work := net.Tree.CloneWithRAT(0)
+	ref = tree.Options{Library: refLib, Tech: tc, DriverWidth: net.DriverWidth}
+	fo = tree.Options{Library: frontLib, Tech: tc, DriverWidth: net.DriverWidth}
+	return net, net.Tree.CloneWithRAT(0), ref, fo
+}
+
+// BenchmarkTreeFront_Engine measures the two tree DPs ripd runs for every
+// cold uniform-deadline tree shape: MinArrival on the 10u reference
+// library and InsertFront on the engine's 40u front library, over the
+// zero-RAT clone. BenchmarkTreeMinArrival_Engine and
+// BenchmarkTreeInsertFront_Engine time each sweep on its own.
+func BenchmarkTreeFront_Engine(b *testing.B) {
+	net, work, ref, fo := engineTreeBench(b)
 	s := tree.NewSolver()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -42,6 +51,38 @@ func BenchmarkTreeFront_Engine(b *testing.B) {
 		if _, _, err := s.MinArrival(net.Tree, ref); err != nil {
 			b.Fatal(err)
 		}
+		front, _, err := s.InsertFront(work, fo)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(front) == 0 {
+			b.Fatal("benchmark instance must have a front")
+		}
+	}
+}
+
+// BenchmarkTreeMinArrival_Engine measures the width-blind τmin sweep of
+// BenchmarkTreeFront_Engine alone.
+func BenchmarkTreeMinArrival_Engine(b *testing.B) {
+	net, _, ref, _ := engineTreeBench(b)
+	s := tree.NewSolver()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := s.MinArrival(net.Tree, ref); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTreeInsertFront_Engine measures the width-aware front sweep of
+// BenchmarkTreeFront_Engine alone.
+func BenchmarkTreeInsertFront_Engine(b *testing.B) {
+	_, work, _, fo := engineTreeBench(b)
+	s := tree.NewSolver()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		front, _, err := s.InsertFront(work, fo)
 		if err != nil {
 			b.Fatal(err)

@@ -36,7 +36,11 @@ type Solution struct {
 type Stats struct {
 	// Candidates counts buffer sites the sweep visited — the tree
 	// analogue of the two-pin DP's candidate locations.
-	Candidates                  int
+	Candidates int
+	// Generated counts the option space: every child merge's full cross
+	// product and every buffered option, though the merges never build
+	// the options they can prove dominated. Kept counts the survivors,
+	// summed over nodes, and MaxPerNode the largest node's.
 	Generated, Kept, MaxPerNode int
 }
 

@@ -1,10 +1,13 @@
 package tree
 
-// The pre-Solver implementation of Insert, preserved verbatim as the
-// differential oracle: recursive bottom-up propagation with per-call maps
-// and slices. Solver must reproduce it bit for bit — same placements,
-// slack, total width, feasibility AND work stats — which the tests in
-// solver_test.go assert over the corpus and randomized trees.
+// The pre-Solver implementation of Insert, preserved as the differential
+// oracle: recursive bottom-up propagation with per-call maps and slices.
+// Solver must reproduce it bit for bit — same placements, slack, total
+// width, feasibility AND work stats — which the tests in solver_test.go
+// assert over the corpus and randomized trees. Its one change since is
+// the stated tie rule: pruneTree sorts stably, so among exact (c, q, w)
+// ties (exact (c, q) ties when width is ignored) the option generated
+// first wins, where an unstable sort left the choice to the sort.
 
 import (
 	"cmp"
@@ -192,7 +195,7 @@ func pruneTree(opts []treeOption, width bool) []treeOption {
 		}
 		return 0
 	}
-	slices.SortFunc(opts, func(a, b treeOption) int {
+	slices.SortStableFunc(opts, func(a, b treeOption) int {
 		if a.c != b.c {
 			return cmp.Compare(a.c, b.c)
 		}
