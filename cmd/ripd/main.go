@@ -14,6 +14,7 @@
 //	ripd -aggressor worst -scheme staggered   # crosstalk-aware defaults
 //	ripd -cache-save rip.snap -cache-load rip.snap   # warm restarts
 //	ripd -self host1:8080 -peers host1:8080,host2:8080,host3:8080   # ring
+//	ripd -pprof                            # + net/http/pprof at /debug/pprof/
 //
 // Endpoints (wire format shared with ripcli -batch; see internal/api):
 //
@@ -75,6 +76,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -111,6 +113,8 @@ func main() {
 		peers       = flag.String("peers", "", "comma-separated replica addresses forming the consistent-hash ring (include every replica; self is added if absent)")
 		peerTimeout = flag.Duration("peer-timeout", 15*time.Second, "per-forward timeout for peer requests")
 		peerStrict  = flag.Bool("peer-strict", false, "answer peer failures with a retryable peer_unavailable error instead of solving locally")
+
+		profile = flag.Bool("pprof", false, "serve net/http/pprof's CPU, heap and goroutine profiles under /debug/pprof/")
 	)
 	flag.Parse()
 
@@ -203,7 +207,7 @@ func main() {
 	})
 	httpSrv := &http.Server{
 		Addr:              *addr,
-		Handler:           srv,
+		Handler:           withPprof(srv, *profile),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 
@@ -264,6 +268,22 @@ func main() {
 	st := eng.CacheStats()
 	log.Printf("ripd: stopped — caches served %d hits / %d misses / %d rejected (%d entries)",
 		st.Hits, st.Misses, st.Rejected, st.Entries)
+}
+
+// withPprof serves net/http/pprof's handlers under /debug/pprof/ in
+// front of h when on, and h alone otherwise.
+func withPprof(h http.Handler, on bool) http.Handler {
+	if !on {
+		return h
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux.Handle("/", h)
+	return mux
 }
 
 func fatal(err error) {

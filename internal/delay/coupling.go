@@ -259,35 +259,61 @@ func (e *Evaluator) StageCcMc(points []float64, cc, mc []float64) ([]float64, []
 	return cc, mc
 }
 
+// Stages is the per-interval wire table of a candidate grid: interval i
+// spans [Points[i], Points[i+1]], and R, C and M (StageRCM) and Cc and Mc
+// (StageCcMc) hold its values. Build it with NewStages; it is read-only
+// afterwards, so one table can serve every coupled walk over its grid.
+type Stages struct {
+	Points          []float64
+	R, C, M, Cc, Mc []float64
+}
+
+// NewStages tabulates every interval between consecutive ascending
+// points, with the same Line calls StageRCM and StageCcMc make.
+func (e *Evaluator) NewStages(points []float64) *Stages {
+	n := max(len(points)-1, 0)
+	buf := make([]float64, 5*n)
+	st := &Stages{Points: points}
+	st.R, st.C, st.M = e.StageRCM(points, buf[:0:n], buf[n:n:2*n], buf[2*n:2*n:3*n])
+	st.Cc, st.Mc = e.StageCcMc(points, buf[3*n:3*n:4*n], buf[4*n:4*n])
+	return st
+}
+
 // CoupledTotal evaluates the Elmore delay of the assignment under the
 // coupling scenario, with schemes[i] the countermeasure of the i-th
 // interval of the candidate grid points (so len(schemes) must equal
 // len(points)-1). Every assignment position must coincide with an
 // interior grid point: schemes are properties of grid intervals, and an
-// off-grid repeater would straddle two of them. The walk mirrors the DP's
-// receiver-to-driver accumulation so verification sees the same physics
-// the solver priced, without requiring bitwise-identical rounding.
+// off-grid repeater would straddle two of them. It is CoupledStages over
+// a fresh table of the grid.
 func (e *Evaluator) CoupledTotal(points []float64, schemes []uint8, cpl *Coupling, a Assignment) (float64, error) {
+	return e.CoupledStages(e.NewStages(points), schemes, cpl, a)
+}
+
+// CoupledStages is CoupledTotal over the grid table st, which must have
+// been built from e. The walk mirrors the DP's receiver-to-driver
+// accumulation so verification sees the same physics the solver priced,
+// without requiring bitwise-identical rounding.
+func (e *Evaluator) CoupledStages(st *Stages, schemes []uint8, cpl *Coupling, a Assignment) (float64, error) {
 	if cpl == nil {
 		return 0, fmt.Errorf("delay: CoupledTotal needs a coupling scenario")
 	}
-	if len(schemes) != len(points)-1 {
-		return 0, fmt.Errorf("delay: %d schemes for %d grid intervals", len(schemes), len(points)-1)
+	if len(schemes) != len(st.Points)-1 {
+		return 0, fmt.Errorf("delay: %d schemes for %d grid intervals", len(schemes), len(st.Points)-1)
 	}
 	t := e.Tech
 	ri := a.N() - 1
 	c := t.Co * e.Wr
 	d := 0.0
 	for i := len(schemes) - 1; i >= 0; i-- {
-		lo, hi := points[i], points[i+1]
 		s := schemes[i]
 		if s >= uint8(len(cpl.MF)) {
 			return 0, fmt.Errorf("delay: invalid scheme %d at interval %d", s, i)
 		}
 		mf := cpl.MF[s]
-		d += e.Line.R(lo, hi)*c + e.Line.M(lo, hi) + mf*e.Line.Mc(lo, hi)
-		c += e.Line.C(lo, hi) + mf*e.Line.Cc(lo, hi)
-		if i > 0 && ri >= 0 && a.Positions[ri] == points[i] {
+		d += st.R[i]*c + st.M[i] + mf*st.Mc[i]
+		c += st.C[i] + mf*st.Cc[i]
+		if i > 0 && ri >= 0 && a.Positions[ri] == st.Points[i] {
 			w := a.Widths[ri]
 			d += t.Rs*t.Cp + t.Rs/w*c
 			c = t.Co * w

@@ -84,17 +84,44 @@ func BenchmarkSolveFront_Engine(b *testing.B) {
 }
 
 // BenchmarkSolveFront_EngineWorstStaggered is the engine front kernel
-// under worst-case aggressors with staggering allowed: a coupled sweep,
-// so every level sorts its classes off the lattice.
+// under worst-case aggressors with staggering allowed: a coupled sweep
+// whose schemes charge no width, so its levels go on the width lattice
+// under the same guard as uncoupled ones.
 func BenchmarkSolveFront_EngineWorstStaggered(b *testing.B) {
-	benchmarkSolveFront(b, func(tc *tech.Technology) (repeater.Library, *delay.Coupling, error) {
+	benchmarkSolveFront(b, engineCoupled(func(tc *tech.Technology) (*delay.Coupling, error) {
+		return delay.NewCoupling(tc, delay.AggressorWorst, delay.SchemeModeStaggered)
+	}))
+}
+
+// BenchmarkSolveFront_EngineMF is the sweep a bus member job runs: the
+// engine front kernel at the explicit factor MillerMax, plain wire only.
+func BenchmarkSolveFront_EngineMF(b *testing.B) {
+	benchmarkSolveFront(b, engineCoupled(func(tc *tech.Technology) (*delay.Coupling, error) {
+		return delay.NewCouplingFactor(tc, tc.MillerMax)
+	}))
+}
+
+// BenchmarkSolveFront_EngineWorstShielded is the engine front kernel
+// under worst-case aggressors with shielding allowed: shielding charges
+// width per meter, so its classes are continuous and every level sorts
+// them off the lattice.
+func BenchmarkSolveFront_EngineWorstShielded(b *testing.B) {
+	benchmarkSolveFront(b, engineCoupled(func(tc *tech.Technology) (*delay.Coupling, error) {
+		return delay.NewCoupling(tc, delay.AggressorWorst, delay.SchemeModeShielded)
+	}))
+}
+
+// engineCoupled is the engine's front library under the scenario cpl
+// resolves.
+func engineCoupled(cpl func(*tech.Technology) (*delay.Coupling, error)) func(*tech.Technology) (repeater.Library, *delay.Coupling, error) {
+	return func(tc *tech.Technology) (repeater.Library, *delay.Coupling, error) {
 		lib, err := repeater.Range(10, 400, 40)
 		if err != nil {
 			return lib, nil, err
 		}
-		cpl, err := delay.NewCoupling(tc, delay.AggressorWorst, delay.SchemeModeStaggered)
-		return lib, cpl, err
-	})
+		c, err := cpl(tc)
+		return lib, c, err
+	}
 }
 
 // BenchmarkSolveFront_EngineLib7_400 runs the engine line on the library

@@ -23,14 +23,16 @@
 // table (see prune.go), so neither the full 3-key sort of the naive
 // rendering nor any per-bucket sort ever happens: the bucket fronts come
 // off the table as one sorted run, which a two-way merge joins with the
-// no-repeater bucket. When the library's widths are integers, uncoupled
+// no-repeater bucket. When the library's widths are integers and no
+// allowed scheme charges width (uncoupled sweeps, and coupled ones with
+// plain and staggered wire only, such as every explicit-factor sweep),
 // accumulated widths lie on a lattice of step gcd(widths), and a
-// width-aware uncoupled level whose lattice is dense enough indexes its
-// class table and its dominance skyline by w/g instead of sorting and
-// binary-searching floats. Every other level — τmin's 2-D levels, coupled
-// levels and sparse lattices — sorts its classes. Each level picks its
-// path from its own inputs, and both paths keep the same options, so
-// answers and Stats never depend on the choice. An uncoupled τmin level
+// width-aware level whose lattice is dense enough indexes its class
+// table and its dominance skyline by w/g instead of sorting and
+// binary-searching floats. Every other level — τmin's 2-D levels, levels
+// that may shield and sparse lattices — sorts its classes. Each level
+// picks its path from its own inputs, and both paths keep the same
+// options, so answers and Stats never depend on the choice. An uncoupled τmin level
 // evaluates repeater options only near the lower (c, d) hull of its
 // no-repeater bucket, one pointer walking the hull across the widths
 // (Solver.offerHull), and keeps exactly the options full generation

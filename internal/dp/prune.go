@@ -25,15 +25,19 @@ import (
 //     keeps only the lowest delay. Ties go to the lower scheme, then to the
 //     first option generated. Repeater options are never stored, let alone
 //     sorted.
-//   - Width lattice. When every library width is a positive integer, an
-//     uncoupled accumulated width is an exact multiple of the library's
-//     gcd g (repeater.Library.LatticeStep), so class w has the exact
-//     index (w − lo)/g above the level's narrowest class lo. A
-//     width-aware uncoupled level whose lattice extent — its classes'
-//     span plus the widest library width, over g — is no larger than its
-//     downstream option count (onLattice) indexes its table rows that
-//     way: one row per lattice point, unoccupied rows left empty. Every
-//     other level — 2-D, coupled (shielding costs are continuous),
+//   - Width lattice. When every library width is a positive integer and
+//     no allowed scheme charges width (a zero-cost sweep: uncoupled, or
+//     coupled with plain and staggered wire only, which covers every
+//     explicit-factor sweep), an accumulated width is an exact multiple
+//     of the library's gcd g (repeater.Library.LatticeStep), and a
+//     level's width classes are exactly its downstream widths, so class
+//     w has the exact index (w − lo)/g above the level's narrowest class
+//     lo. A zero-cost width-aware level whose lattice extent — its
+//     classes' span plus the widest library width, over g — is no larger
+//     than its downstream option count (onLattice) indexes its table
+//     rows that way: one row per lattice point, unoccupied rows left
+//     empty. Every other level — 2-D, shielding allowed (its cost scales
+//     with the interval's length, so classes are continuous),
 //     non-integer libraries and sparse lattices past the guard — sorts
 //     and dedupes its classes once and binary-searches each option's
 //     row.
@@ -124,7 +128,7 @@ func (c *cell) offer(d, w float64, next int32, sch uint8) {
 	}
 }
 
-// onLattice reports whether a width-aware uncoupled level goes on the
+// onLattice reports whether a width-aware zero-cost level goes on the
 // width lattice of step g (0: the library has none). Its n downstream
 // widths span [lo, hi] and wMax is the widest library width, so its
 // options occupy the lattice extent (hi − lo + wMax)/g; the level

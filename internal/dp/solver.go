@@ -315,6 +315,15 @@ func (s *Solver) runLevels(ev *delay.Evaluator, opts Options, bound float64, thr
 	rsCp := ev.Tech.Rs * ev.Tech.Cp
 	cpl := opts.Coupling
 	wMax := s.widths[len(s.widths)-1] // libraries are sorted ascending
+	// An uncoupled sweep is the one-scheme case of a zero-cost one: no
+	// allowed scheme charges width, so a repeater option's width class is
+	// exactly its downstream option's width.
+	zeroCost := true
+	if cpl != nil {
+		for _, sch := range cpl.Schemes {
+			zeroCost = zeroCost && cpl.CostUPerM[sch] == 0
+		}
+	}
 	for k := len(s.cand) - 1; k >= 0; k-- {
 		// Stage k+1 spans [cand[k], next candidate or L].
 		cw := s.wC[k+1]
@@ -324,7 +333,7 @@ func (s *Solver) runLevels(ev *delay.Evaluator, opts Options, bound float64, thr
 		// The level's width-class table (see prune.go): one class per
 		// distinct downstream width, plus each scheme's shielding cost when
 		// coupled. The delay objective ignores width, so 2-D mode is the
-		// one-class table and every option lands in row 0. An uncoupled
+		// one-class table and every option lands in row 0. A zero-cost
 		// width-aware level goes on the width lattice when its extent
 		// passes onLattice's guard.
 		downOff := s.lvlOff[k+1]
@@ -343,7 +352,7 @@ func (s *Solver) runLevels(ev *delay.Evaluator, opts Options, bound float64, thr
 		switch {
 		case !threeD:
 			s.pr.reset(append(cls, 0), s.coW)
-		case cpl == nil:
+		case zeroCost:
 			lo, hi := down[0].w, down[0].w
 			for di := range down {
 				w := down[di].w

@@ -10,6 +10,7 @@ import (
 	"github.com/rip-eda/rip/internal/delay"
 	"github.com/rip-eda/rip/internal/dp"
 	"github.com/rip-eda/rip/internal/tree"
+	"github.com/rip-eda/rip/internal/wire"
 )
 
 // This file is the one path every line and tree job takes through the
@@ -37,11 +38,12 @@ type prepared struct {
 	// kind and name label the job in error messages ("net" or "tree net").
 	kind, name string
 	cpl        *delay.Coupling
-	// ev and grid are a line job's evaluator and, when coupled, its
-	// candidate grid: both ends plus every legal position on the front
-	// space's pitch, the intervals a coupled point's schemes index.
-	ev   *delay.Evaluator
-	grid []float64
+	// ev and stages are a line job's evaluator and, when coupled, its
+	// candidate grid's wire table (see lineShape); shapeKey is its
+	// signature's geometry prefix when a shared preparation supplied one.
+	ev       *delay.Evaluator
+	stages   *delay.Stages
+	shapeKey string
 	// walk is a tree job's nodes in pre-order, which cached walk
 	// positions index; embedded selects the embedded-deadline front, and
 	// deadline is then the latest sink deadline, the scale of its slacks.
@@ -121,15 +123,47 @@ func (e *Engine) prepare(j Job, solve bool) (p prepared, err error) {
 		}
 		return p, nil
 	}
+	if sh := j.shape; sh != nil && sh.eng == e {
+		p.ev, p.stages, p.shapeKey = sh.ev, sh.stages, sh.key
+		return p, nil
+	}
 	if p.ev, err = delay.NewEvaluator(j.Net, e.tech); err != nil {
 		return p, asBadJob(err)
 	}
 	if p.cpl != nil {
-		p.grid = append(p.grid, 0)
-		p.grid = j.Net.Line.AppendLegalPositions(p.grid, e.frontOpts.Pitch)
-		p.grid = append(p.grid, j.Net.Line.Length())
+		p.stages = e.gridStages(p.ev)
 	}
 	return p, nil
+}
+
+// lineShape is what every job on one line net needs whatever its
+// scenario: the evaluator, the wire table of its coupled candidate grid,
+// and its signature's geometry prefix. solveBus builds one per track and
+// hands it to all of the track's member jobs, which then skip validating
+// the net, building the grid and table, and formatting the geometry.
+type lineShape struct {
+	eng    *Engine
+	ev     *delay.Evaluator
+	stages *delay.Stages
+	key    string
+}
+
+// newLineShape prepares net for e, or returns nil when the net fails
+// validation, so its jobs report the error from prepare as usual.
+func (e *Engine) newLineShape(net *wire.Net) *lineShape {
+	ev, err := delay.NewEvaluator(net, e.tech)
+	if err != nil {
+		return nil
+	}
+	return &lineShape{eng: e, ev: ev, stages: e.gridStages(ev), key: e.sig.shapeKey(net)}
+}
+
+// gridStages tabulates a line's coupled candidate grid: both ends plus
+// every legal position on the front space's pitch, the intervals a
+// coupled point's schemes index.
+func (e *Engine) gridStages(ev *delay.Evaluator) *delay.Stages {
+	grid := ev.Line.AppendLegalPositions([]float64{0}, e.frontOpts.Pitch)
+	return ev.NewStages(append(grid, ev.Line.Length()))
 }
 
 // acquire returns the entry that answers p and whether it was a hit: a
@@ -147,11 +181,7 @@ func (e *Engine) acquire(ctx context.Context, sl *slot, p *prepared, check func(
 	tn := p.j.TreeNet
 	var key string
 	if e.cache != nil {
-		if tn != nil {
-			key = e.sig.treeKey(p.j, p.embedded)
-		} else {
-			key = e.sig.key(p.j)
-		}
+		key = e.key(p)
 		o, lead, err := e.lookup(ctx, sl, key, func() lookupOutcome {
 			var ok bool
 			if ent, ok = e.cache.get(key); !ok || ent.tree != (tn != nil) {
@@ -182,6 +212,18 @@ func (e *Engine) acquire(ctx context.Context, sl *slot, p *prepared, check func(
 		ent.front, ent.tmin, err = e.solveLineFront(ctx, p.ev, p.name, key, p.cpl)
 	}
 	return ent, false, err
+}
+
+// key is p's signature (Signature), from its shared geometry prefix when
+// it has one.
+func (e *Engine) key(p *prepared) string {
+	switch {
+	case p.j.TreeNet != nil:
+		return e.sig.treeKey(p.j, p.embedded)
+	case p.shapeKey != "":
+		return e.sig.scenarioKey(p.shapeKey, p.j)
+	}
+	return e.sig.key(p.j)
 }
 
 // answer resolves the job's budgets on ent: a Budgets sweep, or one
@@ -379,8 +421,8 @@ func (e *Engine) checkFront(p *prepared, ent cached) bool {
 // total width. An uncoupled point must carry no schemes; a coupled
 // point's scheme vector must match the job's grid interval for interval,
 // use only the scenario's schemes, and reproduce the point's staggered
-// and shielded lengths. It returns the recomputed delay: Total, or
-// CoupledTotal for a coupled point.
+// and shielded lengths. It returns the recomputed delay: Total, or the
+// coupled walk over the job's grid table for a coupled point.
 func checkLinePoint(p *prepared, pt linePoint) (float64, bool) {
 	a := delay.Assignment{Positions: pt.positions, Widths: pt.widths}
 	if p.ev.Validate(a) != nil {
@@ -395,7 +437,7 @@ func checkLinePoint(p *prepared, pt linePoint) (float64, bool) {
 		}
 		return p.ev.Total(a), true
 	}
-	if len(pt.schemes) != len(p.grid)-1 {
+	if len(pt.schemes) != len(p.stages.Points)-1 {
 		return 0, false
 	}
 	for _, s := range pt.schemes {
@@ -403,10 +445,10 @@ func checkLinePoint(p *prepared, pt linePoint) (float64, bool) {
 			return 0, false
 		}
 	}
-	if st, sh := delay.SchemeLengths(p.grid, pt.schemes); !near(st, pt.staggerLen, st) || !near(sh, pt.shieldLen, sh) {
+	if st, sh := delay.SchemeLengths(p.stages.Points, pt.schemes); !near(st, pt.staggerLen, st) || !near(sh, pt.shieldLen, sh) {
 		return 0, false
 	}
-	d, err := p.ev.CoupledTotal(p.grid, pt.schemes, p.cpl, a)
+	d, err := p.ev.CoupledStages(p.stages, pt.schemes, p.cpl, a)
 	return d, err == nil
 }
 

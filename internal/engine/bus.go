@@ -207,6 +207,13 @@ func (e *Engine) solveBus(ctx context.Context, bj BusJob, run func(context.Conte
 	mm := e.tech.MillerMax
 	mfs := bus.MFValues(mm)
 
+	// Every member job on a track shares one preparation of its net,
+	// built here once for both passes.
+	shapes := make([]*lineShape, n)
+	for i, t := range bj.Tracks {
+		shapes[i] = e.newLineShape(t)
+	}
+
 	// Pass 1 — independent pessimistic baselines. An explicit factor of
 	// MillerMax prices exactly the physics of a worst-case plain solve
 	// (same Miller factor, same plain-only scheme set), so this pass IS
@@ -214,7 +221,7 @@ func (e *Engine) solveBus(ctx context.Context, bj BusJob, run func(context.Conte
 	base := make([]Job, n)
 	for i, t := range bj.Tracks {
 		mf := mm
-		base[i] = Job{Net: t, Tech: bj.Tech, TargetMult: bj.TargetMult, Target: bj.Target, MF: &mf}
+		base[i] = Job{Net: t, Tech: bj.Tech, TargetMult: bj.TargetMult, Target: bj.Target, MF: &mf, shape: shapes[i]}
 	}
 	baseRes := run(ctx, base)
 	for i, r := range baseRes {
@@ -237,7 +244,7 @@ func (e *Engine) solveBus(ctx context.Context, bj BusJob, run func(context.Conte
 				continue // already solved in pass 1
 			}
 			mf := mfs[k]
-			tjobs = append(tjobs, Job{Net: t, Tech: bj.Tech, Target: baseRes[i].Target, MF: &mf})
+			tjobs = append(tjobs, Job{Net: t, Tech: bj.Tech, Target: baseRes[i].Target, MF: &mf, shape: shapes[i]})
 			slots = append(slots, slot{track: i, mfIdx: k})
 		}
 	}

@@ -141,6 +141,11 @@ type Job struct {
 	// [0, MillerMax]. Factor fronts are cached under keys disjoint from
 	// scenario fronts and from the uncoupled front.
 	MF *float64
+
+	// shape, when set by the engine that solves the job, is Net's
+	// scenario-independent preparation, shared read-only with the other
+	// jobs on the same net (see solveBus). A forwarded job drops it.
+	shape *lineShape
 }
 
 // Result is one net's outcome. Err is per-net: a failed job never aborts

@@ -8,6 +8,7 @@ import (
 	"github.com/rip-eda/rip/internal/delay"
 	"github.com/rip-eda/rip/internal/tech"
 	"github.com/rip-eda/rip/internal/units"
+	"github.com/rip-eda/rip/internal/wire"
 )
 
 // Quantization defaults for cache signatures. Lengths are snapped to a
@@ -86,16 +87,20 @@ func newSigner(t *tech.Technology, opts CacheOptions) *signer {
 // profile so two nets differing only in cc cannot collide. Uncoupled
 // jobs on nets without coupling capacitance still emit the historical
 // key shape.
-func (s *signer) key(j Job) string {
+func (s *signer) key(j Job) string { return s.scenarioKey(s.shapeKey(j.Net), j) }
+
+// shapeKey is a line key's geometry prefix: everything but the scenario,
+// so every job on one net shares it.
+func (s *signer) shapeKey(n *wire.Net) string {
 	var b strings.Builder
-	b.Grow(64 + 32*j.Net.Line.NumSegments())
+	b.Grow(64 + 32*n.Line.NumSegments())
 	b.WriteString(s.techPrefix)
 	b.WriteString("|d")
-	appendFloat(&b, j.Net.DriverWidth)
+	appendFloat(&b, n.DriverWidth)
 	b.WriteByte('r')
-	appendFloat(&b, j.Net.ReceiverWidth)
+	appendFloat(&b, n.ReceiverWidth)
 	b.WriteString("|s")
-	for _, seg := range j.Net.Line.Segments() {
+	for _, seg := range n.Line.Segments() {
 		appendQuant(&b, seg.Length, s.lengthQuantum)
 		appendFloat(&b, seg.ROhmPerM)
 		appendFloat(&b, seg.CFPerM)
@@ -106,11 +111,24 @@ func (s *signer) key(j Job) string {
 		b.WriteByte(';')
 	}
 	b.WriteString("|z")
-	for _, z := range j.Net.Line.Zones() {
+	for _, z := range n.Line.Zones() {
 		appendQuant(&b, z.Start, s.lengthQuantum)
 		appendQuant(&b, z.End, s.lengthQuantum)
 		b.WriteByte(';')
 	}
+	return b.String()
+}
+
+// scenarioKey appends j's crosstalk scenario to its geometry prefix; an
+// uncoupled job's key is the prefix itself.
+func (s *signer) scenarioKey(prefix string, j Job) string {
+	agg, err := delay.ParseAggressor(j.Aggressor)
+	if j.MF == nil && (err != nil || agg == delay.AggressorNone) {
+		return prefix
+	}
+	var b strings.Builder
+	b.Grow(len(prefix) + 32)
+	b.WriteString(prefix)
 	// An explicit-factor job's front answers different physics per factor
 	// value: the factor joins the key so no two factors (or a factor and a
 	// named scenario) ever alias.
@@ -118,7 +136,7 @@ func (s *signer) key(j Job) string {
 		b.WriteString("|m")
 		appendFloat(&b, *j.MF)
 	}
-	if agg, err := delay.ParseAggressor(j.Aggressor); err == nil && agg != delay.AggressorNone {
+	if err == nil && agg != delay.AggressorNone {
 		b.WriteString("|a")
 		b.WriteString(agg.String())
 		if mode, err := delay.ParseSchemeMode(j.Scheme); err == nil {
