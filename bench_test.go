@@ -595,8 +595,28 @@ func busBenchJobs(b *testing.B, groups int) []rip.BusJob {
 	return jobs
 }
 
-func benchmarkBusSolve(b *testing.B, groups int, warm bool) {
+// busDistinctJobs is busBenchJobs with every track a distinct netgen
+// line, the same group sizes: no track copies another, so no member
+// answer is shared.
+func busDistinctJobs(b *testing.B, groups int) []rip.BusJob {
+	b.Helper()
 	jobs := busBenchJobs(b, groups)
+	total := 0
+	for _, j := range jobs {
+		total += len(j.Tracks)
+	}
+	nets, err := rip.GenerateNets(rip.T180(), 2005, total)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := range jobs {
+		n := len(jobs[i].Tracks)
+		jobs[i].Tracks, nets = nets[:n], nets[n:]
+	}
+	return jobs
+}
+
+func benchmarkBusSolve(b *testing.B, jobs []rip.BusJob, warm bool) {
 	newEng := func() *rip.Engine {
 		eng, err := rip.NewEngine(rip.T180(), rip.EngineOptions{})
 		if err != nil {
@@ -633,5 +653,9 @@ func benchmarkBusSolve(b *testing.B, groups int, warm bool) {
 	reportNetsPerSec(b, tracks)
 }
 
-func BenchmarkBusSolve_Cold(b *testing.B) { benchmarkBusSolve(b, 8, false) }
-func BenchmarkBusSolve_Warm(b *testing.B) { benchmarkBusSolve(b, 8, true) }
+func BenchmarkBusSolve_Cold(b *testing.B) { benchmarkBusSolve(b, busBenchJobs(b, 8), false) }
+func BenchmarkBusSolve_Warm(b *testing.B) { benchmarkBusSolve(b, busBenchJobs(b, 8), true) }
+
+// BenchmarkBusSolve_WarmDistinct replays 8 groups of distinct tracks on a
+// warm engine, where grouping renamed copies finds none and is pure cost.
+func BenchmarkBusSolve_WarmDistinct(b *testing.B) { benchmarkBusSolve(b, busDistinctJobs(b, 8), true) }

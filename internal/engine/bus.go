@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"github.com/rip-eda/rip/internal/bus"
@@ -174,7 +175,7 @@ func (m *Multi) SolveBus(ctx context.Context, bj BusJob) BusResult {
 }
 
 // solveBus is the shared body: validate, build the outcome table with
-// one member batch per pass, co-decide, attribute.
+// one member batch per pass (busMembers), co-decide, attribute.
 func (e *Engine) solveBus(ctx context.Context, bj BusJob, run func(context.Context, []Job) []Result) BusResult {
 	var br BusResult
 	switch {
@@ -203,15 +204,39 @@ func (e *Engine) solveBus(ctx context.Context, bj BusJob, run func(context.Conte
 			return br
 		}
 	}
+	byMF, err := e.busMembers(ctx, bj, run)
+	if err != nil {
+		br.Err = err
+		return br
+	}
+	return e.coDecide(bj, byMF)
+}
+
+// busMembers solves a group's outcome table: byMF[i][mf] is track i's
+// answer at factor mf, and its answer at MillerMax is its independent
+// baseline.
+//
+// A track that copies an earlier one bit for bit but for its name (see
+// busReps) shares the first such track's preparation, and only that
+// representative runs member jobs in a pass's first round. A copy takes
+// its representative's answer when that answer is a verified hit, local
+// or forwarded: the copy's own job would look up the same entry and
+// verify it on a bit-identical net, to the same answer. Any other answer
+// is not shared. A cold solve serves the DP's own delay, while the copy's
+// own job would hit the entry just stored and serve its re-priced delay,
+// which rounds differently. Such a copy runs its own job in a second
+// round, after the representatives.
+func (e *Engine) busMembers(ctx context.Context, bj BusJob, run func(context.Context, []Job) []Result) ([]map[float64]Result, error) {
 	n := len(bj.Tracks)
 	mm := e.tech.MillerMax
-	mfs := bus.MFValues(mm)
-
-	// Every member job on a track shares one preparation of its net,
-	// built here once for both passes.
+	rep := busReps(bj.Tracks)
 	shapes := make([]*lineShape, n)
 	for i, t := range bj.Tracks {
-		shapes[i] = e.newLineShape(t)
+		if rep[i] == i {
+			shapes[i] = e.newLineShape(t)
+		} else {
+			shapes[i] = shapes[rep[i]]
+		}
 	}
 
 	// Pass 1 — independent pessimistic baselines. An explicit factor of
@@ -223,51 +248,141 @@ func (e *Engine) solveBus(ctx context.Context, bj BusJob, run func(context.Conte
 		mf := mm
 		base[i] = Job{Net: t, Tech: bj.Tech, TargetMult: bj.TargetMult, Target: bj.Target, MF: &mf, shape: shapes[i]}
 	}
-	baseRes := run(ctx, base)
+	baseRes := runShared(ctx, run, base, rep)
 	for i, r := range baseRes {
 		if r.Err != nil {
-			br.Err = fmt.Errorf("engine: bus track %d (%s): %w", i, bj.Tracks[i].Name, r.Err)
-			return br
+			return nil, fmt.Errorf("engine: bus track %d (%s): %w", i, bj.Tracks[i].Name, r.Err)
 		}
 	}
 
 	// Pass 2 — the rest of the outcome table: every (track, factor)
-	// minimum width at the track's now-absolute budget. Identical track
-	// shapes collapse in the solution cache, so an arrayed bus pays one
-	// front solve per (shape, factor), not per track.
-	var tjobs []Job
-	type slot struct{ track, mfIdx int }
-	var slots []slot
+	// minimum width at the track's now-absolute budget. Identical shapes
+	// collapse in the solution cache, so an arrayed bus pays one front
+	// solve per (shape, factor), and a warm one runs one member job per
+	// (distinct track, factor). A copy shares only at its representative's
+	// budget: its own baseline resolves another one when the entry it hit
+	// changed after its representative's solve.
+	mfs := slices.DeleteFunc(bus.MFValues(mm), func(mf float64) bool { return mf == mm })
+	tjobs := make([]Job, 0, n*len(mfs))
+	trep := make([]int, 0, n*len(mfs))
 	for i, t := range bj.Tracks {
+		r := rep[i]
+		if baseRes[i].Target != baseRes[r].Target {
+			r = i
+		}
 		for k := range mfs {
-			if mfs[k] == mm {
-				continue // already solved in pass 1
-			}
 			mf := mfs[k]
 			tjobs = append(tjobs, Job{Net: t, Tech: bj.Tech, Target: baseRes[i].Target, MF: &mf, shape: shapes[i]})
-			slots = append(slots, slot{track: i, mfIdx: k})
+			trep = append(trep, r*len(mfs)+k)
 		}
 	}
-	tRes := run(ctx, tjobs)
+	tRes := runShared(ctx, run, tjobs, trep)
 	byMF := make([]map[float64]Result, n)
 	for i := range byMF {
-		byMF[i] = make(map[float64]Result, len(mfs))
+		byMF[i] = make(map[float64]Result, len(mfs)+1)
 		byMF[i][mm] = baseRes[i]
 	}
 	for k, r := range tRes {
+		i, mf := k/len(mfs), mfs[k%len(mfs)]
 		if r.Err != nil {
-			br.Err = fmt.Errorf("engine: bus track %d (%s) at factor %g: %w",
-				slots[k].track, bj.Tracks[slots[k].track].Name, mfs[slots[k].mfIdx], r.Err)
-			return br
+			return nil, fmt.Errorf("engine: bus track %d (%s) at factor %g: %w", i, bj.Tracks[i].Name, mf, r.Err)
 		}
-		byMF[slots[k].track][mfs[slots[k].mfIdx]] = r
+		byMF[i][mf] = r
 	}
+	return byMF, nil
+}
 
+// busReps maps each track to its representative: the first track whose
+// net equals its own bit for bit but for the name (Line.SameBits and both
+// widths). Each track is compared only with the first track of its key, a
+// hash of those bits, so grouping stays linear in the number of tracks;
+// a track that collides with a different line represents itself, as does
+// a track without a line.
+func busReps(tracks []*wire.Net) []int {
+	type bitsKey struct{ line, driver, receiver uint64 }
+	rep := make([]int, len(tracks))
+	first := make(map[bitsKey]int)
+	for i, t := range tracks {
+		rep[i] = i
+		if t.Line == nil {
+			continue
+		}
+		k := bitsKey{t.Line.BitsHash(), math.Float64bits(t.DriverWidth), math.Float64bits(t.ReceiverWidth)}
+		if r, ok := first[k]; !ok {
+			first[k] = i
+		} else if tracks[r].Line.SameBits(t.Line) {
+			rep[i] = r
+		}
+	}
+	return rep
+}
+
+// runShared runs jobs, where job i repeats job rep[i] on a renamed copy of
+// its net (rep[i] ≤ i, and rep[i] == i for a representative). The
+// representatives run first; a copy then takes its representative's
+// answer if that was a verified hit (see busMembers), and the other copies
+// run in a second round. Copies after the first failing representative
+// are left unsolved: the first failing job is at or before it.
+func runShared(ctx context.Context, run func(context.Context, []Job) []Result, jobs []Job, rep []int) []Result {
+	var idx []int
+	for i := range jobs {
+		if rep[i] == i {
+			idx = append(idx, i)
+		}
+	}
+	if len(idx) == len(jobs) {
+		return run(ctx, jobs)
+	}
+	res := make([]Result, len(jobs))
+	round := func() {
+		sub := make([]Job, len(idx))
+		for k, i := range idx {
+			sub[k] = jobs[i]
+		}
+		for k, r := range run(ctx, sub) {
+			res[idx[k]] = r
+		}
+	}
+	round()
+	idx = idx[:0]
+	for i, r := range rep {
+		if r != i && res[r].CacheHit {
+			res[i] = res[r].sharedAs(jobs[i])
+		} else if r != i {
+			idx = append(idx, i)
+		} else if res[i].Err != nil {
+			break
+		}
+	}
+	if len(idx) > 0 {
+		round()
+	}
+	return res
+}
+
+// sharedAs returns r, one job's answer, as the answer to j, the same job
+// on a renamed copy of its net: j's net and factor, and copies of the
+// answer's slices, so that mutating one track's answer leaves its copies'
+// intact.
+func (r Result) sharedAs(j Job) Result {
+	r.Net, r.MF = j.Net, j.MF
+	s := &r.Res.Solution
+	s.Assignment.Positions = slices.Clone(s.Assignment.Positions)
+	s.Assignment.Widths = slices.Clone(s.Assignment.Widths)
+	s.Schemes = slices.Clone(s.Schemes)
+	return r
+}
+
+// coDecide co-decides a group from its outcome table (busMembers) and
+// attributes the decision per track.
+func (e *Engine) coDecide(bj BusJob, byMF []map[float64]Result) BusResult {
+	var br BusResult
+	n := len(bj.Tracks)
+	mm := e.tech.MillerMax
 	tables := make([]bus.Table, n)
 	for i, t := range bj.Tracks {
-		w := make(map[float64]float64, len(mfs))
-		for _, mf := range mfs {
-			r := byMF[i][mf]
+		w := make(map[float64]float64, len(byMF[i]))
+		for mf, r := range byMF[i] {
 			if r.Res.Solution.Feasible {
 				w[mf] = r.Res.Solution.TotalWidth
 			} else {
@@ -318,20 +433,20 @@ func (e *Engine) solveBus(ctx context.Context, bj BusJob, run func(context.Conte
 			right = dec[i+1]
 		}
 		mf := bus.MFFor(mm, dec[i], left, right)
-		r := byMF[i][mf]
+		base, r := byMF[i][mm], byMF[i][mf]
 		bt := BusTrack{
 			Net:      bj.Tracks[i],
 			Scheme:   dec[i].String(),
 			MF:       mf,
-			Target:   baseRes[i].Target,
-			TMin:     baseRes[i].TMin,
-			Baseline: baseRes[i].Res,
+			Target:   base.Target,
+			TMin:     base.TMin,
+			Baseline: base.Res,
 			Res:      r.Res,
 			CacheHit: r.CacheHit,
 		}
 		bt.BaselineCost, bt.Cost = math.Inf(1), math.Inf(1)
-		if baseRes[i].Res.Solution.Feasible {
-			bt.BaselineCost = baseRes[i].Res.Solution.TotalWidth
+		if base.Res.Solution.Feasible {
+			bt.BaselineCost = base.Res.Solution.TotalWidth
 			br.GroupBaselineCost += bt.BaselineCost
 		} else {
 			br.BaselineInfeasible++

@@ -233,6 +233,9 @@ func (e *Engine) Signature(j Job) (sig string, ok bool) {
 			return "", false
 		}
 		return e.sig.treeKey(j, treeEmbedded(j)), true
+	case j.shape != nil && j.shape.eng == e:
+		// A bus member carries its track's geometry prefix (lineShape).
+		return e.sig.scenarioKey(j.shape.key, j), true
 	}
 	return e.sig.key(j), true
 }

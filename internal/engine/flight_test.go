@@ -447,8 +447,9 @@ func TestRunQueuesOneSlotWaiter(t *testing.T) {
 }
 
 // TestSingleFlightBus: the tracks of a bus with one shared geometry ask
-// for the same (shape, factor) fronts at once in both member passes;
-// each front is solved once.
+// for the same (shape, factor) fronts in both member passes; each front
+// is solved once. The copies' jobs wait for their representative's round
+// (see busMembers) instead of coalescing on its flight.
 func TestSingleFlightBus(t *testing.T) {
 	node := tech.T180()
 	cfg, err := netgen.DefaultConfig(node)

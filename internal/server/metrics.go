@@ -176,11 +176,11 @@ func (m *metrics) writePrometheus(w io.Writer, eng *engine.Multi, start time.Tim
 		}
 	}
 
-	perTech("rip_cache_hits_total", "counter", "Solution-cache lookups served after verification, by node.",
+	perTech("rip_cache_hits_total", "counter", "Solution-cache lookups served after verification (a bus looks up once per distinct track and factor), by node.",
 		func(s techSnap) uint64 { return s.cache.Hits })
-	perTech("rip_cache_misses_total", "counter", "Solution-cache lookups that found no entry, by node.",
+	perTech("rip_cache_misses_total", "counter", "Solution-cache lookups that found no entry (a bus looks up once per distinct track and factor), by node.",
 		func(s techSnap) uint64 { return s.cache.Misses })
-	perTech("rip_cache_rejected_total", "counter", "Cache entries found but failing re-verification, by node.",
+	perTech("rip_cache_rejected_total", "counter", "Cache entries found but failing re-verification (a bus looks up once per distinct track and factor), by node.",
 		func(s techSnap) uint64 { return s.cache.Rejected })
 	perTech("rip_cache_evictions_total", "counter", "LRU evictions, by node.",
 		func(s techSnap) uint64 { return s.cache.Evictions })
@@ -222,22 +222,22 @@ func (m *metrics) writePrometheus(w io.Writer, eng *engine.Multi, start time.Tim
 		func(s techSnap) uint64 { return s.front.Points })
 	perTech("rip_front_max_points", "gauge", "Largest single front computed, by node.",
 		func(s techSnap) uint64 { return s.front.MaxPoints })
-	perTech("rip_front_lookups_total", "counter", "Budget answers served by front lookup, by node.",
+	perTech("rip_front_lookups_total", "counter", "Budget answers served by front lookup (a bus answers once per distinct track and factor, and copies share), by node.",
 		func(s techSnap) uint64 { return s.front.Lookups })
-	perTech("rip_front_coalesced_total", "counter", "Jobs answered by another job's in-flight solve of their shape, by node.",
+	perTech("rip_front_coalesced_total", "counter", "Jobs answered by another job's in-flight solve of their shape (a bus runs one job per distinct track and factor), by node.",
 		func(s techSnap) uint64 { return s.front.Coalesced })
 
 	// Crosstalk counters: how much of the workload is priced under a
 	// coupling scenario, and how often the served answers actually deploy
 	// the staggering/shielding countermeasures — flat zeros under coupled
 	// load mean budgets are loose enough that plain wiring wins.
-	perTech("rip_coupling_jobs_total", "counter", "Accepted crosstalk-aware jobs (solve and front queries), by node.",
+	perTech("rip_coupling_jobs_total", "counter", "Accepted crosstalk-aware jobs (solve and front queries; a bus runs one per distinct track and factor), by node.",
 		func(s techSnap) uint64 { return s.cpl.Jobs })
 	perTech("rip_coupling_solves_total", "counter", "Coupled front solves performed (cache hits add none), by node.",
 		func(s techSnap) uint64 { return s.cpl.Solves })
-	perTech("rip_coupling_staggered_answers_total", "counter", "Served answers staggering at least one interval, by node.",
+	perTech("rip_coupling_staggered_answers_total", "counter", "Served answers staggering at least one interval (a bus counts one per distinct track and factor), by node.",
 		func(s techSnap) uint64 { return s.cpl.StaggeredAnswers })
-	perTech("rip_coupling_shielded_answers_total", "counter", "Served answers shielding at least one interval, by node.",
+	perTech("rip_coupling_shielded_answers_total", "counter", "Served answers shielding at least one interval (a bus counts one per distinct track and factor), by node.",
 		func(s techSnap) uint64 { return s.cpl.ShieldedAnswers })
 
 	// Bus co-optimization counters: how much of the workload arrives as

@@ -3,7 +3,10 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
+	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
@@ -97,4 +100,73 @@ func FuzzServerRequest(f *testing.F) {
 			t.Fatalf("%s %q: status %d, but code %q maps to %d", path, body, rr.Code, env.Err.Code, got)
 		}
 	})
+}
+
+// TestRequestBodyReader: single-request and bus bodies are read whole
+// whatever length they declare. A declared length beyond the body reads
+// the body and allocates at most bodyPrealloc up front, a body longer
+// than bodyPrealloc grows, a chunked body without a length reads whole,
+// and a body over MaxBodyBytes still answers too_large.
+func TestRequestBodyReader(t *testing.T) {
+	s, _ := newTestServer(t, 1, Options{MaxBodyBytes: 1 << 20})
+	nets := corpus(t, 13, 2)
+	body := mustMarshal(t, api.Request{Net: nets[0], TargetMult: 1.3})
+
+	for _, tc := range []struct {
+		name     string
+		body     []byte
+		declared int64
+	}{
+		{"declared beyond the body", body, 256 << 20},
+		{"declared exactly", body, int64(len(body))},
+		{"longer than the preallocation", bytes.Repeat([]byte{' '}, 3*bodyPrealloc), 3 * bodyPrealloc},
+		{"empty", nil, 0},
+	} {
+		req := httptest.NewRequest("POST", "/v1/optimize", bytes.NewReader(tc.body))
+		req.ContentLength = tc.declared
+		raw, err := s.readBody(httptest.NewRecorder(), req)
+		if err != nil || !bytes.Equal(raw, tc.body) {
+			t.Fatalf("%s: read %d bytes (err %v), want the %d-byte body", tc.name, len(raw), err, len(tc.body))
+		}
+		if tc.declared > int64(len(tc.body)) && cap(raw) > bodyPrealloc+bytes.MinRead {
+			t.Fatalf("%s: allocated %d bytes for a %d-byte body", tc.name, cap(raw), len(tc.body))
+		}
+	}
+
+	want := decodeResponse(t, post(t, s, "/v1/optimize", body))
+	req := httptest.NewRequest("POST", "/v1/optimize", bytes.NewReader(body))
+	req.ContentLength = 256 << 20
+	rr := httptest.NewRecorder()
+	s.ServeHTTP(rr, req)
+	if got := decodeResponse(t, rr); rr.Code != http.StatusOK || got.TotalWidthU != want.TotalWidthU || !slices.Equal(got.PositionsUM, want.PositionsUM) {
+		t.Fatalf("overdeclared body: status %d, answer %+v, want %+v", rr.Code, got, want)
+	}
+
+	// A real client sends a body of unknown length chunked.
+	chunked := make(chan bool, 1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		chunked <- r.ContentLength == -1 && slices.Equal(r.TransferEncoding, []string{"chunked"})
+		s.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	bus := mustMarshal(t, api.BusRequest{Tracks: nets, TargetMult: 1.3})
+	resp, err := http.Post(ts.URL+"/v1/bus", "application/json", io.MultiReader(bytes.NewReader(bus)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var br api.BusResponse
+	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil || resp.StatusCode != http.StatusOK || len(br.Tracks) != len(nets) {
+		t.Fatalf("chunked bus: status %d, %d tracks (err %v), want %d", resp.StatusCode, len(br.Tracks), err, len(nets))
+	}
+	if !<-chunked {
+		t.Fatal("the bus body did not arrive chunked")
+	}
+
+	rr = post(t, s, "/v1/bus", bytes.Repeat([]byte{' '}, 2<<20))
+	var tooLarge api.BusResponse
+	if err := json.Unmarshal(rr.Body.Bytes(), &tooLarge); err != nil || rr.Code != http.StatusRequestEntityTooLarge ||
+		tooLarge.Err == nil || tooLarge.Err.Code != api.CodeTooLarge {
+		t.Fatalf("oversized bus body: status %d, %s", rr.Code, rr.Body.Bytes())
+	}
 }

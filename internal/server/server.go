@@ -275,7 +275,7 @@ func (s *Server) fail(w http.ResponseWriter, front bool, code, net, tech, msg st
 // budget) and validate. On failure the coded error envelope has been
 // written and ok is false.
 func (s *Server) decodeSingle(w http.ResponseWriter, r *http.Request, front bool) (api.Request, bool) {
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
+	raw, err := s.readBody(w, r)
 	if err != nil {
 		s.fail(w, front, bodyErrCode(err), "", "", "reading request: "+err.Error())
 		return api.Request{}, false
@@ -396,7 +396,7 @@ func (s *Server) decodeBus(w http.ResponseWriter, r *http.Request) (api.BusReque
 	failBus := func(code, tech, msg string) {
 		respond(w, statusFor(code), api.CodedBusErrorResponse(code, tech, msg))
 	}
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
+	raw, err := s.readBody(w, r)
 	if err != nil {
 		failBus(bodyErrCode(err), "", "reading request: "+err.Error())
 		return api.BusRequest{}, false
@@ -645,6 +645,21 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var buf bytes.Buffer
 	s.m.writePrometheus(&buf, s.eng, s.start, s.draining.Load(), s.opts.Cluster, s.opts.LastSnapshot)
 	w.Write(buf.Bytes())
+}
+
+// bodyPrealloc caps the buffer readBody allocates before reading: the
+// declared length is the client's claim, not bytes received.
+const bodyPrealloc = 64 << 10
+
+// readBody reads a single-request body under the MaxBodyBytes cap into one
+// buffer sized from the declared Content-Length, capped at bodyPrealloc,
+// plus bytes.MinRead of room to read the end of the body without
+// regrowing. A body without a declared length, or longer than bodyPrealloc,
+// grows as it arrives.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	buf := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), bodyPrealloc)+bytes.MinRead))
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
+	return buf.Bytes(), err
 }
 
 // firstNonSpace peeks past leading JSON whitespace to sniff the body

@@ -147,6 +147,51 @@ func (l *Line) TotalCc() float64 { return l.ccb[len(l.segs)] }
 // Coupled reports whether any segment carries coupling capacitance.
 func (l *Line) Coupled() bool { return l.TotalCc() > 0 }
 
+// SameBits reports whether l and o are one line bit for bit: the same
+// segments and zones in the same order, every float equal in its bits and
+// every layer name equal. Everything computed from a line, its prefix
+// tables, delays and candidate positions, then agrees bit for bit too.
+func (l *Line) SameBits(o *Line) bool {
+	if l == o {
+		return true
+	}
+	if len(l.segs) != len(o.segs) || len(l.zones) != len(o.zones) {
+		return false
+	}
+	bits := math.Float64bits
+	for i, s := range l.segs {
+		t := o.segs[i]
+		if bits(s.Length) != bits(t.Length) || bits(s.ROhmPerM) != bits(t.ROhmPerM) ||
+			bits(s.CFPerM) != bits(t.CFPerM) || bits(s.CcFPerM) != bits(t.CcFPerM) || s.Layer != t.Layer {
+			return false
+		}
+	}
+	for i, z := range l.zones {
+		if bits(z.Start) != bits(o.zones[i].Start) || bits(z.End) != bits(o.zones[i].End) {
+			return false
+		}
+	}
+	return true
+}
+
+// BitsHash hashes the bits of l's segment and zone floats: lines that are
+// SameBits hash alike.
+func (l *Line) BitsHash() uint64 {
+	h := uint64(14695981039346656037) // FNV-1a, one 64-bit word at a time
+	mix := func(x float64) { h = (h ^ math.Float64bits(x)) * 1099511628211 }
+	for _, s := range l.segs {
+		mix(s.Length)
+		mix(s.ROhmPerM)
+		mix(s.CFPerM)
+		mix(s.CcFPerM)
+	}
+	for _, z := range l.zones {
+		mix(z.Start)
+		mix(z.End)
+	}
+	return h
+}
+
 // segIndex returns the index of the segment containing x, biased so that a
 // position exactly on a boundary belongs to the segment on its right,
 // except x == Length which belongs to the last segment.

@@ -306,3 +306,42 @@ func TestAppendLegalPositionsMatchesLegalPositions(t *testing.T) {
 		t.Fatalf("non-positive pitch must append nothing, got %v", got)
 	}
 }
+
+// TestLineSameBits: a line rebuilt from the same segments and zones is
+// SameBits and hashes alike; one bit of any segment or zone float, a layer
+// name, or a missing zone or segment makes it a different line.
+func TestLineSameBits(t *testing.T) {
+	base := testLine(t)
+	flip := func(x float64) float64 { return math.Float64frombits(math.Float64bits(x) ^ 1) }
+	build := func(edit func(segs []Segment, zones []Zone) ([]Segment, []Zone)) *Line {
+		t.Helper()
+		segs, zones := base.Segments(), base.Zones()
+		if edit != nil {
+			segs, zones = edit(segs, zones)
+		}
+		l, err := New(segs, zones)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	same := build(nil)
+	if !base.SameBits(same) || !same.SameBits(base) || !base.SameBits(base) || base.BitsHash() != same.BitsHash() {
+		t.Fatal("a rebuilt copy is not the same line")
+	}
+	for name, edit := range map[string]func([]Segment, []Zone) ([]Segment, []Zone){
+		"length":      func(s []Segment, z []Zone) ([]Segment, []Zone) { s[1].Length = flip(s[1].Length); return s, z },
+		"resistance":  func(s []Segment, z []Zone) ([]Segment, []Zone) { s[2].ROhmPerM = flip(s[2].ROhmPerM); return s, z },
+		"capacitance": func(s []Segment, z []Zone) ([]Segment, []Zone) { s[0].CFPerM = flip(s[0].CFPerM); return s, z },
+		"coupling":    func(s []Segment, z []Zone) ([]Segment, []Zone) { s[0].CcFPerM = 1e-10; return s, z },
+		"layer":       func(s []Segment, z []Zone) ([]Segment, []Zone) { s[1].Layer = "metal6"; return s, z },
+		"zone start":  func(s []Segment, z []Zone) ([]Segment, []Zone) { z[0].Start = flip(z[0].Start); return s, z },
+		"zone end":    func(s []Segment, z []Zone) ([]Segment, []Zone) { z[0].End = flip(z[0].End); return s, z },
+		"no zone":     func(s []Segment, _ []Zone) ([]Segment, []Zone) { return s, nil },
+		"no segment":  func(s []Segment, _ []Zone) ([]Segment, []Zone) { return s[:2], nil },
+	} {
+		if l := build(edit); base.SameBits(l) || l.SameBits(base) {
+			t.Fatalf("%s: a changed line is the same line", name)
+		}
+	}
+}
