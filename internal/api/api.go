@@ -22,6 +22,7 @@ import (
 
 	"github.com/rip-eda/rip/internal/delay"
 	"github.com/rip-eda/rip/internal/engine"
+	"github.com/rip-eda/rip/internal/jsonscan"
 	"github.com/rip-eda/rip/internal/tree"
 	"github.com/rip-eda/rip/internal/units"
 	"github.com/rip-eda/rip/internal/wire"
@@ -278,23 +279,41 @@ type request struct {
 
 // ParseRequestKind is ParseRequest with an explicit bare-object kind.
 //
-// The body is decoded once, as a wrapper; the nets are then built from
-// their on-disk forms (wire.NetJSON.Net, tree.NetJSON.Net). Only a body
-// with neither a "net" nor a "tree" is decoded a second time, as a bare
-// object of the given kind. Errors name the shape that failed: "decoding
-// request:" for a wrapper, "not a net object:" or "not a tree object:"
-// for a bare object.
+// The body is read once, as a wrapper; the nets are then built from
+// their on-disk forms (wire.NetJSON.Net, tree.NetJSON.Net). A body in
+// the canonical form json.Marshal writes is read by package jsonscan
+// without reflection; any other body is decoded by encoding/json, and
+// only one with neither a "net" nor a "tree" is decoded a second time,
+// as a bare object of the given kind. Errors name the shape that
+// failed: "decoding request:" for a wrapper, "not a net object:" or
+// "not a tree object:" for a bare object.
 func ParseRequestKind(raw []byte, bare Kind) (Request, error) {
-	// The shape is decided by the presence of a non-null "net"/"tree"
-	// key, not by whether the wrapper decode succeeds: falling back on any
-	// wrapper error would silently misread a wrapper with one bad field as
-	// a bare net (the decoder ignores unknown keys) and bury the real
-	// error behind a baffling empty-net complaint. encoding/json allocates
-	// the pointer for any non-null value, even one of the wrong type, and
-	// keeps decoding the other keys after a type error, so a set pointer
-	// is exactly a present key.
-	var w request
-	err := json.Unmarshal(raw, &w)
+	return parseRequest(raw, bare, true)
+}
+
+// parseRequest is ParseRequestKind; with fast false it skips the
+// scanner and decodes with encoding/json alone, the path the scanner's
+// answers are held to.
+func parseRequest(raw []byte, bare Kind, fast bool) (Request, error) {
+	var (
+		w    request
+		line wire.NetJSON
+		tr   tree.NetJSON
+		err  error
+	)
+	scanned := fast && w.scan(raw, bare, &line, &tr)
+	if !scanned {
+		// The shape is decided by the presence of a non-null "net"/"tree"
+		// key, not by whether the wrapper decode succeeds: falling back on
+		// any wrapper error would silently misread a wrapper with one bad
+		// field as a bare net (the decoder ignores unknown keys) and bury
+		// the real error behind a baffling empty-net complaint.
+		// encoding/json allocates the pointer for any non-null value, even
+		// one of the wrong type, and keeps decoding the other keys after a
+		// type error, so a set pointer is exactly a present key.
+		w, line, tr = request{}, wire.NetJSON{}, tree.NetJSON{}
+		err = json.Unmarshal(raw, &w)
+	}
 	if w.Net != nil || w.Tree != nil {
 		r := w.Request
 		if err == nil && w.Net != nil {
@@ -309,25 +328,86 @@ func ParseRequestKind(raw []byte, bare Kind) (Request, error) {
 		return r, nil
 	}
 	if bare == KindTree {
-		var j tree.NetJSON
-		if err := json.Unmarshal(raw, &j); err != nil {
-			return Request{}, fmt.Errorf("not a tree object: %v", err)
+		if !scanned {
+			if err := json.Unmarshal(raw, &tr); err != nil {
+				return Request{}, fmt.Errorf("not a tree object: %v", err)
+			}
 		}
-		n, err := j.Net()
+		n, err := tr.Net()
 		if err != nil {
 			return Request{}, fmt.Errorf("not a tree object: %v", err)
 		}
 		return Request{Tree: n}, nil
 	}
-	var j wire.NetJSON
-	if err := json.Unmarshal(raw, &j); err != nil {
-		return Request{}, fmt.Errorf("not a net object: %v", err)
+	if !scanned {
+		if err := json.Unmarshal(raw, &line); err != nil {
+			return Request{}, fmt.Errorf("not a net object: %v", err)
+		}
 	}
-	n, err := j.Net()
+	n, err := line.Net()
 	if err != nil {
 		return Request{}, fmt.Errorf("not a net object: %v", err)
 	}
 	return Request{Net: n}, nil
+}
+
+// scan is the fast path: one pass over raw by package jsonscan, filling
+// w from a wrapper, or line or tr, by the bare kind, from a bare body.
+// It reports false, its fills to be discarded, on any body outside the
+// scanner's subset, on a key neither form has, and on a body that mixes
+// a wrapper's keys with a bare net's, which encoding/json reads by
+// ignoring one or the other.
+func (w *request) scan(raw []byte, bare Kind, line *wire.NetJSON, tr *tree.NetJSON) bool {
+	wrapper, plain := false, false
+	s := jsonscan.New(raw)
+	ok := s.Object(func(s *jsonscan.Scanner, key []byte) bool {
+		var ok bool
+		switch string(key) {
+		case "v":
+			w.V, ok = s.Int()
+		case "net":
+			w.Net = new(wire.NetJSON)
+			ok = s.Object(w.Net.ScanField)
+		case "tree":
+			w.Tree = new(tree.NetJSON)
+			ok = s.Object(w.Tree.ScanField)
+		case "tech":
+			w.Tech, ok = s.Str()
+		case "target_mult":
+			w.TargetMult, ok = s.Float()
+		case "target_ns":
+			w.TargetNS, ok = s.Float()
+		case "targets_ns":
+			w.TargetsNS = []float64{}
+			ok = s.Array(func(s *jsonscan.Scanner) bool {
+				t, ok := s.Float()
+				w.TargetsNS = append(w.TargetsNS, t)
+				return ok
+			})
+		case "aggressor":
+			w.Aggressor, ok = s.Str()
+		case "scheme":
+			w.Scheme, ok = s.Str()
+		case "mf":
+			w.MF = new(float64)
+			*w.MF, ok = s.Float()
+		default:
+			plain = true
+			if bare == KindTree {
+				return tr.ScanField(s, key)
+			}
+			return line.ScanField(s, key)
+		}
+		wrapper = true
+		return ok
+	})
+	if !ok || !s.End() {
+		return false
+	}
+	if w.Net != nil || w.Tree != nil {
+		return !plain
+	}
+	return !wrapper
 }
 
 // FeedOptions parameterizes the shared JSONL ingest loop.

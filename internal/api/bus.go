@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"github.com/rip-eda/rip/internal/engine"
+	"github.com/rip-eda/rip/internal/jsonscan"
 	"github.com/rip-eda/rip/internal/units"
 	"github.com/rip-eda/rip/internal/wire"
 )
@@ -45,20 +46,41 @@ type BusRequest struct {
 type busRequest struct {
 	BusRequest
 	Tracks []*wire.NetJSON `json:"tracks"`
+	// renamed marks the tracks the scanner read as renamed copies of the
+	// first (wire.NetJSON.ScanRenamed), which share its built line.
+	renamed []bool
 }
 
 // ParseBusRequest decodes one bus request body in one pass: the tracks
-// decode as wire.NetJSON and are then built by its Net method. A null
-// track stays nil, for Validate to report. Errors start "decoding bus
-// request:".
+// decode as wire.NetJSON and are then built by its Net method. A body in
+// the canonical form json.Marshal writes is read by package jsonscan
+// without reflection, any other by encoding/json. A null track stays
+// nil, for Validate to report. Errors start "decoding bus request:".
 func ParseBusRequest(raw []byte) (BusRequest, error) {
+	return parseBusRequest(raw, true)
+}
+
+// parseBusRequest is ParseBusRequest; with fast false it skips the
+// scanner and decodes with encoding/json alone, the path the scanner's
+// answers are held to.
+func parseBusRequest(raw []byte, fast bool) (BusRequest, error) {
 	var w busRequest
-	err := json.Unmarshal(raw, &w)
+	var err error
+	if !fast || !w.scan(raw) {
+		w = busRequest{}
+		err = json.Unmarshal(raw, &w)
+	}
 	r := w.BusRequest
 	if err == nil && w.Tracks != nil {
 		r.Tracks = make([]*wire.Net, len(w.Tracks))
 		for i, t := range w.Tracks {
 			if t == nil {
+				continue
+			}
+			if w.renamed != nil && w.renamed[i] {
+				n := *r.Tracks[0] // a Line is immutable, so copies may share one
+				n.Name = t.Name
+				r.Tracks[i] = &n
 				continue
 			}
 			if r.Tracks[i], err = t.Net(); err != nil {
@@ -70,6 +92,50 @@ func ParseBusRequest(raw []byte) (BusRequest, error) {
 		return BusRequest{}, fmt.Errorf("decoding bus request: %v", err)
 	}
 	return r, nil
+}
+
+// scan is the fast path: one pass over raw by package jsonscan. It
+// reports false, its fills to be discarded, on any body outside the
+// scanner's subset and on a key the form does not have.
+func (w *busRequest) scan(raw []byte) bool {
+	s := jsonscan.New(raw)
+	return s.Object(func(s *jsonscan.Scanner, key []byte) bool {
+		var ok bool
+		switch string(key) {
+		case "v":
+			w.V, ok = s.Int()
+		case "tracks":
+			var buf [8]*wire.NetJSON
+			tracks := buf[:0]
+			var first []byte // the first track's object
+			ok = s.Array(func(s *jsonscan.Scanner) bool {
+				t := new(wire.NetJSON)
+				tracks = append(tracks, t)
+				// A bus's tracks are usually renamed copies of one net.
+				renamed := len(tracks) > 1 && t.ScanRenamed(s, tracks[0], first)
+				w.renamed = append(w.renamed, renamed)
+				if renamed {
+					return true
+				}
+				mark := s.Mark()
+				ok := s.Object(t.ScanField)
+				if len(tracks) == 1 {
+					first = s.Since(mark)
+				}
+				return ok
+			})
+			w.Tracks = append(make([]*wire.NetJSON, 0, len(tracks)), tracks...)
+		case "tech":
+			w.Tech, ok = s.Str()
+		case "target_mult":
+			w.TargetMult, ok = s.Float()
+		case "target_ns":
+			w.TargetNS, ok = s.Float()
+		case "method":
+			w.Method, ok = s.Str()
+		}
+		return ok
+	}) && s.End()
 }
 
 // Validate checks the request shape without solving anything. Every

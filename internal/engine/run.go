@@ -19,17 +19,20 @@ type solveFunc func(ctx context.Context, sl *slot, j Job) Result
 // reordering window.
 func inFlight(slots chan struct{}) int { return max(4*cap(slots), 64) }
 
-// drive is the loop Run and RunStream share. It starts one goroutine per
-// solve slot and one more each time a job yields its slot (see
-// slot.yield), up to n, so a job that waits without a CPU never leaves
-// one idle, while a call that never waits costs no more goroutines than
-// slots. Each goroutine loops: take the call's gate, claim the next job,
-// take the job's solve slot, hand the gate on, solve. Only the gate's
-// holder waits for a slot, so a call queues one goroutine on the shared
-// slots however many jobs it has in flight, and its jobs take their
-// slots in claim order, which is input order: with one slot a job starts
-// only once the one before it has finished or yielded. claim returns job
-// i, or false when no job is left; emit receives each result, Index set.
+// drive is the loop Run and RunStream share. It runs one loop per solve
+// slot and one more each time a job yields its slot (see slot.yield), up
+// to n, so a job that waits without a CPU never leaves one idle, while a
+// call that never waits runs no more loops than slots. The first loop
+// runs on the calling goroutine, whose stack is already grown, so a
+// one-job call starts no goroutine and a call on W slots starts W-1; a
+// fresh goroutine would grow its stack again through the solve path.
+// Each loop: take the call's gate, claim the next job, take the job's
+// solve slot, hand the gate on, solve. Only the gate's holder waits for a
+// slot, so a call queues one loop on the shared slots however many jobs
+// it has in flight, and its jobs take their slots in claim order, which
+// is input order: with one slot a job starts only once the one before it
+// has finished or yielded. claim returns job i, or false when no job is
+// left; emit receives each result, Index set.
 func drive(ctx context.Context, slots chan struct{}, n int, claim func(i int) (Job, bool), solve solveFunc, emit func(Result)) {
 	gate := make(chan struct{}, 1)
 	next := 0 // guarded by gate
@@ -67,8 +70,13 @@ func drive(ctx context.Context, slots chan struct{}, n int, claim func(i int) (J
 			emit(r)
 		}
 	}
-	for range min(cap(slots), n) {
-		grow()
+	if first := min(cap(slots), n); first > 0 {
+		live.Add(1)
+		wg.Add(1)
+		for range first - 1 {
+			grow()
+		}
+		loop()
 	}
 	wg.Wait()
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"github.com/rip-eda/rip/internal/jsonscan"
 	"github.com/rip-eda/rip/internal/units"
 )
 
@@ -65,6 +66,53 @@ type treeNodeJSON struct {
 	BufferSite bool    `json:"buffer_site,omitempty"`
 }
 
+// ScanField fills the member of a tree net object named key from s, for
+// a decoder that reads this form in one pass without reflection (see
+// package jsonscan). It reports false, declining the body to
+// encoding/json, on a key this form does not have or a value outside
+// the scanner's subset.
+func (j *NetJSON) ScanField(s *jsonscan.Scanner, key []byte) bool {
+	var ok bool
+	switch string(key) {
+	case "name":
+		j.Name, ok = s.Str()
+	case "driver_width_u":
+		j.DriverWidth, ok = s.Float()
+	case "nodes":
+		// Nodes fill a stack buffer and are copied out once, sized.
+		var buf [32]treeNodeJSON
+		nodes := buf[:0]
+		ok = s.Array(func(s *jsonscan.Scanner) bool {
+			nodes = append(nodes, treeNodeJSON{})
+			return s.Object(nodes[len(nodes)-1].scanField)
+		})
+		j.Nodes = append(make([]treeNodeJSON, 0, len(nodes)), nodes...)
+	}
+	return ok
+}
+
+func (nj *treeNodeJSON) scanField(s *jsonscan.Scanner, key []byte) bool {
+	var ok bool
+	switch string(key) {
+	case "id":
+		nj.ID, ok = s.Int()
+	case "parent":
+		nj.Parent = new(int)
+		*nj.Parent, ok = s.Int()
+	case "edge_r_ohm":
+		nj.EdgeROhm, ok = s.Float()
+	case "edge_c_ff":
+		nj.EdgeCFF, ok = s.Float()
+	case "sink_cap_ff":
+		nj.SinkCapFF, ok = s.Float()
+	case "rat_ns":
+		nj.RATNS, ok = s.Float()
+	case "buffer_site":
+		nj.BufferSite, ok = s.Bool()
+	}
+	return ok
+}
+
 // MarshalJSON implements json.Marshaler; nodes are emitted in the tree's
 // pre-order walk with parent links, so a round trip preserves sibling
 // order (and therefore solver determinism).
@@ -114,11 +162,13 @@ func (j *NetJSON) Net() (*Net, error) {
 		return nil, fmt.Errorf("tree: net %q has no nodes", j.Name)
 	}
 	byID := make(map[int]*Node, len(j.Nodes))
-	for _, nj := range j.Nodes {
+	nodes := make([]Node, len(j.Nodes))
+	for i, nj := range j.Nodes {
 		if _, dup := byID[nj.ID]; dup {
 			return nil, fmt.Errorf("tree: net %q: duplicate node id %d", j.Name, nj.ID)
 		}
-		byID[nj.ID] = &Node{
+		byID[nj.ID] = &nodes[i]
+		nodes[i] = Node{
 			ID:         nj.ID,
 			EdgeR:      nj.EdgeROhm,
 			EdgeC:      nj.EdgeCFF * units.FemtoFarad,

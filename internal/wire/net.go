@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 
+	"github.com/rip-eda/rip/internal/jsonscan"
 	"github.com/rip-eda/rip/internal/units"
 )
 
@@ -65,6 +66,97 @@ type segJSON struct {
 type zoneJSON struct {
 	StartUM float64 `json:"start_um"`
 	EndUM   float64 `json:"end_um"`
+}
+
+// ScanField fills the member of a net object named key from s, for a
+// decoder that reads this form in one pass without reflection (see
+// package jsonscan). It reports false, declining the body to
+// encoding/json, on a key this form does not have or a value outside
+// the scanner's subset.
+func (j *NetJSON) ScanField(s *jsonscan.Scanner, key []byte) bool {
+	var ok bool
+	switch string(key) {
+	case "name":
+		j.Name, ok = s.Str()
+	case "driver_width_u":
+		j.DriverWidth, ok = s.Float()
+	case "receiver_width_u":
+		j.ReceiverWidth, ok = s.Float()
+	case "segments":
+		// Elements fill a stack buffer and are copied out once, sized.
+		var buf [16]segJSON
+		segs := buf[:0]
+		ok = s.Array(func(s *jsonscan.Scanner) bool {
+			segs = append(segs, segJSON{})
+			return s.Object(segs[len(segs)-1].scanField)
+		})
+		j.Segments = append(make([]segJSON, 0, len(segs)), segs...)
+	case "forbidden_zones":
+		var buf [8]zoneJSON
+		zones := buf[:0]
+		ok = s.Array(func(s *jsonscan.Scanner) bool {
+			zones = append(zones, zoneJSON{})
+			return s.Object(zones[len(zones)-1].scanField)
+		})
+		j.Zones = append(make([]zoneJSON, 0, len(zones)), zones...)
+	}
+	return ok
+}
+
+// namedOpen opens a net object as json.Marshal writes it: the name's
+// key, then the opening quote of its value.
+const namedOpen = `{"name":"`
+
+// ScanRenamed reads a net object whose bytes are prevRaw, the bytes of
+// the object prev was read from, but for the string value of its
+// leading "name" member: the form json.Marshal writes for the renamed
+// copies of one routed net that make up a bus. j becomes prev under its
+// own name, sharing prev's segments and zones. On any other object it
+// reports false and leaves s where it was.
+func (j *NetJSON) ScanRenamed(s *jsonscan.Scanner, prev *NetJSON, prevRaw []byte) bool {
+	// prev.Name was read without escapes, so its bytes follow namedOpen.
+	rest := len(namedOpen) + len(prev.Name) + 1
+	if len(prevRaw) < rest || string(prevRaw[:len(namedOpen)]) != namedOpen {
+		return false
+	}
+	mark := s.Mark()
+	if s.Repeat(prevRaw[:len(namedOpen)-1]) {
+		if name, ok := s.Str(); ok && s.Repeat(prevRaw[rest:]) {
+			*j = *prev
+			j.Name = name
+			return true
+		}
+	}
+	s.Seek(mark)
+	return false
+}
+
+func (g *segJSON) scanField(s *jsonscan.Scanner, key []byte) bool {
+	var ok bool
+	switch string(key) {
+	case "length_um":
+		g.LengthUM, ok = s.Float()
+	case "r_ohm_per_um":
+		g.ROhmPerUM, ok = s.Float()
+	case "c_ff_per_um":
+		g.CFFPerUM, ok = s.Float()
+	case "cc_ff_per_um":
+		g.CcFFPerUM, ok = s.Float()
+	case "layer":
+		g.Layer, ok = s.Str()
+	}
+	return ok
+}
+
+func (z *zoneJSON) scanField(s *jsonscan.Scanner, key []byte) bool {
+	var ok bool
+	switch string(key) {
+	case "start_um":
+		z.StartUM, ok = s.Float()
+	case "end_um":
+		z.EndUM, ok = s.Float()
+	}
+	return ok
 }
 
 // MarshalJSON implements json.Marshaler using µm / Ω·µm⁻¹ / fF·µm⁻¹ units.

@@ -2,10 +2,13 @@ package wire
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
+	"github.com/rip-eda/rip/internal/jsonscan"
 	"github.com/rip-eda/rip/internal/units"
 )
 
@@ -106,5 +109,55 @@ func TestMarshalInvalidNetFails(t *testing.T) {
 	n.DriverWidth = 0
 	if _, err := n.MarshalJSON(); err == nil {
 		t.Error("marshaling an invalid net should fail")
+	}
+}
+
+// TestScanRenamed: a net object that repeats an earlier one's bytes but
+// for its name reads as that net under its own name; any other object
+// leaves the scanner where it was.
+func TestScanRenamed(t *testing.T) {
+	first, err := json.Marshal(testNet(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prev NetJSON
+	if s := jsonscan.New(first); !s.Object(prev.ScanField) || !s.End() {
+		t.Fatalf("the scanner declined %s", first)
+	}
+	_, rest, _ := strings.Cut(string(first), `","`)
+	rest = `,"` + rest
+	for _, tc := range []struct {
+		body string
+		want bool
+	}{
+		{`{"name":"copy"` + rest, true},
+		{`{"name": "copy"` + rest, true},
+		{`{"name":"copy"` + strings.Replace(rest, "metal5", "metal6", 1), false},
+		{`{"name":"c\u006fpy"` + rest, false},
+		{`{"name":"copy","name":"x"` + rest, false},
+		{`{"driver_width_u":100,"name":"copy"` + rest[len(`,"driver_width_u":100`):], false},
+	} {
+		var j NetJSON
+		s := jsonscan.New([]byte(tc.body))
+		if got := j.ScanRenamed(s, &prev, first); got != tc.want {
+			t.Errorf("%s: ScanRenamed = %v, want %v", tc.body, got, tc.want)
+			continue
+		}
+		if !tc.want {
+			if s.Mark() != 0 {
+				t.Errorf("%s: a declined copy moved the scanner to %d", tc.body, s.Mark())
+			}
+			continue
+		}
+		var want NetJSON
+		if err := json.Unmarshal([]byte(tc.body), &want); err != nil || !s.End() || !reflect.DeepEqual(j, want) {
+			t.Errorf("%s: read %+v, encoding/json %+v (%v)", tc.body, j, want, err)
+		}
+	}
+	// An earlier object that does not open with its name is no template.
+	spaced := strings.Replace(string(first), `"name":"`, `"name": "`, 1)
+	var j NetJSON
+	if j.ScanRenamed(jsonscan.New([]byte(`{"name":"copy"`+rest)), &prev, []byte(spaced)) {
+		t.Error("ScanRenamed used a template whose name is not at its start")
 	}
 }
