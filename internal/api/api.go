@@ -539,6 +539,57 @@ type Response struct {
 	Err *ErrorInfo `json:"error,omitempty"`
 }
 
+// AppendJSON appends r as json.Marshal writes it to dst. It reports
+// false, returning dst unchanged, for a response outside its subset —
+// one that carries an error envelope, a NaN or infinite float, or a
+// string encoding/json would escape — which the caller encodes with
+// encoding/json instead.
+func (r *Response) AppendJSON(dst []byte) ([]byte, bool) {
+	if r.Err != nil {
+		return dst, false
+	}
+	w := jsonAppender{b: append(dst, '{')}
+	w.intOmit("v", r.V)
+	w.str("net", r.Net)
+	w.strOmit("kind", r.Kind)
+	w.strOmit("tech", r.Tech)
+	w.bool("feasible", r.Feasible)
+	w.float("target_ns", r.TargetNS)
+	w.float("delay_ns", r.DelayNS)
+	w.floatOmit("slack_ns", r.SlackNS)
+	w.float("total_width_u", r.TotalWidthU)
+	w.floats("positions_um", r.PositionsUM)
+	w.floats("widths_u", r.WidthsU)
+	w.buffers(r.Buffers)
+	if len(r.Sweep) > 0 {
+		w.key("sweep")
+		for i := range r.Sweep {
+			p := &r.Sweep[i]
+			w.elem(i)
+			w.b = append(w.b, '{')
+			w.float("target_ns", p.TargetNS)
+			w.bool("feasible", p.Feasible)
+			w.floatOmit("delay_ns", p.DelayNS)
+			w.floatOmit("slack_ns", p.SlackNS)
+			w.float("total_width_u", p.TotalWidthU)
+			w.floats("positions_um", p.PositionsUM)
+			w.floats("widths_u", p.WidthsU)
+			w.buffers(p.Buffers)
+			w.floatOmit("staggered_um", p.StaggeredUM)
+			w.floatOmit("shielded_um", p.ShieldedUM)
+			w.b = append(w.b, '}')
+		}
+		w.b = append(w.b, ']')
+	}
+	w.strOmit("aggressor", r.Aggressor)
+	w.strOmit("scheme", r.Scheme)
+	w.floatPtr("mf", r.MF)
+	w.floatOmit("staggered_um", r.StaggeredUM)
+	w.floatOmit("shielded_um", r.ShieldedUM)
+	w.bool("cache_hit", r.CacheHit)
+	return w.close(dst)
+}
+
 // SweepPoint is one budget's answer within a multi-budget response. An
 // infeasible budget yields Feasible=false with the placement fields
 // empty — a verdict, not an error.
@@ -757,6 +808,46 @@ type FrontResponse struct {
 	// Err is the structured error envelope for a failure (validation,
 	// routing or solver); nil on success.
 	Err *ErrorInfo `json:"error,omitempty"`
+}
+
+// AppendJSON appends r as json.Marshal writes it to dst, or reports
+// false and returns dst unchanged, as Response.AppendJSON does.
+func (r *FrontResponse) AppendJSON(dst []byte) ([]byte, bool) {
+	if r.Err != nil {
+		return dst, false
+	}
+	w := jsonAppender{b: append(dst, '{')}
+	w.intOmit("v", r.V)
+	w.str("net", r.Net)
+	w.strOmit("kind", r.Kind)
+	w.strOmit("tech", r.Tech)
+	w.floatOmit("tmin_ns", r.TMinNS)
+	w.key("points")
+	switch {
+	case r.Points == nil:
+		w.b = append(w.b, "null"...)
+	case len(r.Points) == 0:
+		w.b = append(w.b, "[]"...)
+	default:
+		for i := range r.Points {
+			p := &r.Points[i]
+			w.elem(i)
+			w.b = append(w.b, '{')
+			w.floatOmit("delay_ns", p.DelayNS)
+			w.floatOmit("slack_ns", p.SlackNS)
+			w.float("total_width_u", p.TotalWidthU)
+			w.int("repeaters", p.Repeaters)
+			w.floatOmit("staggered_um", p.StaggeredUM)
+			w.floatOmit("shielded_um", p.ShieldedUM)
+			w.b = append(w.b, '}')
+		}
+		w.b = append(w.b, ']')
+	}
+	w.strOmit("aggressor", r.Aggressor)
+	w.strOmit("scheme", r.Scheme)
+	w.floatPtr("mf", r.MF)
+	w.bool("cache_hit", r.CacheHit)
+	return w.close(dst)
 }
 
 // FromFrontResult converts an engine front result to its wire form.

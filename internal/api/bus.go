@@ -264,6 +264,52 @@ type BusResponse struct {
 	Err *ErrorInfo `json:"error,omitempty"`
 }
 
+// AppendJSON appends r as json.Marshal writes it to dst, or reports
+// false and returns dst unchanged, as Response.AppendJSON does.
+func (r *BusResponse) AppendJSON(dst []byte) ([]byte, bool) {
+	if r.Err != nil {
+		return dst, false
+	}
+	w := jsonAppender{b: append(dst, '{')}
+	w.intOmit("v", r.V)
+	w.strOmit("tech", r.Tech)
+	w.strOmit("method", r.Method)
+	w.intOmit("iterations", r.Iterations)
+	w.bool("converged", r.Converged)
+	if len(r.Tracks) > 0 {
+		w.key("tracks")
+		for i := range r.Tracks {
+			t := &r.Tracks[i]
+			w.elem(i)
+			w.b = append(w.b, '{')
+			w.str("net", t.Net)
+			w.str("scheme", t.Scheme)
+			w.float("mf", t.MF)
+			w.float("target_ns", t.TargetNS)
+			w.float("tmin_ns", t.TMinNS)
+			w.bool("baseline_feasible", t.BaselineFeasible)
+			w.floatOmit("baseline_width_u", t.BaselineWidthU)
+			w.bool("feasible", t.Feasible)
+			w.floatOmit("width_u", t.WidthU)
+			w.floatOmit("delay_ns", t.DelayNS)
+			w.floats("positions_um", t.PositionsUM)
+			w.floats("widths_u", t.WidthsU)
+			w.float("area_saved_um", t.AreaSavedUM)
+			w.float("power_saved_uw", t.PowerSavedUW)
+			w.bool("cache_hit", t.CacheHit)
+			w.b = append(w.b, '}')
+		}
+		w.b = append(w.b, ']')
+	}
+	w.float("group_baseline_width_u", r.GroupBaselineWidthU)
+	w.float("group_width_u", r.GroupWidthU)
+	w.intOmit("baseline_infeasible", r.BaselineInfeasible)
+	w.intOmit("infeasible", r.Infeasible)
+	w.float("group_area_saved_um", r.GroupAreaSaved)
+	w.float("group_power_saved_uw", r.GroupPowerSaved)
+	return w.close(dst)
+}
+
 // FromBusResult converts an engine bus result to its wire form.
 func FromBusResult(br engine.BusResult) BusResponse {
 	out := BusResponse{V: WireVersion, Tech: br.Tech}

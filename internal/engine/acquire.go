@@ -140,7 +140,7 @@ func (e *Engine) prepare(j Job, solve bool) (p prepared, err error) {
 // scenario: the evaluator, the wire table of its coupled candidate grid,
 // and its signature's geometry prefix. solveBus builds one per track and
 // hands it to all of the track's member jobs, which then skip validating
-// the net, building the grid and table, and formatting the geometry.
+// the net, building the grid and table, and writing the geometry's key.
 type lineShape struct {
 	eng    *Engine
 	ev     *delay.Evaluator

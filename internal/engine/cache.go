@@ -2,7 +2,7 @@ package engine
 
 import (
 	"container/list"
-	"hash/fnv"
+	"hash/maphash"
 	"math"
 	"sort"
 	"sync"
@@ -76,9 +76,9 @@ type cached struct {
 	// relative-target hits skip the τmin dynamic program too.
 	tmin float64
 
-	// Tree entries (key prefix "T") carry treeFront instead. Line and
-	// tree keys are disjoint, so a signature never decodes as the wrong
-	// kind.
+	// Tree entries (kind byte 'T' in the key) carry treeFront instead.
+	// Line and tree keys are disjoint, so a signature never decodes as the
+	// wrong kind.
 	tree      bool
 	treeFront treeFront
 }
@@ -102,6 +102,7 @@ type cacheItem struct {
 // workers look up concurrently; each shard holds capacity/shards entries.
 type solutionCache struct {
 	shards    []*cacheShard
+	seed      maphash.Seed
 	evictions atomic.Uint64
 }
 
@@ -112,7 +113,7 @@ func newSolutionCache(capacity, shards int) *solutionCache {
 	if capacity < shards {
 		capacity = shards
 	}
-	c := &solutionCache{shards: make([]*cacheShard, shards)}
+	c := &solutionCache{shards: make([]*cacheShard, shards), seed: maphash.MakeSeed()}
 	per := (capacity + shards - 1) / shards
 	for i := range c.shards {
 		c.shards[i] = &cacheShard{
@@ -125,9 +126,7 @@ func newSolutionCache(capacity, shards int) *solutionCache {
 }
 
 func (c *solutionCache) shard(key string) *cacheShard {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return c.shards[h.Sum32()%uint32(len(c.shards))]
+	return c.shards[maphash.String(c.seed, key)%uint64(len(c.shards))]
 }
 
 // get returns the entry for key and marks it most recently used.

@@ -49,8 +49,9 @@ type CacheTreePoint struct {
 // signature key plus the retained Pareto front it answers from. Exactly
 // one of Line and TreePts is populated, selected by Tree.
 type CacheEntry struct {
-	// Key is the canonical net signature (opaque; embeds the node's
-	// electrical identity and the quantized net shape).
+	// Key is the canonical net signature (opaque binary; embeds the
+	// digest of the node's electrical identity and the quantized net
+	// shape).
 	Key string
 	// TMin is the signature's reference-space minimum achievable delay.
 	TMin float64
@@ -203,12 +204,12 @@ func importEntry(ent CacheEntry) (cached, bool) {
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // TechIdentity returns the canonical electrical identity string of the
-// engine's node — the same prefix every cache signature embeds. Snapshot
-// files store a digest of it per node section, so a snapshot written
+// engine's node; its SHA-256 digest opens every cache signature. Snapshot
+// files store the same digest per node section, so a snapshot written
 // under one node definition can never be imported into an engine whose
 // node has since changed (name kept, parameters edited): the digests
 // differ and the section is skipped.
-func (e *Engine) TechIdentity() string { return e.sig.techPrefix }
+func (e *Engine) TechIdentity() string { return e.sig.identity }
 
 // Signature returns the job's canonical cache key — the shape identity
 // consistent-hash routing partitions across peers — and false for jobs

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"math"
 	"strconv"
 	"strings"
@@ -23,49 +25,89 @@ const (
 )
 
 // signer builds canonical cache keys for (net, target) jobs under one
-// technology. The technology prefix is computed once at engine build time
-// since every job in an engine shares the node. It embeds the node's full
-// electrical identity — name, device parameters, supply/clocking context
-// and layer densities — so even if two differently-named nodes were ever
+// technology. A key is a binary record of little-endian 8-byte words
+// (4-byte counts), written into one presized buffer:
+//
+//	[32]byte   SHA-256 of the node identity (TechIdentity)
+//	byte       kind: 'L' line, 'T' tree
+//	line:      driver width, receiver width;
+//	           segment count, per segment its length in quanta and its
+//	           R, C and Cc per meter; zone count, per zone its start and
+//	           end in quanta; aggressor byte, scheme byte, and a 1 byte
+//	           plus the factor for an explicit-factor job, else a 0 byte
+//	tree:      mode byte ('u' uniform budgets, 'e' embedded deadlines),
+//	           driver width, node count, per node in walk order its
+//	           child count, a flag byte (1 sink, 2 buffer site), edge R
+//	           and C, and for a sink its cap, plus its deadline in
+//	           quanta in embedded mode
+//
+// The identity digest embeds the node's full electrical identity —
+// name, device parameters, supply/clocking context, coupling model and
+// layer densities — so even if two differently-named nodes were ever
 // served from one cache, their signatures could not collide; under a
 // Multi the per-technology engines additionally keep disjoint caches.
+// Every count and optional field is fixed by what precedes it, so no
+// two shapes share a byte string.
+//
+// Lengths and deadlines are integer quantum counts. Every other float is
+// its class word: its float64 bits rounded to 24 significant bits (half
+// up on the magnitude), ±0 alike, a relative step of 2⁻²³ ≈ 1.2e-7. That
+// is no coarser than the 7 significant decimal digits the text keys
+// before it kept (a step of 1e-7 to 1e-6), but the class boundaries are
+// binary, so near a boundary two values that shared a decimal class may
+// fall in different binary classes, and the other way round. Hits are
+// verified on the job's own net either way.
 type signer struct {
-	techPrefix    string
+	identity      string
+	digest        [sha256.Size]byte
 	lengthQuantum float64
 	targetQuantum float64
 }
+
+// keyStack is the stack buffer a key is written into; a longer key
+// allocates its buffer.
+const keyStack = 512
+
+// Class words keep 24 significant bits: the implicit bit and the top 23
+// of float64's 52 mantissa bits.
+const (
+	classDrop = 52 - 23
+	classMask = 1<<classDrop - 1
+	classHalf = 1 << (classDrop - 1)
+)
 
 func newSigner(t *tech.Technology, opts CacheOptions) *signer {
 	var b strings.Builder
 	b.WriteString(t.Name)
 	b.WriteByte('|')
-	appendFloat(&b, t.Rs)
-	appendFloat(&b, t.Co)
-	appendFloat(&b, t.Cp)
-	appendFloat(&b, t.Vdd)
-	appendFloat(&b, t.Freq)
-	appendFloat(&b, t.Activity)
-	appendFloat(&b, t.LeakWPerUnit)
+	identityFloat(&b, t.Rs)
+	identityFloat(&b, t.Co)
+	identityFloat(&b, t.Cp)
+	identityFloat(&b, t.Vdd)
+	identityFloat(&b, t.Freq)
+	identityFloat(&b, t.Activity)
+	identityFloat(&b, t.LeakWPerUnit)
 	// The coupling model is part of the node's electrical identity
 	// unconditionally (not only when a job uses it): a node that gains,
 	// loses or edits coupling fields must invalidate every signature, or a
 	// snapshot taken under one coupling definition could serve answers
 	// under another.
-	appendFloat(&b, t.MillerMin)
-	appendFloat(&b, t.MillerMax)
-	appendFloat(&b, t.ShieldUPerM)
+	identityFloat(&b, t.MillerMin)
+	identityFloat(&b, t.MillerMax)
+	identityFloat(&b, t.ShieldUPerM)
 	for _, l := range t.Layers {
 		b.WriteString(l.Name)
 		b.WriteByte(':')
-		appendFloat(&b, l.ROhmPerM)
-		appendFloat(&b, l.CFPerM)
-		appendFloat(&b, l.CcFPerM)
+		identityFloat(&b, l.ROhmPerM)
+		identityFloat(&b, l.CFPerM)
+		identityFloat(&b, l.CcFPerM)
 	}
 	s := &signer{
-		techPrefix:    b.String(),
+		identity:      b.String(),
 		lengthQuantum: opts.LengthQuantum,
 		targetQuantum: opts.TargetQuantum,
 	}
+	s.digest = sha256.Sum256([]byte(s.identity))
 	if s.lengthQuantum <= 0 {
 		s.lengthQuantum = defaultLengthQuantum
 	}
@@ -76,87 +118,110 @@ func newSigner(t *tech.Technology, opts CacheOptions) *signer {
 }
 
 // key canonicalizes a job: technology node, quantized segment
-// length/RC profile, zone layout and terminal widths. The timing budget
-// is deliberately absent — the cached object is the net's whole Pareto
-// front, which answers every budget by lookup, so nets that canonicalize
-// identically are solved once and served for any target. A coupled job
-// (a parseable, non-none Aggressor) appends "|a"+aggressor and
-// "|s"+scheme mode: fronts priced under different crosstalk scenarios
-// answer different physics and must never alias each other or the
-// uncoupled front — and per-segment coupling densities join the segment
-// profile so two nets differing only in cc cannot collide. Uncoupled
-// jobs on nets without coupling capacitance still emit the historical
-// key shape.
-func (s *signer) key(j Job) string { return s.scenarioKey(s.shapeKey(j.Net), j) }
+// length/RC profile, zone layout, terminal widths and crosstalk
+// scenario. The timing budget is deliberately absent — the cached object
+// is the net's whole Pareto front, which answers every budget by lookup,
+// so nets that canonicalize identically are solved once and served for
+// any target. Fronts priced under different scenarios (a parseable,
+// non-none Aggressor with its scheme mode, or an explicit Miller factor)
+// answer different physics, so the scenario bytes keep them apart from
+// each other and from the uncoupled front.
+func (s *signer) key(j Job) string {
+	var arr [keyStack]byte
+	b := keyBuf(arr[:0], shapeLen(j.Net.Line)+scenarioLen)
+	return string(appendScenario(s.appendShape(b, j.Net), j))
+}
 
 // shapeKey is a line key's geometry prefix: everything but the scenario,
 // so every job on one net shares it.
 func (s *signer) shapeKey(n *wire.Net) string {
-	var b strings.Builder
-	b.Grow(64 + 32*n.Line.NumSegments())
-	b.WriteString(s.techPrefix)
-	b.WriteString("|d")
-	appendFloat(&b, n.DriverWidth)
-	b.WriteByte('r')
-	appendFloat(&b, n.ReceiverWidth)
-	b.WriteString("|s")
-	for _, seg := range n.Line.Segments() {
-		appendQuant(&b, seg.Length, s.lengthQuantum)
-		appendFloat(&b, seg.ROhmPerM)
-		appendFloat(&b, seg.CFPerM)
-		if seg.CcFPerM != 0 {
-			b.WriteByte('c')
-			appendFloat(&b, seg.CcFPerM)
-		}
-		b.WriteByte(';')
-	}
-	b.WriteString("|z")
-	for _, z := range n.Line.Zones() {
-		appendQuant(&b, z.Start, s.lengthQuantum)
-		appendQuant(&b, z.End, s.lengthQuantum)
-		b.WriteByte(';')
-	}
-	return b.String()
+	var arr [keyStack]byte
+	b := keyBuf(arr[:0], shapeLen(n.Line))
+	return string(s.appendShape(b, n))
 }
 
-// scenarioKey appends j's crosstalk scenario to its geometry prefix; an
-// uncoupled job's key is the prefix itself.
+// scenarioKey appends j's crosstalk scenario to its geometry prefix.
 func (s *signer) scenarioKey(prefix string, j Job) string {
-	agg, err := delay.ParseAggressor(j.Aggressor)
-	if j.MF == nil && (err != nil || agg == delay.AggressorNone) {
-		return prefix
+	var arr [keyStack]byte
+	b := keyBuf(arr[:0], len(prefix)+scenarioLen)
+	return string(appendScenario(append(b, prefix...), j))
+}
+
+// shapeLen is the length of a line's geometry prefix.
+func shapeLen(l *wire.Line) int {
+	return sha256.Size + 1 + 2*8 + 4 + 4*8*l.NumSegments() + 4 + 2*8*l.NumZones()
+}
+
+// appendShape writes a line's geometry prefix.
+func (s *signer) appendShape(b []byte, n *wire.Net) []byte {
+	b = append(b, s.digest[:]...)
+	b = append(b, 'L')
+	b = appendClass(b, n.DriverWidth)
+	b = appendClass(b, n.ReceiverWidth)
+	l := n.Line
+	b = binary.LittleEndian.AppendUint32(b, uint32(l.NumSegments()))
+	for i := range l.NumSegments() {
+		seg := l.Segment(i)
+		b = appendQuant(b, seg.Length, s.lengthQuantum)
+		b = appendClass(b, seg.ROhmPerM)
+		b = appendClass(b, seg.CFPerM)
+		b = appendClass(b, seg.CcFPerM)
 	}
-	var b strings.Builder
-	b.Grow(len(prefix) + 32)
-	b.WriteString(prefix)
-	// An explicit-factor job's front answers different physics per factor
-	// value: the factor joins the key so no two factors (or a factor and a
-	// named scenario) ever alias.
-	if j.MF != nil {
-		b.WriteString("|m")
-		appendFloat(&b, *j.MF)
+	b = binary.LittleEndian.AppendUint32(b, uint32(l.NumZones()))
+	for i := range l.NumZones() {
+		z := l.Zone(i)
+		b = appendQuant(b, z.Start, s.lengthQuantum)
+		b = appendQuant(b, z.End, s.lengthQuantum)
 	}
-	if err == nil && agg != delay.AggressorNone {
-		b.WriteString("|a")
-		b.WriteString(agg.String())
-		if mode, err := delay.ParseSchemeMode(j.Scheme); err == nil {
-			b.WriteString("|s")
-			b.WriteString(mode.String())
+	return b
+}
+
+// scenarioLen is the most bytes appendScenario writes.
+const scenarioLen = 3 + 8
+
+// appendScenario writes j's crosstalk scenario: the aggressor byte (0
+// for none or an unparseable one) and scheme byte (0 when uncoupled or
+// unparseable), each one past its enum value, then the explicit factor.
+func appendScenario(b []byte, j Job) []byte {
+	var agg, mode byte
+	if a, err := delay.ParseAggressor(j.Aggressor); err == nil && a != delay.AggressorNone {
+		agg = 1 + byte(a)
+		if m, err := delay.ParseSchemeMode(j.Scheme); err == nil {
+			mode = 1 + byte(m)
 		}
 	}
-	return b.String()
+	b = append(b, agg, mode)
+	if j.MF == nil {
+		return append(b, 0)
+	}
+	return appendClass(append(b, 1), *j.MF)
+}
+
+// keyBuf returns stack when a key of n bytes fits it, else a fresh
+// buffer of capacity n.
+func keyBuf(stack []byte, n int) []byte {
+	if n <= cap(stack) {
+		return stack
+	}
+	return make([]byte, 0, n)
 }
 
 // appendQuant writes x snapped to the quantum grid as an integer count.
-func appendQuant(b *strings.Builder, x, quantum float64) {
-	b.WriteString(strconv.FormatInt(int64(math.Round(x/quantum)), 36))
-	b.WriteByte(',')
+func appendQuant(b []byte, x, quantum float64) []byte {
+	return binary.LittleEndian.AppendUint64(b, uint64(int64(math.Round(x/quantum))))
 }
 
-// appendFloat writes x rounded to 7 significant digits — exact enough to
-// separate genuinely different electrical values while absorbing float
-// noise from unit conversions.
-func appendFloat(b *strings.Builder, x float64) {
+// appendClass writes x's class word (see signer).
+func appendClass(b []byte, x float64) []byte {
+	if x == 0 {
+		x = 0 // −0 joins +0's class
+	}
+	return binary.LittleEndian.AppendUint64(b, (math.Float64bits(x)+classHalf)&^classMask)
+}
+
+// identityFloat writes x rounded to 7 significant digits into the node
+// identity text.
+func identityFloat(b *strings.Builder, x float64) {
 	b.WriteString(strconv.FormatFloat(x, 'e', 6, 64))
 	b.WriteByte(',')
 }

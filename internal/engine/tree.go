@@ -2,10 +2,10 @@ package engine
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"slices"
-	"strconv"
-	"strings"
 
 	"github.com/rip-eda/rip/internal/tree"
 )
@@ -94,47 +94,44 @@ func (e *Engine) solveTreeFront(ctx context.Context, tn *tree.Net, embedded bool
 	return pts, tmin, nil
 }
 
-// treeKey canonicalizes a tree job: technology node, driver width, the
-// tree's pre-order shape with per-node electrical profile (child count,
-// edge RC, sink cap, buffer-site flag), and the deadline mode — "|u" for
-// uniform budgets (whose value is deliberately absent: the zero-RAT
-// front answers them all) or "|e" for embedded deadlines with every
-// sink's quantized RAT in walk order. Shape-equal trees in one mode are
-// solved once and served from cache for every budget.
+// treeKey canonicalizes a tree job: technology node, deadline mode,
+// driver width and the tree's walk-order shape with per-node electrical
+// profile (see signer). Uniform budgets' values are deliberately absent
+// (the zero-RAT front answers them all); embedded mode keys every sink's
+// quantized deadline. Shape-equal trees in one mode are solved once and
+// served from cache for every budget.
 func (s *signer) treeKey(j Job, embedded bool) string {
 	tn := j.TreeNet
-	var b strings.Builder
-	b.Grow(64 + 48*tn.Tree.NumNodes())
-	b.WriteString(s.techPrefix)
-	b.WriteString("|T|d")
-	appendFloat(&b, tn.DriverWidth)
-	b.WriteString("|n")
-	var walk func(n *tree.Node)
-	walk = func(n *tree.Node) {
-		b.WriteString(strconv.Itoa(len(n.Children)))
-		b.WriteByte(':')
-		appendFloat(&b, n.EdgeR)
-		appendFloat(&b, n.EdgeC)
+	t := tn.Tree
+	var arr [keyStack]byte
+	b := keyBuf(arr[:0], sha256.Size+2+8+4+(4+1+4*8)*t.NumNodes())
+	mode := byte('u')
+	if embedded {
+		mode = 'e'
+	}
+	b = append(b, s.digest[:]...)
+	b = append(b, 'T', mode)
+	b = appendClass(b, tn.DriverWidth)
+	b = binary.LittleEndian.AppendUint32(b, uint32(t.NumNodes()))
+	for i := range t.NumNodes() {
+		n := t.Walk(i)
+		var flags byte
 		if n.SinkCap > 0 {
-			b.WriteByte('s')
-			appendFloat(&b, n.SinkCap)
-			if embedded {
-				appendQuant(&b, n.SinkRAT, s.targetQuantum)
-			}
+			flags |= 1
 		}
 		if n.BufferSite {
-			b.WriteByte('B')
+			flags |= 2
 		}
-		b.WriteByte(';')
-		for _, c := range n.Children {
-			walk(c)
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(n.Children)))
+		b = append(b, flags)
+		b = appendClass(b, n.EdgeR)
+		b = appendClass(b, n.EdgeC)
+		if n.SinkCap > 0 {
+			b = appendClass(b, n.SinkCap)
+			if embedded {
+				b = appendQuant(b, n.SinkRAT, s.targetQuantum)
+			}
 		}
 	}
-	walk(tn.Tree.Root)
-	if embedded {
-		b.WriteString("|e")
-	} else {
-		b.WriteString("|u")
-	}
-	return b.String()
+	return string(b)
 }

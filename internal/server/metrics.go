@@ -57,6 +57,8 @@ type metrics struct {
 	inflight  atomic.Int64
 	nets      atomic.Uint64 // nets solved over HTTP (all routes)
 	netErrors atomic.Uint64 // per-net failures over HTTP
+	// encodeFallbacks counts answers AppendJSON declined to encoding/json.
+	encodeFallbacks atomic.Uint64
 }
 
 func (m *metrics) route(name string) *routeMetrics {
@@ -118,6 +120,10 @@ func (m *metrics) writePrometheus(w io.Writer, eng *engine.Multi, start time.Tim
 	fmt.Fprintf(w, "# HELP rip_net_errors_total Per-net failures over HTTP (parse, validation or solver).\n")
 	fmt.Fprintf(w, "# TYPE rip_net_errors_total counter\n")
 	fmt.Fprintf(w, "rip_net_errors_total %d\n", m.netErrors.Load())
+
+	fmt.Fprintf(w, "# HELP rip_encode_fallbacks_total Answers encoded by encoding/json because the fast encoder declined them (error envelopes, non-ASCII names).\n")
+	fmt.Fprintf(w, "# TYPE rip_encode_fallbacks_total counter\n")
+	fmt.Fprintf(w, "rip_encode_fallbacks_total %d\n", m.encodeFallbacks.Load())
 
 	fmt.Fprintf(w, "# HELP rip_http_request_duration_seconds Request latency by route.\n")
 	fmt.Fprintf(w, "# TYPE rip_http_request_duration_seconds histogram\n")

@@ -60,6 +60,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -189,17 +190,15 @@ func (s *Server) admit(w http.ResponseWriter, route string) (release func(), ok 
 	rm := s.m.route(route)
 	if s.draining.Load() {
 		rm.draining.Add(1)
-		respond(w, http.StatusServiceUnavailable,
-			api.CodedErrorResponse(api.CodeDraining, "", "", "server is shutting down"))
+		s.fail(w, false, api.CodeDraining, "", "", "server is shutting down")
 		return nil, false
 	}
 	select {
 	case s.slots <- struct{}{}:
 	default:
 		rm.saturated.Add(1)
-		respond(w, http.StatusTooManyRequests,
-			api.CodedErrorResponse(api.CodeOverloaded, "", "",
-				fmt.Sprintf("server saturated: %d requests in flight", s.opts.MaxInFlight)))
+		s.fail(w, false, api.CodeOverloaded, "", "",
+			fmt.Sprintf("server saturated: %d requests in flight", s.opts.MaxInFlight))
 		return nil, false
 	}
 	rm.requests.Add(1)
@@ -250,21 +249,23 @@ func statusFor(code string) int {
 // respond writes the JSON payload, stamping Retry-After on the
 // statuses a client should back off from and retry (shed load, drain,
 // unreachable owner).
-func respond(w http.ResponseWriter, status int, v any) {
+func (s *Server) respond(w http.ResponseWriter, status int, v any) {
 	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", "1")
 	}
-	writeJSON(w, status, v)
+	s.writeJSON(w, status, v)
 }
 
 // fail writes one coded error, shaped for the endpoint (front=true
 // emits a FrontResponse envelope).
 func (s *Server) fail(w http.ResponseWriter, front bool, code, net, tech, msg string) {
 	if front {
-		respond(w, statusFor(code), api.CodedFrontErrorResponse(code, net, tech, msg))
+		resp := api.CodedFrontErrorResponse(code, net, tech, msg)
+		s.respond(w, statusFor(code), &resp)
 		return
 	}
-	respond(w, statusFor(code), api.CodedErrorResponse(code, net, tech, msg))
+	resp := api.CodedErrorResponse(code, net, tech, msg)
+	s.respond(w, statusFor(code), &resp)
 }
 
 // decodeSingle is the one decode-validate path behind /v1/optimize and
@@ -276,6 +277,7 @@ func (s *Server) fail(w http.ResponseWriter, front bool, code, net, tech, msg st
 // written and ok is false.
 func (s *Server) decodeSingle(w http.ResponseWriter, r *http.Request, front bool) (api.Request, bool) {
 	raw, err := s.readBody(w, r)
+	defer putBuf(raw)
 	if err != nil {
 		s.fail(w, front, bodyErrCode(err), "", "", "reading request: "+err.Error())
 		return api.Request{}, false
@@ -326,7 +328,8 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		s.m.netErrors.Add(1)
 		status = statusFor(api.ErrorCode(res.Err))
 	}
-	respond(w, status, api.FromResult(res))
+	resp := api.FromResult(res)
+	s.respond(w, status, &resp)
 }
 
 // handleFront serves one net's whole power–delay Pareto front: the same
@@ -356,7 +359,8 @@ func (s *Server) handleFront(w http.ResponseWriter, r *http.Request) {
 		s.m.netErrors.Add(1)
 		status = statusFor(api.ErrorCode(fr.Err))
 	}
-	respond(w, status, api.FromFrontResult(fr))
+	resp := api.FromFrontResult(fr)
+	s.respond(w, status, &resp)
 }
 
 // handleBus serves joint bus co-optimization: a group of parallel
@@ -386,7 +390,8 @@ func (s *Server) handleBus(w http.ResponseWriter, r *http.Request) {
 		s.m.netErrors.Add(1)
 		status = statusFor(api.ErrorCode(br.Err))
 	}
-	respond(w, status, api.FromBusResult(br))
+	resp := api.FromBusResult(br)
+	s.respond(w, status, &resp)
 }
 
 // decodeBus mirrors decodeSingle for the bus wire shape: read, decode,
@@ -394,9 +399,11 @@ func (s *Server) handleBus(w http.ResponseWriter, r *http.Request) {
 // and validate. On failure the coded bus envelope has been written.
 func (s *Server) decodeBus(w http.ResponseWriter, r *http.Request) (api.BusRequest, bool) {
 	failBus := func(code, tech, msg string) {
-		respond(w, statusFor(code), api.CodedBusErrorResponse(code, tech, msg))
+		resp := api.CodedBusErrorResponse(code, tech, msg)
+		s.respond(w, statusFor(code), &resp)
 	}
 	raw, err := s.readBody(w, r)
+	defer putBuf(raw)
 	if err != nil {
 		failBus(bodyErrCode(err), "", "reading request: "+err.Error())
 		return api.BusRequest{}, false
@@ -484,7 +491,7 @@ func (s *Server) batchArray(ctx context.Context, w http.ResponseWriter, br *bufi
 		jobs[i] = req.Job()
 	}
 	results := s.eng.RunContext(ctx, jobs)
-	out := make([]api.Response, len(results))
+	out := make(responses, len(results))
 	for i, res := range results {
 		out[i] = api.FromResult(res)
 		if msg, ok := parseErrs[i]; ok {
@@ -497,7 +504,26 @@ func (s *Server) batchArray(ctx context.Context, w http.ResponseWriter, br *bufi
 			s.m.netErrors.Add(1)
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	s.writeJSON(w, http.StatusOK, out)
+}
+
+// responses is a /v1/batch array answer.
+type responses []api.Response
+
+// AppendJSON appends the array as json.Marshal writes it, or declines
+// as a whole when one of its answers does.
+func (rs responses) AppendJSON(dst []byte) ([]byte, bool) {
+	b := append(dst, '[')
+	for i := range rs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		var ok bool
+		if b, ok = rs[i].AppendJSON(b); !ok {
+			return dst, false
+		}
+	}
+	return append(b, ']'), true
 }
 
 func (s *Server) batchJSONL(ctx context.Context, w http.ResponseWriter, br *bufio.Reader) {
@@ -550,9 +576,9 @@ func (s *Server) batchJSONL(ctx context.Context, w http.ResponseWriter, br *bufi
 		for range results {
 		}
 	}
-	bw := bufio.NewWriterSize(w, 64<<10)
-	enc := json.NewEncoder(bw)
 	flusher, _ := w.(http.Flusher)
+	line := getBuf()
+	defer func() { putBuf(line) }()
 	emitted := 0
 	for res := range results {
 		resp := api.FromResult(res)
@@ -567,11 +593,12 @@ func (s *Server) batchJSONL(ctx context.Context, w http.ResponseWriter, br *bufi
 		if resp.Err != nil {
 			s.m.netErrors.Add(1)
 		}
-		if err := enc.Encode(resp); err != nil {
+		var err error
+		if line, err = s.appendLine(line[:0], &resp); err != nil {
 			abort()
 			return
 		}
-		if err := bw.Flush(); err != nil {
+		if _, err := w.Write(line); err != nil {
 			abort()
 			return
 		}
@@ -587,9 +614,10 @@ func (s *Server) batchJSONL(ctx context.Context, w http.ResponseWriter, br *bufi
 	mu.Unlock()
 	if truncated {
 		s.m.netErrors.Add(1)
-		enc.Encode(api.CodedErrorResponse(api.CodeBadRequest, "", "", msg)) //nolint:errcheck // best-effort trailer
+		resp := api.CodedErrorResponse(api.CodeBadRequest, "", "", msg)
+		line, _ = s.appendLine(line[:0], &resp)
+		w.Write(line) //nolint:errcheck // best-effort trailer
 	}
-	bw.Flush()
 }
 
 // handleLivez is pure process liveness: if this handler runs, the
@@ -597,7 +625,7 @@ func (s *Server) batchJSONL(ctx context.Context, w http.ResponseWriter, br *bufi
 // supervisor must not restart a replica for refusing traffic on
 // purpose.
 func (s *Server) handleLivez(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	s.writeJSON(w, http.StatusOK, map[string]any{
 		"status":   "ok",
 		"uptime_s": time.Since(s.start).Seconds(),
 	})
@@ -637,7 +665,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if code == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", "1")
 	}
-	writeJSON(w, code, body)
+	s.writeJSON(w, code, body)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -651,13 +679,42 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // declared length is the client's claim, not bytes received.
 const bodyPrealloc = 64 << 10
 
-// readBody reads a single-request body under the MaxBodyBytes cap into one
-// buffer sized from the declared Content-Length, capped at bodyPrealloc,
-// plus bytes.MinRead of room to read the end of the body without
-// regrowing. A body without a declared length, or longer than bodyPrealloc,
-// grows as it arrives.
+// bufPool recycles request-body and response buffers (*[]byte). A buffer
+// grown past maxPooled is left to the collector, so one large body cannot
+// pin its memory.
+var bufPool sync.Pool
+
+const maxPooled = bodyPrealloc + bytes.MinRead
+
+// getBuf returns an empty buffer from the pool, or nil.
+func getBuf() []byte {
+	if p, _ := bufPool.Get().(*[]byte); p != nil {
+		return (*p)[:0]
+	}
+	return nil
+}
+
+// putBuf recycles b; nothing may reference its bytes any more. Request
+// bodies qualify once parsed: the decoders copy every string they keep.
+func putBuf(b []byte) {
+	if cap(b) > 0 && cap(b) <= maxPooled {
+		bufPool.Put(&b)
+	}
+}
+
+// readBody reads a single-request body under the MaxBodyBytes cap into a
+// pooled buffer with room for the declared Content-Length, capped at
+// bodyPrealloc, plus bytes.MinRead to read the end of the body without
+// regrowing; a pooled buffer without that room is replaced by one sized
+// so. A body without a declared length, or longer than bodyPrealloc,
+// grows as it arrives. The caller returns the buffer with putBuf.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	buf := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), bodyPrealloc)+bytes.MinRead))
+	need := int(min(max(r.ContentLength, 0), bodyPrealloc)) + bytes.MinRead
+	b := getBuf()
+	if cap(b) < need {
+		b = make([]byte, 0, need)
+	}
+	buf := bytes.NewBuffer(b)
 	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
 	return buf.Bytes(), err
 }
@@ -690,10 +747,37 @@ func bodyErrCode(err error) string {
 	return api.CodeBadRequest
 }
 
+// appender is an answer that writes its own JSON (api.Response.AppendJSON).
+type appender interface {
+	AppendJSON(dst []byte) ([]byte, bool)
+}
+
 // writeJSON writes v as one line of compact JSON, the form /v1/batch
-// lines take too.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+// lines take too, into a pooled buffer, and sends it in one write with
+// its Content-Length.
+func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
+	b, _ := s.appendLine(getBuf(), v) // a value encoding/json refuses gets an empty body
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(b)))
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v) //nolint:errcheck // the response is already committed
+	w.Write(b) //nolint:errcheck // the response is already committed
+	putBuf(b)
+}
+
+// appendLine appends v's compact JSON and a newline to dst, the bytes
+// json.Encoder.Encode writes. An answer appends itself; one it declines
+// (an error envelope, or a value outside its subset) and any other value
+// go to encoding/json, which is the authority on those bytes. On an
+// encoding error dst comes back unchanged.
+func (s *Server) appendLine(dst []byte, v any) ([]byte, error) {
+	if a, ok := v.(appender); ok {
+		if b, ok := a.AppendJSON(dst); ok {
+			return append(b, '\n'), nil
+		}
+		s.m.encodeFallbacks.Add(1)
+	}
+	buf := bytes.NewBuffer(dst)
+	err := json.NewEncoder(buf).Encode(v)
+	return buf.Bytes(), err
 }

@@ -6,7 +6,7 @@
 // The format is versioned and self-verifying:
 //
 //	magic "RIPSNAP\n"
-//	u32   schema version (currently 2)
+//	u32   schema version (currently 3)
 //	u32   node-section count
 //	per section:
 //	  u32 + bytes   canonical node name
@@ -47,8 +47,10 @@ var magic = [8]byte{'R', 'I', 'P', 'S', 'N', 'A', 'P', '\n'}
 // lengths) to line entries; v1 files are refused with ErrVersion rather
 // than imported without them — the identity digests would not match
 // anyway, since coupling parameters joined the node identity string in
-// the same change.
-const Version = 2
+// the same change. v3 entries carry the engine's binary cache keys; a v2
+// file's text keys would import and never hit, so it is refused with
+// ErrVersion too.
+const Version = 3
 
 // ErrFormat flags a file that is not a well-formed snapshot: wrong
 // magic, truncated, internally inconsistent, or failing its checksum.

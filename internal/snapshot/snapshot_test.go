@@ -3,6 +3,8 @@ package snapshot
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -168,6 +170,37 @@ func TestSnapshotCorruption(t *testing.T) {
 				t.Fatal("a failed load must import nothing")
 			}
 		})
+	}
+}
+
+// TestSnapshotRefusesV2: an intact v2 image, whose entries carry the
+// text cache keys v3 replaced, fails the load with ErrVersion and
+// imports nothing, so the replica starts cold instead of holding entries
+// no signature can reach.
+func TestSnapshotRefusesV2(t *testing.T) {
+	a := newMulti(t)
+	warm(t, a, testNets(t, 12, 4))
+	var buf bytes.Buffer
+	var sections []Node
+	for _, name := range a.Names() {
+		e, _ := a.Engine(name)
+		sections = append(sections, Node{Name: name, Identity: e.TechIdentity(), Entries: e.ExportCache()})
+	}
+	if _, err := Write(&buf, sections); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	binary.LittleEndian.PutUint32(data[len(magic):], 2)
+	path := filepath.Join(t.TempDir(), "v2.snap")
+	if err := writeFile(path, reseal(data)); err != nil {
+		t.Fatal(err)
+	}
+	m := newMulti(t)
+	if _, err := LoadMulti(path, m); !errors.Is(err, ErrVersion) {
+		t.Fatalf("v2 image: load error %v, want ErrVersion", err)
+	}
+	if n := m.CacheStats().Entries; n != 0 {
+		t.Fatalf("a refused image imported %d entries", n)
 	}
 }
 

@@ -155,19 +155,21 @@ func (n *Net) UnmarshalJSON(data []byte) error {
 }
 
 // Net converts the on-disk form to SI units and builds the validated Net.
-// The rebuilt tree is validated through New, so a decoded Net carries the
-// same structural guarantees as a programmatically built one.
+// The rebuilt tree is validated through New's checks, so a decoded Net
+// carries the same structural guarantees as a programmatically built one.
+// One map resolves parent IDs, and every child list is cut from one
+// array sized from the node count.
 func (j *NetJSON) Net() (*Net, error) {
 	if len(j.Nodes) == 0 {
 		return nil, fmt.Errorf("tree: net %q has no nodes", j.Name)
 	}
-	byID := make(map[int]*Node, len(j.Nodes))
+	byID := make(map[int]int32, len(j.Nodes))
 	nodes := make([]Node, len(j.Nodes))
 	for i, nj := range j.Nodes {
 		if _, dup := byID[nj.ID]; dup {
 			return nil, fmt.Errorf("tree: net %q: duplicate node id %d", j.Name, nj.ID)
 		}
-		byID[nj.ID] = &nodes[i]
+		byID[nj.ID] = int32(i)
 		nodes[i] = Node{
 			ID:         nj.ID,
 			EdgeR:      nj.EdgeROhm,
@@ -177,35 +179,54 @@ func (j *NetJSON) Net() (*Net, error) {
 			BufferSite: nj.BufferSite,
 		}
 	}
-	var root *Node
-	for _, nj := range j.Nodes {
-		node := byID[nj.ID]
+	// parent[i] indexes node i's parent (-1 for the root); kids counts
+	// each node's children.
+	parent := make([]int32, len(j.Nodes))
+	kids := make([]int32, len(j.Nodes))
+	root := -1
+	for i, nj := range j.Nodes {
 		if nj.Parent == nil {
-			if root != nil {
-				return nil, fmt.Errorf("tree: net %q: nodes %d and %d both lack a parent", j.Name, root.ID, nj.ID)
+			if root >= 0 {
+				return nil, fmt.Errorf("tree: net %q: nodes %d and %d both lack a parent", j.Name, nodes[root].ID, nj.ID)
 			}
-			root = node
+			root, parent[i] = i, -1
 			continue
 		}
-		parent, ok := byID[*nj.Parent]
+		p, ok := byID[*nj.Parent]
 		if !ok {
 			return nil, fmt.Errorf("tree: net %q: node %d references unknown parent %d", j.Name, nj.ID, *nj.Parent)
 		}
-		if parent == node {
+		if int(p) == i {
 			return nil, fmt.Errorf("tree: net %q: node %d is its own parent", j.Name, nj.ID)
 		}
-		parent.Children = append(parent.Children, node)
+		parent[i] = p
+		kids[p]++
 	}
-	if root == nil {
+	if root < 0 {
 		return nil, fmt.Errorf("tree: net %q has no root (every node has a parent)", j.Name)
 	}
-	t, err := New(root)
+	// Every node but the root is one child: each list gets its share of
+	// one array, and siblings keep their listed order.
+	children := make([]*Node, len(nodes)-1)
+	for i := range nodes {
+		if k := kids[i]; k > 0 {
+			nodes[i].Children, children = children[:0:k], children[k:]
+		}
+	}
+	for i := range nodes {
+		if p := parent[i]; p >= 0 {
+			nodes[p].Children = append(nodes[p].Children, &nodes[i])
+		}
+	}
+	// IDs are distinct and every node but the root has one parent, so the
+	// walk meets no node twice and skips New's duplicate check.
+	t, err := build(&nodes[root], len(nodes), nil)
 	if err != nil {
 		return nil, fmt.Errorf("tree: net %q: %w", j.Name, err)
 	}
 	if t.NumNodes() != len(j.Nodes) {
 		return nil, fmt.Errorf("tree: net %q: %d of %d nodes unreachable from root %d (parent cycle)",
-			j.Name, len(j.Nodes)-t.NumNodes(), len(j.Nodes), root.ID)
+			j.Name, len(j.Nodes)-t.NumNodes(), len(j.Nodes), nodes[root].ID)
 	}
 	n := &Net{Name: j.Name, Tree: t, DriverWidth: j.DriverWidth}
 	if err := n.Validate(); err != nil {

@@ -60,22 +60,28 @@ type Tree struct {
 
 // New validates the tree rooted at root: unique IDs, zero root edge,
 // non-negative parasitics, sinks at leaves only, and at least one sink.
-func New(root *Node) (*Tree, error) {
+func New(root *Node) (*Tree, error) { return build(root, 0, make(map[int]bool)) }
+
+// build is New for a tree of about size nodes. A nil seen skips the
+// duplicate-ID check, for a caller whose nodes have distinct IDs and one
+// parent each, so that the walk cannot meet a node twice.
+func build(root *Node, size int, seen map[int]bool) (*Tree, error) {
 	if root == nil {
 		return nil, errors.New("tree: nil root")
 	}
 	if root.EdgeR != 0 || root.EdgeC != 0 {
 		return nil, errors.New("tree: root must not carry a parent edge")
 	}
-	t := &Tree{Root: root}
-	seen := make(map[int]bool)
+	t := &Tree{Root: root, nodes: make([]*Node, 0, size), parents: make([]int32, 0, size)}
 	sinks := 0
 	var walk func(n *Node, parent int32) error
 	walk = func(n *Node, parent int32) error {
-		if seen[n.ID] {
-			return fmt.Errorf("tree: duplicate node id %d", n.ID)
+		if seen != nil {
+			if seen[n.ID] {
+				return fmt.Errorf("tree: duplicate node id %d", n.ID)
+			}
+			seen[n.ID] = true
 		}
-		seen[n.ID] = true
 		t.nodes = append(t.nodes, n)
 		t.parents = append(t.parents, parent)
 		if n.EdgeR < 0 || n.EdgeC < 0 {
@@ -122,6 +128,9 @@ func (t *Tree) NumNodes() int { return len(t.nodes) }
 // position rather than by node ID and serve a solution across same-shape
 // trees whose IDs differ.
 func (t *Tree) WalkOrder(dst []*Node) []*Node { return append(dst, t.nodes...) }
+
+// Walk returns the node at position i of the walk WalkOrder lists.
+func (t *Tree) Walk(i int) *Node { return t.nodes[i] }
 
 // Sinks returns the sink nodes in walk order.
 func (t *Tree) Sinks() []*Node {

@@ -135,6 +135,16 @@ func (l *Line) Segments() []Segment { return append([]Segment(nil), l.segs...) }
 // Zones returns a copy of the forbidden zones.
 func (l *Line) Zones() []Zone { return append([]Zone(nil), l.zones...) }
 
+// Segment returns segment i, for readers that walk the line without
+// copying its segment list.
+func (l *Line) Segment(i int) Segment { return l.segs[i] }
+
+// NumZones returns the number of forbidden zones.
+func (l *Line) NumZones() int { return len(l.zones) }
+
+// Zone returns forbidden zone i.
+func (l *Line) Zone(i int) Zone { return l.zones[i] }
+
 // TotalR returns the total wire resistance in Ω.
 func (l *Line) TotalR() float64 { return l.rb[len(l.segs)] }
 
