@@ -49,9 +49,6 @@
 // independent worst-case solves each track would get alone. Text
 // output summarizes each group's per-track schemes and savings; -json
 // emits one api.BusResponse per line (the body POST /v1/bus returns).
-// -bus-method forces the co-decision algorithm for groups that name
-// none ("exact" or "iterate"; the default picks the exact joint chain
-// DP for groups of at most 4 tracks and iterated best-response above).
 //
 // Batch mode reads one JSON object per line — either a bare net object
 // (the same schema as the array elements of -net files; with -tree, the
@@ -113,7 +110,6 @@ func main() {
 		fullRep   = flag.Bool("report", false, "print the full engineering report (stages, metrics, sketch)")
 		batch     = flag.Bool("batch", false, "JSONL batch mode: stream nets in, one solution per line out")
 		busMode   = flag.Bool("bus", false, "bus mode: JSONL api.BusRequest track groups in (netgen -bus output), joint co-optimization per group out")
-		busMethod = flag.String("bus-method", "", "with -bus: force the co-decision algorithm for groups that name none: exact or iterate (empty = auto)")
 		treeMode  = flag.Bool("tree", false, "tree mode: solve routing trees (with -batch, bare JSONL lines parse as trees; alone, -net is one tree JSON object)")
 		workers   = flag.Int("workers", 0, "batch parallelism (0 = all cores)")
 		cacheSize = flag.Int("cache", 0, "batch solution-cache capacity (0 = default 4096, negative = disabled)")
@@ -159,7 +155,7 @@ func main() {
 		case agg != delay.AggressorNone || *scheme != "":
 			fatal(fmt.Errorf("-aggressor/-scheme do not apply to -bus: the co-optimizer decides each track's scheme"))
 		}
-		if err := runBus(reg, *techName, *netFile, *relT, *absT, *busMethod, *workers, *cacheSize, *jsonOut); err != nil {
+		if err := runBus(reg, *techName, *netFile, *relT, *absT, *workers, *cacheSize, *jsonOut); err != nil {
 			fatal(err)
 		}
 		return
@@ -677,12 +673,7 @@ func feedBatch(in io.Reader, relT, absT float64, aggressor, scheme string, bare 
 // /v1/bus returns) out. Groups solve sequentially; each group's member
 // solves fan out across the engine's worker pool, and repeated track
 // shapes warm the shared solution cache across groups.
-func runBus(reg *rip.TechRegistry, defaultTech, path string, relT, absT float64, method string, workers, cacheSize int, jsonOut bool) error {
-	switch method {
-	case "", "exact", "iterate":
-	default:
-		return fmt.Errorf(`-bus-method %q is not "exact", "iterate" or ""`, method)
-	}
+func runBus(reg *rip.TechRegistry, defaultTech, path string, relT, absT float64, workers, cacheSize int, jsonOut bool) error {
 	if relT > 0 && absT > 0 {
 		return fmt.Errorf("give either -target or -target-ns, not both")
 	}
@@ -721,9 +712,6 @@ func runBus(reg *rip.TechRegistry, defaultTech, path string, relT, absT float64,
 			return fmt.Errorf("bus group %d: %v (bus input is JSONL — one api.BusRequest per line, the shape netgen -bus emits)", n+1, err)
 		}
 		n++
-		if req.Method == "" {
-			req.Method = method
-		}
 		req.ApplyDefault(relT, absT)
 		var resp api.BusResponse
 		if err := req.Validate(); err != nil {
@@ -771,8 +759,8 @@ func printBusGroup(w io.Writer, idx int, resp api.BusResponse) {
 	if len(resp.Tracks) > 0 {
 		name = strings.TrimSuffix(resp.Tracks[0].Net, ".t0")
 	}
-	fmt.Fprintf(w, "group %d %s (%s, %d tracks, %s): width %.1fu vs %.1fu independent — saved %.1fu area, %.2f µW\n",
-		idx, name, resp.Tech, len(resp.Tracks), resp.Method,
+	fmt.Fprintf(w, "group %d %s (%s, %d tracks): width %.1fu vs %.1fu independent — saved %.1fu area, %.2f µW\n",
+		idx, name, resp.Tech, len(resp.Tracks),
 		resp.GroupWidthU, resp.GroupBaselineWidthU, resp.GroupAreaSaved, resp.GroupPowerSaved)
 	for _, t := range resp.Tracks {
 		if !t.Feasible {

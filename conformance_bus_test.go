@@ -1,12 +1,11 @@
 package rip_test
 
 // Bus co-optimization conformance sweep: coordination must never lose
-// to the independent pessimistic solves it replaces, the iterated
-// best-response loop must land between the exact chain DP and that
-// baseline, per-track attribution must sum exactly to the group
-// totals, relabeled/permuted groups must reuse the same cache entries,
-// and a bus whose nets carry no coupling capacitance must reproduce N
-// independent classic solves bit for bit.
+// to the independent pessimistic solves it replaces, per-track
+// attribution must sum exactly to the group totals, relabeled/permuted
+// groups must reuse the same cache entries, and a bus whose nets carry
+// no coupling capacitance must reproduce N independent classic solves
+// bit for bit.
 
 import (
 	"context"
@@ -72,51 +71,6 @@ func TestConformanceBusNeverWorseThanIndependent(t *testing.T) {
 						ind.Target, ind.TMin, is.TotalWidth)
 				}
 			}
-		}
-	}
-}
-
-// TestConformanceBusExactOracle pins the method split: the default
-// method on groups of at most 4 tracks is the joint chain DP, bitwise
-// equal to an explicit Method "exact" run, and the iterated
-// best-response answer lands between the exact optimum and the
-// independent baseline.
-func TestConformanceBusExactOracle(t *testing.T) {
-	eng, node := singleEngine(t, "180nm")
-	for _, tracks := range busGroups(t, node, 911, 4) {
-		auto := eng.SolveBus(context.Background(), rip.BusJob{Tracks: tracks, TargetMult: 1.25})
-		exact := eng.SolveBus(context.Background(), rip.BusJob{Tracks: tracks, TargetMult: 1.25, Method: "exact"})
-		iter := eng.SolveBus(context.Background(), rip.BusJob{Tracks: tracks, TargetMult: 1.25, Method: "iterate"})
-		label := tracks[0].Name
-		if auto.Err != nil || exact.Err != nil || iter.Err != nil {
-			t.Fatalf("%s: errs auto=%v exact=%v iterate=%v", label, auto.Err, exact.Err, iter.Err)
-		}
-		if len(tracks) <= 4 {
-			if auto.Method != "exact" {
-				t.Fatalf("%s: %d tracks defaulted to method %q", label, len(tracks), auto.Method)
-			}
-			if auto.GroupCost != exact.GroupCost || auto.Infeasible != exact.Infeasible ||
-				auto.GroupBaselineCost != exact.GroupBaselineCost {
-				t.Fatalf("%s: auto (%d, %g) != exact (%d, %g)", label,
-					auto.Infeasible, auto.GroupCost, exact.Infeasible, exact.GroupCost)
-			}
-			for i := range auto.Tracks {
-				a, e := auto.Tracks[i], exact.Tracks[i]
-				if a.Scheme != e.Scheme || a.MF != e.MF || a.Cost != e.Cost {
-					t.Fatalf("%s track %d: auto (%s, %g, %g) != exact (%s, %g, %g)",
-						label, i, a.Scheme, a.MF, a.Cost, e.Scheme, e.MF, e.Cost)
-				}
-			}
-		} else if auto.Method != "iterate" {
-			t.Fatalf("%s: %d tracks defaulted to method %q", label, len(tracks), auto.Method)
-		}
-		if !costLE(exact.Infeasible, exact.GroupCost, iter.Infeasible, iter.GroupCost) {
-			t.Fatalf("%s: exact (%d, %g) worse than iterate (%d, %g)", label,
-				exact.Infeasible, exact.GroupCost, iter.Infeasible, iter.GroupCost)
-		}
-		if !costLE(iter.Infeasible, iter.GroupCost, iter.BaselineInfeasible, iter.GroupBaselineCost) {
-			t.Fatalf("%s: iterate (%d, %g) worse than independent (%d, %g)", label,
-				iter.Infeasible, iter.GroupCost, iter.BaselineInfeasible, iter.GroupBaselineCost)
 		}
 	}
 }

@@ -219,7 +219,7 @@ func (s *fuzzSource) front() *FrontResponse {
 }
 
 func (s *fuzzSource) bus() *BusResponse {
-	r := &BusResponse{V: s.int(), Tech: s.str(), Method: s.str(), Iterations: s.int(), Converged: s.bool()}
+	r := &BusResponse{V: s.int(), Tech: s.str()}
 	if n := s.count(); n >= 0 {
 		r.Tracks = make([]BusTrackResponse, n)
 		for i := range r.Tracks {

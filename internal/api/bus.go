@@ -34,10 +34,6 @@ type BusRequest struct {
 	// Absent both, the transport's default budget applies.
 	TargetMult float64 `json:"target_mult,omitempty"`
 	TargetNS   float64 `json:"target_ns,omitempty"`
-	// Method selects the co-decision algorithm: "" (joint chain DP for
-	// groups of at most 4 tracks, iterated best-response otherwise),
-	// "exact" or "iterate".
-	Method string `json:"method,omitempty"`
 }
 
 // busRequest is the form ParseBusRequest decodes into: a BusRequest whose
@@ -131,8 +127,6 @@ func (w *busRequest) scan(raw []byte) bool {
 			w.TargetMult, ok = s.Float()
 		case "target_ns":
 			w.TargetNS, ok = s.Float()
-		case "method":
-			w.Method, ok = s.Str()
 		}
 		return ok
 	}) && s.End()
@@ -155,11 +149,6 @@ func (r *BusRequest) validate() error {
 		return errors.New("api: bus: give target_mult or target_ns, not both")
 	case r.TargetMult <= 0 && r.TargetNS <= 0:
 		return errors.New("api: bus: a positive target_mult or target_ns is required")
-	}
-	switch r.Method {
-	case "", "exact", "iterate":
-	default:
-		return fmt.Errorf(`api: bus: unknown method %q (want "exact", "iterate" or "")`, r.Method)
 	}
 	for i, t := range r.Tracks {
 		if t == nil {
@@ -189,7 +178,6 @@ func (r *BusRequest) Job() engine.BusJob {
 		Tech:       r.Tech,
 		TargetMult: r.TargetMult,
 		Target:     r.TargetNS * units.NanoSecond,
-		Method:     r.Method,
 	}
 }
 
@@ -236,13 +224,6 @@ type BusResponse struct {
 	V int `json:"v,omitempty"`
 	// Tech is the canonical name of the node the group was solved under.
 	Tech string `json:"tech,omitempty"`
-	// Method is the algorithm that produced the assignment ("exact" or
-	// "iterate"); Iterations the best-response sweep count (0 for exact)
-	// and Converged whether it reached a fixed point (always true for
-	// exact).
-	Method     string `json:"method,omitempty"`
-	Iterations int    `json:"iterations,omitempty"`
-	Converged  bool   `json:"converged"`
 	// Tracks carries the per-track attribution, in input order. The
 	// per-track savings sum exactly to the group fields below.
 	Tracks []BusTrackResponse `json:"tracks,omitempty"`
@@ -273,9 +254,6 @@ func (r *BusResponse) AppendJSON(dst []byte) ([]byte, bool) {
 	w := jsonAppender{b: append(dst, '{')}
 	w.intOmit("v", r.V)
 	w.strOmit("tech", r.Tech)
-	w.strOmit("method", r.Method)
-	w.intOmit("iterations", r.Iterations)
-	w.bool("converged", r.Converged)
 	if len(r.Tracks) > 0 {
 		w.key("tracks")
 		for i := range r.Tracks {
@@ -317,9 +295,6 @@ func FromBusResult(br engine.BusResult) BusResponse {
 		out.Err = errorInfo(br.Err, "", out.Tech)
 		return out
 	}
-	out.Method = br.Method
-	out.Iterations = br.Iterations
-	out.Converged = br.Converged
 	out.GroupBaselineWidthU = br.GroupBaselineCost
 	out.GroupWidthU = br.GroupCost
 	out.BaselineInfeasible = br.BaselineInfeasible

@@ -151,7 +151,7 @@ func parseCorpus(t testing.TB) []parseCase {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cases = append(cases, parseCase{fmt.Sprintf("bus of %d", k), marshal(BusRequest{V: 1, Tracks: tracks, Tech: "180nm", TargetMult: 1.3, Method: "exact"}), KindLine})
+		cases = append(cases, parseCase{fmt.Sprintf("bus of %d", k), marshal(BusRequest{V: 1, Tracks: tracks, Tech: "180nm", TargetMult: 1.3}), KindLine})
 	}
 	// A track that repeats the first one's bytes but for its name.
 	renamed := func(first, name, rest string) []byte {
@@ -211,6 +211,36 @@ func pinnedParses(bareLine []byte) []pinnedParse {
 		{"null", `null`, "not a net object"},
 		{"array", `[1]`, "not a net object"},
 		{"not json", `not json`, "not a net object"},
+	}
+}
+
+// TestBusRequestIgnoresRetiredMethod: a bus body that still carries the
+// "method" key bus requests once used to pick a co-decision algorithm is
+// left to encoding/json, which ignores the key, and decodes to the
+// request without it, so such a client gets the exact answer.
+func TestBusRequestIgnoresRetiredMethod(t *testing.T) {
+	cfg, err := netgen.DefaultConfig(tech.T90())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracks, err := netgen.BusGroup(rand.New(rand.NewSource(7)), cfg, "bus", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(BusRequest{Tracks: tracks, TargetMult: 1.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ParseBusRequest(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := append(raw[:len(raw)-1:len(raw)-1], `,"method":"iterate"}`...)
+	if new(busRequest).scan(old) {
+		t.Fatalf("the scanner read a key the form does not have: %s", old)
+	}
+	if got, err := ParseBusRequest(old); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("with a method key: %+v, %v; want %+v", got, err, want)
 	}
 }
 

@@ -29,10 +29,8 @@
 // technology (MFValues), so the whole group reduces to a small outcome
 // table: engine solves one front per (track shape, factor) and this
 // package runs pure arithmetic over the table — a chain DP that is exact
-// (each track's cost depends only on its own and its two neighbors'
-// decisions), and an iterated best-response loop that starts from the
-// independent all-plain assignment and therefore never ends worse than
-// it.
+// because each track's cost depends only on its own and its two
+// neighbors' decisions.
 //
 // The package deliberately imports nothing from the engine: it sees only
 // width numbers, so the engine layer owns all solving and caching.
@@ -191,9 +189,11 @@ var decisions = [...]Decision{Plain, Staggered, Shielded}
 // SolveExact minimizes Total over all 3^n assignments by a chain
 // dynamic program over (previous, current) decision pairs — exact for
 // any group size because a track's cost depends only on its own and its
-// two neighbors' decisions. Ties resolve to the lexicographically first
-// assignment in Plain < Staggered < Shielded order, making the result
-// deterministic and the all-plain assignment the winner whenever
+// two neighbors' decisions. Ties resolve to the first optimum in
+// Plain < Staggered < Shielded order with the tracks read from the last
+// one to the first: the last track's decision is the smallest any
+// optimum allows, then the one before it, and so on. That makes the
+// result deterministic and the all-plain assignment the winner whenever
 // coordination cannot strictly improve on it.
 func SolveExact(mm float64, tables []Table) ([]Decision, Cost) {
 	n := len(tables)
@@ -249,74 +249,4 @@ func SolveExact(mm float64, tables []Table) ([]Decision, Cost) {
 		c = out[i]
 	}
 	return out, bestC
-}
-
-// SolveIterate runs iterated best-response: starting from the
-// independent all-plain assignment (and, as a second start, all
-// staggered), each sweep re-decides every track against the scenario its
-// current neighbors produce, accepting a change only when it strictly
-// lowers the group total. It stops at a fixed point (a full sweep with
-// no change) or after maxSweeps sweeps (≤ 0 means the default cap of
-// 32). Because all-plain is a start and every accepted move strictly
-// improves, the result is never worse than the independent pessimistic
-// assignment. Returns the assignment, its cost, the sweeps the winning
-// start used, and whether it reached a fixed point.
-func SolveIterate(mm float64, tables []Table, maxSweeps int) ([]Decision, Cost, int, bool) {
-	if maxSweeps <= 0 {
-		maxSweeps = 32
-	}
-	n := len(tables)
-	if n == 0 {
-		return nil, Cost{}, 0, true
-	}
-	run := func(start Decision) ([]Decision, Cost, int, bool) {
-		d := make([]Decision, n)
-		for i := range d {
-			d[i] = start
-		}
-		sweeps, converged := 0, false
-		for sweeps < maxSweeps {
-			sweeps++
-			changed := false
-			for i := 0; i < n; i++ {
-				l, r := neighbor(d, i-1), neighbor(d, i+1)
-				// Only the terms of tracks i-1, i, i+1 depend on d[i]:
-				// compare the local triple under each candidate.
-				local := func(di Decision) Cost {
-					var c Cost
-					if i > 0 {
-						c = c.add(trackWidth(tables[i-1], mm, neighbor(d, i-2), l, di))
-					}
-					c = c.add(trackWidth(tables[i], mm, l, di, r))
-					if i < n-1 {
-						c = c.add(trackWidth(tables[i+1], mm, di, r, neighbor(d, i+2)))
-					}
-					return c
-				}
-				bestD, bestC := d[i], local(d[i])
-				for _, cand := range decisions {
-					if cand == d[i] {
-						continue
-					}
-					if c := local(cand); c.Less(bestC) {
-						bestD, bestC = cand, c
-					}
-				}
-				if bestD != d[i] {
-					d[i] = bestD
-					changed = true
-				}
-			}
-			if !changed {
-				converged = true
-				break
-			}
-		}
-		return d, Total(mm, tables, d), sweeps, converged
-	}
-	d, c, sweeps, conv := run(Plain)
-	if d2, c2, s2, conv2 := run(Staggered); c2.Less(c) {
-		d, c, sweeps, conv = d2, c2, s2, conv2
-	}
-	return d, c, sweeps, conv
 }

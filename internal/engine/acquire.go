@@ -214,16 +214,16 @@ func (e *Engine) acquire(ctx context.Context, sl *slot, p *prepared, check func(
 	return ent, false, err
 }
 
-// key is p's signature (Signature), from its shared geometry prefix when
-// it has one.
+// key is p's signature (Signature), keyed by its resolved scenario and
+// from its shared geometry prefix when it has one.
 func (e *Engine) key(p *prepared) string {
 	switch {
 	case p.j.TreeNet != nil:
 		return e.sig.treeKey(p.j, p.embedded)
 	case p.shapeKey != "":
-		return e.sig.scenarioKey(p.shapeKey, p.j)
+		return e.sig.scenarioKey(p.shapeKey, p.cpl)
 	}
-	return e.sig.key(p.j)
+	return e.sig.key(p.j.Net, p.cpl)
 }
 
 // answer resolves the job's budgets on ent: a Budgets sweep, or one

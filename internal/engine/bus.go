@@ -9,7 +9,6 @@ import (
 
 	"github.com/rip-eda/rip/internal/bus"
 	"github.com/rip-eda/rip/internal/core"
-	"github.com/rip-eda/rip/internal/power"
 	"github.com/rip-eda/rip/internal/wire"
 )
 
@@ -30,12 +29,6 @@ type BusJob struct {
 	// one absolute budget in seconds shared by all tracks.
 	TargetMult float64
 	Target     float64
-	// Method selects the co-decision algorithm: "" picks the joint chain
-	// DP for groups of at most 4 tracks and iterated best-response
-	// otherwise; "exact" and "iterate" force one. The chain DP is exact
-	// for any group size — the default caps it at 4 only to honor the
-	// oracle role the conformance suite pins it to.
-	Method string
 }
 
 // BusTrack is one track's share of a bus result.
@@ -77,13 +70,6 @@ type BusResult struct {
 	// Tech is the node the group was solved under (canonical under a
 	// Multi).
 	Tech string
-	// Method is the algorithm that produced the assignment ("exact" or
-	// "iterate"); Iterations is the best-response sweep count (0 for
-	// exact) and Converged whether it reached a fixed point (always true
-	// for exact).
-	Method     string
-	Iterations int
-	Converged  bool
 	// Tracks carries the per-track attribution, in input order.
 	Tracks []BusTrack
 	// GroupBaselineCost / GroupCost are the summed width objectives of
@@ -111,30 +97,19 @@ type BusStats struct {
 	// Jobs counts accepted bus jobs; Tracks the member nets across them.
 	Jobs   uint64
 	Tracks uint64
-	// Exact and Iterated split Jobs by the algorithm that answered them;
-	// Sweeps accumulates best-response sweeps over the iterated ones.
-	Exact    uint64
-	Iterated uint64
-	Sweeps   uint64
 }
 
 // busCounters lives on the Engine (one set per node).
 type busCounters struct {
-	jobs     atomic.Uint64
-	tracks   atomic.Uint64
-	exact    atomic.Uint64
-	iterated atomic.Uint64
-	sweeps   atomic.Uint64
+	jobs   atomic.Uint64
+	tracks atomic.Uint64
 }
 
 // BusStats snapshots the bus counters.
 func (e *Engine) BusStats() BusStats {
 	return BusStats{
-		Jobs:     e.busC.jobs.Load(),
-		Tracks:   e.busC.tracks.Load(),
-		Exact:    e.busC.exact.Load(),
-		Iterated: e.busC.iterated.Load(),
-		Sweeps:   e.busC.sweeps.Load(),
+		Jobs:   e.busC.jobs.Load(),
+		Tracks: e.busC.tracks.Load(),
 	}
 }
 
@@ -190,12 +165,6 @@ func (e *Engine) solveBus(ctx context.Context, bj BusJob, run func(context.Conte
 		return br
 	case !e.tech.HasCoupling():
 		br.Err = badJob("engine: technology %s has no coupling model (MillerMax is 0), so bus co-optimization is meaningless", e.tech.Name)
-		return br
-	}
-	switch bj.Method {
-	case "", "exact", "iterate":
-	default:
-		br.Err = badJob(`engine: bus: unknown method %q (want "exact", "iterate" or "")`, bj.Method)
 		return br
 	}
 	for i, t := range bj.Tracks {
@@ -392,36 +361,10 @@ func (e *Engine) coDecide(bj BusJob, byMF []map[float64]Result) BusResult {
 		tables[i] = bus.Table{Width: w, ShieldCost: e.tech.ShieldUPerM * t.Line.Length()}
 	}
 
-	method := bj.Method
-	if method == "" {
-		if n <= 4 {
-			method = "exact"
-		} else {
-			method = "iterate"
-		}
-	}
-	var dec []bus.Decision
-	var total bus.Cost
-	br.Method = method
-	if method == "exact" {
-		dec, total = bus.SolveExact(mm, tables)
-		br.Converged = true
-		e.busC.exact.Add(1)
-	} else {
-		var sweeps int
-		dec, total, sweeps, br.Converged = bus.SolveIterate(mm, tables, 0)
-		br.Iterations = sweeps
-		e.busC.iterated.Add(1)
-		e.busC.sweeps.Add(uint64(sweeps))
-	}
+	dec, total := bus.SolveExact(mm, tables)
 	e.busC.jobs.Add(1)
 	e.busC.tracks.Add(uint64(n))
 
-	pm, err := power.NewModel(e.tech)
-	if err != nil {
-		br.Err = fmt.Errorf("engine: bus power model: %w", err)
-		return br
-	}
 	br.Tracks = make([]BusTrack, n)
 	br.GroupCost, br.Infeasible = total.Width, total.Infeasible
 	for i := range bj.Tracks {
@@ -461,7 +404,7 @@ func (e *Engine) coDecide(bj BusJob, byMF []map[float64]Result) BusResult {
 			bt.AreaSaved = bt.BaselineCost - bt.Cost
 			// Power prices repeater width only: the shield is a grounded
 			// wire, area without switching activity.
-			bt.PowerSavedW = pm.Repeater(bt.BaselineCost) - pm.Repeater(r.Res.Solution.TotalWidth)
+			bt.PowerSavedW = e.power.Repeater(bt.BaselineCost) - e.power.Repeater(r.Res.Solution.TotalWidth)
 		}
 		br.GroupAreaSaved += bt.AreaSaved
 		br.GroupPowerSavedW += bt.PowerSavedW

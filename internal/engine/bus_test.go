@@ -53,11 +53,17 @@ func assertSameBus(t *testing.T, got, want BusResult) {
 // serves every member from cache, through the shared track preparation,
 // and answers what the cold solve answered. Each member's warm answer is
 // bit-identical to the same job's verified hit without the shared
-// preparation.
+// preparation. A worst/plain line on a track's geometry is a verified hit
+// on the track's baseline entry and places what a cache-off worst/plain
+// solve places.
 func TestBusWarmReplayMatchesCold(t *testing.T) {
 	node := tech.T90()
 	tracks := netgenLines(t, node, 81, 3)
 	eng, err := New(node, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := New(node, Options{Workers: 1, Cache: CacheOptions{Disabled: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,6 +85,10 @@ func TestBusWarmReplayMatchesCold(t *testing.T) {
 		base := eng.Solve(Job{Net: tracks[i], TargetMult: bj.TargetMult, MF: &mm})
 		if !own.CacheHit || !base.CacheHit || !sameLine(tr.Res.Solution, own.Res.Solution, 0) || !sameLine(tr.Baseline.Solution, base.Res.Solution, 0) {
 			t.Fatalf("track %d: shared answers %+v / %+v, own hits %+v / %+v", i, tr.Res.Solution, tr.Baseline.Solution, own.Res.Solution, base.Res.Solution)
+		}
+		wp := Job{Net: tracks[i], TargetMult: bj.TargetMult, Aggressor: "worst", Scheme: "plain"}
+		if got, want := eng.Solve(wp), ref.Solve(wp); !got.CacheHit || !sameLine(got.Res.Solution, want.Res.Solution, verifyTol) {
+			t.Fatalf("track %d: worst/plain answers %+v (hit %v), want %+v", i, got.Res.Solution, got.CacheHit, want.Res.Solution)
 		}
 	}
 	if st := eng.CacheStats(); st.Rejected != 0 || eng.FrontStats().Solves != solves {

@@ -80,6 +80,7 @@ import (
 	"github.com/rip-eda/rip/internal/core"
 	"github.com/rip-eda/rip/internal/delay"
 	"github.com/rip-eda/rip/internal/dp"
+	"github.com/rip-eda/rip/internal/power"
 	"github.com/rip-eda/rip/internal/repeater"
 	"github.com/rip-eda/rip/internal/tech"
 	"github.com/rip-eda/rip/internal/tree"
@@ -125,8 +126,10 @@ type Job struct {
 	// only): the neighbor-switching assumption coupling capacitance is
 	// priced under — "worst", "best", "quiet", or ""/"none" for the
 	// classic ground-only model. Requires a technology with a coupling
-	// model (tech.HasCoupling). Coupled fronts are cached under keys
-	// disjoint from uncoupled ones and from other scenarios.
+	// model (tech.HasCoupling). Fronts are cached under the scenario's
+	// resolved physics, its allowed schemes and their factors, not its
+	// name: a coupled front never shares a key with an uncoupled one, and
+	// worst/plain shares one with an explicit factor of MillerMax.
 	Aggressor string
 	// Scheme selects the per-interval countermeasures a coupled solve may
 	// deploy: "plain" (or "", no countermeasures), "staggered", "shielded"
@@ -138,8 +141,9 @@ type Job struct {
 	// countermeasure schemes). Bus co-optimization uses it to solve each
 	// track under the factor its actual neighbors produce. Mutually
 	// exclusive with Aggressor/Scheme; must be finite and within
-	// [0, MillerMax]. Factor fronts are cached under keys disjoint from
-	// scenario fronts and from the uncoupled front.
+	// [0, MillerMax]. A factor front shares its key with a plain-only
+	// named scenario of the same factor (MillerMax is worst/plain, 1
+	// quiet/plain, MillerMin best/plain), never with the uncoupled front.
 	MF *float64
 
 	// shape, when set by the engine that solves the job, is Net's
@@ -361,6 +365,8 @@ type Engine struct {
 	// Bus co-optimization counters, exported at /metrics as rip_bus_*
 	// (see bus.go).
 	busC busCounters
+	// power prices the repeater power a bus's coordination saves.
+	power *power.Model
 }
 
 // New builds an Engine for the technology node.
@@ -368,7 +374,8 @@ func New(t *tech.Technology, opts Options) (*Engine, error) {
 	if t == nil {
 		return nil, errors.New("engine: nil technology")
 	}
-	if err := t.Validate(); err != nil {
+	pm, err := power.NewModel(t) // validates t
+	if err != nil {
 		return nil, err
 	}
 	workers := opts.Workers
@@ -385,6 +392,7 @@ func New(t *tech.Technology, opts Options) (*Engine, error) {
 	}
 	e := &Engine{
 		tech:       t,
+		power:      pm,
 		cfg:        opts.Pipeline,
 		workers:    workers,
 		refOpts:    refOpts,

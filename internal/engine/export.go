@@ -213,8 +213,9 @@ func (e *Engine) TechIdentity() string { return e.sig.identity }
 
 // Signature returns the job's canonical cache key — the shape identity
 // consistent-hash routing partitions across peers — and false for jobs
-// whose shape cannot be keyed (no net, both kinds set, or an invalid
-// tree). It never solves anything.
+// that cannot be keyed: no net, both kinds set, an invalid tree, or a
+// crosstalk scenario that does not resolve on this node. It never solves
+// anything.
 func (e *Engine) Signature(j Job) (sig string, ok bool) {
 	defer func() {
 		// A malformed net that panics the canonicalizer is unroutable,
@@ -229,14 +230,18 @@ func (e *Engine) Signature(j Job) (sig string, ok bool) {
 		return "", false
 	case j.Net != nil && j.TreeNet != nil:
 		return "", false
+	case j.TreeNet != nil && j.TreeNet.Validate() != nil:
+		return "", false
+	}
+	cpl, err := e.resolveCoupling(j, "")
+	switch {
+	case err != nil:
+		return "", false
 	case j.TreeNet != nil:
-		if j.TreeNet.Validate() != nil {
-			return "", false
-		}
 		return e.sig.treeKey(j, treeEmbedded(j)), true
 	case j.shape != nil && j.shape.eng == e:
 		// A bus member carries its track's geometry prefix (lineShape).
-		return e.sig.scenarioKey(j.shape.key, j), true
+		return e.sig.scenarioKey(j.shape.key, cpl), true
 	}
-	return e.sig.key(j), true
+	return e.sig.key(j.Net, cpl), true
 }

@@ -238,7 +238,7 @@ func TestSingleFlightLeaderCancelled(t *testing.T) {
 
 	t.Run("parked followers", func(t *testing.T) {
 		eng := mustEngine(t, Options{Workers: 2})
-		key := eng.sig.key(job)
+		key := eng.sig.key(job.Net, nil)
 		if _, leader := eng.flights.join(key); !leader {
 			t.Fatal("a fresh engine has a flight in progress")
 		}
@@ -294,7 +294,7 @@ func TestSingleFlightLeaderCancelled(t *testing.T) {
 func TestSingleFlightFollowerCancelled(t *testing.T) {
 	eng := mustEngine(t, Options{Workers: 1})
 	job := Job{Net: corpus(t, 65, 1)[0], TargetMult: 1.3}
-	key := eng.sig.key(job)
+	key := eng.sig.key(job.Net, nil)
 	eng.flights.join(key)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -482,7 +482,7 @@ func followerOutcomes(t *testing.T, eng *Engine, assertStats func(string, uint64
 
 	// A leader that stores a front: three followers hit, and one whose
 	// budget the front cannot meet counts one rejection, then solves.
-	key := eng.sig.key(Job{Net: nets[0]})
+	key := eng.sig.key(nets[0], nil)
 	eng.flights.join(key)
 	hits := solveAll(eng, 3, Job{Net: nets[0], TargetMult: 1.3})
 	rejects := solveAll(eng, 1, Job{Net: nets[0], Target: 1e-15})
@@ -509,7 +509,7 @@ func followerOutcomes(t *testing.T, eng *Engine, assertStats func(string, uint64
 	}
 
 	// A leader that lands without storing: its follower counts one miss.
-	key = eng.sig.key(Job{Net: nets[1]})
+	key = eng.sig.key(nets[1], nil)
 	eng.flights.join(key)
 	misses := solveAll(eng, 1, Job{Net: nets[1], TargetMult: 1.3})
 	waitParked(t, 1)

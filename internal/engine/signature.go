@@ -33,8 +33,10 @@ const (
 //	line:      driver width, receiver width;
 //	           segment count, per segment its length in quanta and its
 //	           R, C and Cc per meter; zone count, per zone its start and
-//	           end in quanta; aggressor byte, scheme byte, and a 1 byte
-//	           plus the factor for an explicit-factor job, else a 0 byte
+//	           end in quanta; the crosstalk scenario (appendScenario):
+//	           a byte with a bit per allowed scheme (0 when uncoupled),
+//	           then the plain factor, and the staggered factor when
+//	           staggering is allowed
 //	tree:      mode byte ('u' uniform budgets, 'e' embedded deadlines),
 //	           driver width, node count, per node in walk order its
 //	           child count, a flag byte (1 sink, 2 buffer site), edge R
@@ -117,19 +119,16 @@ func newSigner(t *tech.Technology, opts CacheOptions) *signer {
 	return s
 }
 
-// key canonicalizes a job: technology node, quantized segment
-// length/RC profile, zone layout, terminal widths and crosstalk
-// scenario. The timing budget is deliberately absent — the cached object
-// is the net's whole Pareto front, which answers every budget by lookup,
-// so nets that canonicalize identically are solved once and served for
-// any target. Fronts priced under different scenarios (a parseable,
-// non-none Aggressor with its scheme mode, or an explicit Miller factor)
-// answer different physics, so the scenario bytes keep them apart from
-// each other and from the uncoupled front.
-func (s *signer) key(j Job) string {
+// key canonicalizes a line job: technology node, quantized segment
+// length/RC profile, zone layout, terminal widths and the resolved
+// crosstalk scenario cpl (nil when uncoupled). The timing budget is
+// deliberately absent — the cached object is the net's whole Pareto
+// front, which answers every budget by lookup, so nets that canonicalize
+// identically are solved once and served for any target.
+func (s *signer) key(n *wire.Net, cpl *delay.Coupling) string {
 	var arr [keyStack]byte
-	b := keyBuf(arr[:0], shapeLen(j.Net.Line)+scenarioLen)
-	return string(appendScenario(s.appendShape(b, j.Net), j))
+	b := keyBuf(arr[:0], shapeLen(n.Line)+scenarioLen)
+	return string(appendScenario(s.appendShape(b, n), cpl))
 }
 
 // shapeKey is a line key's geometry prefix: everything but the scenario,
@@ -140,11 +139,11 @@ func (s *signer) shapeKey(n *wire.Net) string {
 	return string(s.appendShape(b, n))
 }
 
-// scenarioKey appends j's crosstalk scenario to its geometry prefix.
-func (s *signer) scenarioKey(prefix string, j Job) string {
+// scenarioKey appends the crosstalk scenario cpl to a geometry prefix.
+func (s *signer) scenarioKey(prefix string, cpl *delay.Coupling) string {
 	var arr [keyStack]byte
 	b := keyBuf(arr[:0], len(prefix)+scenarioLen)
-	return string(appendScenario(append(b, prefix...), j))
+	return string(appendScenario(append(b, prefix...), cpl))
 }
 
 // shapeLen is the length of a line's geometry prefix.
@@ -177,24 +176,30 @@ func (s *signer) appendShape(b []byte, n *wire.Net) []byte {
 }
 
 // scenarioLen is the most bytes appendScenario writes.
-const scenarioLen = 3 + 8
+const scenarioLen = 1 + 2*8
 
-// appendScenario writes j's crosstalk scenario: the aggressor byte (0
-// for none or an unparseable one) and scheme byte (0 when uncoupled or
-// unparseable), each one past its enum value, then the explicit factor.
-func appendScenario(b []byte, j Job) []byte {
-	var agg, mode byte
-	if a, err := delay.ParseAggressor(j.Aggressor); err == nil && a != delay.AggressorNone {
-		agg = 1 + byte(a)
-		if m, err := delay.ParseSchemeMode(j.Scheme); err == nil {
-			mode = 1 + byte(m)
-		}
-	}
-	b = append(b, agg, mode)
-	if j.MF == nil {
+// appendScenario writes a resolved crosstalk scenario by its physics, not
+// its name: a byte with bit s set for each allowed scheme s (0 when cpl
+// is nil, the uncoupled model), then the class word of the plain factor
+// and, when staggering is allowed, of the staggered factor. That is all a
+// front solve reads of a coupling: a shielded interval's factor is always
+// 0, and its cost per meter is ShieldUPerM, which the node identity
+// carries. So scenarios named differently but priced alike share a key —
+// worst/plain with an explicit factor of MillerMax, quiet/plain with 1,
+// best/plain with MillerMin — and their fronts are solved once.
+func appendScenario(b []byte, cpl *delay.Coupling) []byte {
+	if cpl == nil {
 		return append(b, 0)
 	}
-	return appendClass(append(b, 1), *j.MF)
+	var schemes byte
+	for _, sch := range cpl.Schemes {
+		schemes |= 1 << sch
+	}
+	b = appendClass(append(b, schemes), cpl.MF[delay.SchemePlain])
+	if schemes&(1<<delay.SchemeStaggered) != 0 {
+		b = appendClass(b, cpl.MF[delay.SchemeStaggered])
+	}
+	return b
 }
 
 // keyBuf returns stack when a key of n bytes fits it, else a fresh

@@ -1,12 +1,16 @@
 package engine
 
 import (
+	"context"
 	"crypto/sha256"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
+	"github.com/rip-eda/rip/internal/delay"
 	"github.com/rip-eda/rip/internal/tech"
 	"github.com/rip-eda/rip/internal/tree"
 	"github.com/rip-eda/rip/internal/units"
@@ -41,8 +45,8 @@ func withSegment(t *testing.T, n *wire.Net, f func(*wire.Segment)) *wire.Net {
 
 // TestSignatureClasses pins the binary key's equivalence classes: copies
 // share a key, a float keeps its key within its class and leaves it a
-// class and a half away, lengths follow the quantum grid, and kinds and
-// scenarios never share one.
+// class and a half away, lengths follow the quantum grid, kinds never
+// share one, and scenarios share one exactly when their physics does.
 func TestSignatureClasses(t *testing.T) {
 	node := tech.T90()
 	eng, err := New(node, Options{Workers: 1})
@@ -131,32 +135,93 @@ func TestSignatureClasses(t *testing.T) {
 		t.Error("segment lengths do not follow the 1 µm quantum grid")
 	}
 
-	// No two scenarios share a key: the uncoupled job, every aggressor
-	// under every scheme, and explicit factors, 0 included.
-	scenarios := map[string]Job{}
-	add := func(j Job) {
+	// Two scenarios share a key exactly when they allow the same schemes
+	// at the same factor classes: the uncoupled job, every aggressor under
+	// every scheme, and explicit factors, 0 and the named ones included.
+	physics := func(j Job) string {
 		t.Helper()
-		j.Net = base
-		k := key(j)
-		if prev, dup := scenarios[k]; dup {
-			t.Fatalf("scenario %+v shares a key with %+v", j, prev)
+		cpl, err := eng.resolveCoupling(j, base.Name)
+		if err != nil {
+			t.Fatal(err)
 		}
-		scenarios[k] = j
+		if cpl == nil {
+			return "uncoupled"
+		}
+		p := fmt.Sprint(cpl.Schemes, classCentre(cpl.MF[delay.SchemePlain]))
+		if slices.Contains(cpl.Schemes, delay.SchemeStaggered) {
+			p += fmt.Sprint(" staggered ", classCentre(cpl.MF[delay.SchemeStaggered]))
+		}
+		return p
 	}
-	add(Job{})
+	scenarios := []Job{{}}
 	for _, agg := range []string{"worst", "best", "quiet"} {
 		for _, scheme := range []string{"plain", "staggered", "shielded", "auto"} {
-			add(Job{Aggressor: agg, Scheme: scheme})
+			scenarios = append(scenarios, Job{Aggressor: agg, Scheme: scheme})
 		}
 	}
-	for _, f := range []float64{0, 1, 1.5, node.MillerMax} {
-		add(Job{MF: &f})
+	for _, f := range []float64{0, 1, 1.5, node.MillerMin, node.MillerMax / 2, node.MillerMax} {
+		scenarios = append(scenarios, Job{MF: &f})
 	}
-	zero := 0.0
-	if key(Job{Net: base, Aggressor: "none", Scheme: "auto"}) != key(Job{Net: base}) ||
+	for a, ja := range scenarios {
+		ja.Net = base
+		for _, jb := range scenarios[a+1:] {
+			jb.Net = base
+			if same := physics(ja) == physics(jb); (key(ja) == key(jb)) != same {
+				t.Errorf("scenarios %+v and %+v: shared key %v, want %v", ja, jb, !same, same)
+			}
+		}
+	}
+	mfKey := func(f float64) string { return key(Job{Net: base, MF: &f}) }
+	if key(Job{Net: base, Aggressor: "worst", Scheme: "plain"}) != mfKey(node.MillerMax) ||
+		key(Job{Net: base, Aggressor: "quiet", Scheme: "plain"}) != mfKey(1) ||
+		key(Job{Net: base, Aggressor: "best", Scheme: "plain"}) != mfKey(node.MillerMin) ||
 		key(Job{Net: base, Aggressor: "worst"}) != key(Job{Net: base, Aggressor: "worst", Scheme: "plain"}) ||
-		key(Job{Net: base, MF: &zero}) != key(Job{Net: base, MF: func() *float64 { x := math.Copysign(0, -1); return &x }()}) {
+		mfKey(0) != mfKey(math.Copysign(0, -1)) {
 		t.Fatal("equal scenarios differ in their keys")
+	}
+	for _, j := range []Job{{Aggressor: "wrst"}, {Aggressor: "none", Scheme: "auto"}, {Aggressor: "worst", Scheme: "both"}} {
+		j.Net = base
+		if k, ok := eng.Signature(j); ok {
+			t.Errorf("unresolvable scenario %+v has the signature %q", j, k)
+		}
+	}
+}
+
+// TestWorstPlainIsTheMillerMaxFront: a worst/plain job and an explicit
+// factor of MillerMax, which share a key, solve equal fronts on cache-off
+// engines on every node: the same τmin and, point for point, the same
+// delay and width bits, placement and schemes.
+func TestWorstPlainIsTheMillerMaxFront(t *testing.T) {
+	for _, node := range builtinNodes() {
+		mm := node.MillerMax
+		net := netgenLines(t, node, 93, 1)[0]
+		var fronts [2]lineFront
+		var tmins [2]float64
+		for k, j := range []Job{{Net: net, Aggressor: "worst", Scheme: "plain"}, {Net: net, MF: &mm}} {
+			eng, err := New(node, Options{Workers: 1, Cache: CacheOptions{Disabled: true}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := eng.prepare(j, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fronts[k], tmins[k], err = eng.solveLineFront(context.Background(), p.ev, p.name, "", p.cpl); err != nil {
+				t.Fatal(err)
+			}
+		}
+		a, b := fronts[0], fronts[1]
+		if math.Float64bits(tmins[0]) != math.Float64bits(tmins[1]) || len(a) != len(b) {
+			t.Fatalf("%s: worst/plain τmin %g with %d points, MillerMax %g with %d", node.Name, tmins[0], len(a), tmins[1], len(b))
+		}
+		for i := range a {
+			if math.Float64bits(a[i].delay) != math.Float64bits(b[i].delay) ||
+				math.Float64bits(a[i].totalWidth) != math.Float64bits(b[i].totalWidth) ||
+				!slices.Equal(a[i].positions, b[i].positions) || !slices.Equal(a[i].widths, b[i].widths) ||
+				!slices.Equal(a[i].schemes, b[i].schemes) {
+				t.Fatalf("%s point %d: worst/plain %+v, MillerMax %+v", node.Name, i, a[i], b[i])
+			}
+		}
 	}
 }
 
@@ -185,18 +250,21 @@ func BenchmarkSignature(b *testing.B) {
 		b.Fatal(err)
 	}
 	tn := &tree.Net{Name: "t", Tree: tr, DriverWidth: 240}
-	mf := node.MillerMax
+	cpl, err := delay.NewCouplingFactor(node, node.MillerMax)
+	if err != nil {
+		b.Fatal(err)
+	}
 	shape := eng.newLineShape(line)
 	b.Run("line", func(b *testing.B) {
 		b.ReportAllocs()
 		for range b.N {
-			signatureSink = eng.sig.key(Job{Net: line, TargetMult: 1.3})
+			signatureSink = eng.sig.key(line, nil)
 		}
 	})
 	b.Run("bus_member", func(b *testing.B) {
 		b.ReportAllocs()
 		for range b.N {
-			signatureSink = eng.sig.scenarioKey(shape.key, Job{Net: line, MF: &mf})
+			signatureSink = eng.sig.scenarioKey(shape.key, cpl)
 		}
 	})
 	b.Run("tree", func(b *testing.B) {

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -152,8 +153,19 @@ func TestServedBodiesMatchMarshal(t *testing.T) {
 	if got := s.m.encodeFallbacks.Load() - before; got != 2 {
 		t.Fatalf("%d of %d answers went to encoding/json, want only the error envelope's 2", got, answers)
 	}
-	if !strings.Contains(get(t, s, "/metrics").Body.String(), "rip_encode_fallbacks_total 2\n") {
+	text := get(t, s, "/metrics").Body.String()
+	if !strings.Contains(text, "rip_encode_fallbacks_total 2\n") {
 		t.Fatal("/metrics does not report the 2 fallbacks")
+	}
+	// The deprecated bus families stay exported while the benchmark reads
+	// them: every bus job is exact, none iterated.
+	for _, name := range []string{"180nm", "130nm", "90nm", "65nm"} {
+		jobs := metricValue(t, text, fmt.Sprintf("rip_bus_jobs_total{tech=%q}", name))
+		exact := metricValue(t, text, fmt.Sprintf("rip_bus_exact_total{tech=%q}", name))
+		iterated := metricValue(t, text, fmt.Sprintf("rip_bus_iterated_total{tech=%q}", name))
+		if jobs == 0 || exact != jobs || iterated != 0 {
+			t.Fatalf("%s: %g bus jobs, %g exact, %g iterated", name, jobs, exact, iterated)
+		}
 	}
 }
 

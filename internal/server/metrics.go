@@ -247,19 +247,17 @@ func (m *metrics) writePrometheus(w io.Writer, eng *engine.Multi, start time.Tim
 		func(s techSnap) uint64 { return s.cpl.ShieldedAnswers })
 
 	// Bus co-optimization counters: how much of the workload arrives as
-	// track groups, and which co-decision algorithm answers them. Sweeps
-	// against iterated jobs is the convergence health signal — an average
-	// near the 32-sweep cap means best-response is being cut off.
+	// track groups. The exact and iterated families are deprecated: the
+	// joint chain DP answers every bus job, and they remain only because
+	// the benchmark reads them.
 	perTech("rip_bus_jobs_total", "counter", "Accepted bus co-optimization jobs, by node.",
 		func(s techSnap) uint64 { return s.busS.Jobs })
 	perTech("rip_bus_tracks_total", "counter", "Member tracks across accepted bus jobs, by node.",
 		func(s techSnap) uint64 { return s.busS.Tracks })
-	perTech("rip_bus_exact_total", "counter", "Bus jobs answered by the joint chain DP, by node.",
-		func(s techSnap) uint64 { return s.busS.Exact })
-	perTech("rip_bus_iterated_total", "counter", "Bus jobs answered by iterated best-response, by node.",
-		func(s techSnap) uint64 { return s.busS.Iterated })
-	perTech("rip_bus_sweeps_total", "counter", "Best-response sweeps across iterated bus jobs, by node.",
-		func(s techSnap) uint64 { return s.busS.Sweeps })
+	perTech("rip_bus_exact_total", "counter", "Deprecated, equals rip_bus_jobs_total: bus jobs answered by the joint chain DP, by node.",
+		func(s techSnap) uint64 { return s.busS.Jobs })
+	perTech("rip_bus_iterated_total", "counter", "Deprecated, always 0: no bus job is answered by iterated best-response, by node.",
+		func(techSnap) uint64 { return 0 })
 
 	// Cluster forwarding health (only when a ring is configured). The
 	// forwards/fallbacks split is the signal that matters: fallbacks

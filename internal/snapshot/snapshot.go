@@ -49,8 +49,11 @@ var magic = [8]byte{'R', 'I', 'P', 'S', 'N', 'A', 'P', '\n'}
 // anyway, since coupling parameters joined the node identity string in
 // the same change. v3 entries carry the engine's binary cache keys; a v2
 // file's text keys would import and never hit, so it is refused with
-// ErrVersion too.
-const Version = 3
+// ErrVersion too. v4 keys a line entry's crosstalk scenario by its
+// resolved physics (allowed schemes and factor classes) instead of its
+// scenario names, which changes the tail of every line key, so v3 files
+// are refused the same way.
+const Version = 4
 
 // ErrFormat flags a file that is not a well-formed snapshot: wrong
 // magic, truncated, internally inconsistent, or failing its checksum.

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -173,10 +174,11 @@ func TestSnapshotCorruption(t *testing.T) {
 	}
 }
 
-// TestSnapshotRefusesV2: an intact v2 image, whose entries carry the
-// text cache keys v3 replaced, fails the load with ErrVersion and
-// imports nothing, so the replica starts cold instead of holding entries
-// no signature can reach.
+// TestSnapshotRefusesV2: an intact v2 or v3 image fails the load with
+// ErrVersion and imports nothing, so the replica starts cold instead of
+// holding entries no signature can reach: v2 entries carry the text
+// cache keys v3 replaced, and v3 line keys spell their scenario by name
+// where v4 keys it by its physics.
 func TestSnapshotRefusesV2(t *testing.T) {
 	a := newMulti(t)
 	warm(t, a, testNets(t, 12, 4))
@@ -189,18 +191,20 @@ func TestSnapshotRefusesV2(t *testing.T) {
 	if _, err := Write(&buf, sections); err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
-	binary.LittleEndian.PutUint32(data[len(magic):], 2)
-	path := filepath.Join(t.TempDir(), "v2.snap")
-	if err := writeFile(path, reseal(data)); err != nil {
-		t.Fatal(err)
-	}
-	m := newMulti(t)
-	if _, err := LoadMulti(path, m); !errors.Is(err, ErrVersion) {
-		t.Fatalf("v2 image: load error %v, want ErrVersion", err)
-	}
-	if n := m.CacheStats().Entries; n != 0 {
-		t.Fatalf("a refused image imported %d entries", n)
+	for _, v := range []uint32{2, 3} {
+		data := bytes.Clone(buf.Bytes())
+		binary.LittleEndian.PutUint32(data[len(magic):], v)
+		path := filepath.Join(t.TempDir(), fmt.Sprintf("v%d.snap", v))
+		if err := writeFile(path, reseal(data)); err != nil {
+			t.Fatal(err)
+		}
+		m := newMulti(t)
+		if _, err := LoadMulti(path, m); !errors.Is(err, ErrVersion) {
+			t.Fatalf("v%d image: load error %v, want ErrVersion", v, err)
+		}
+		if n := m.CacheStats().Entries; n != 0 {
+			t.Fatalf("a refused v%d image imported %d entries", v, n)
+		}
 	}
 }
 
